@@ -130,16 +130,6 @@ class FieldLabeling:
         return cycles
 
 
-def _poly_mod_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _poly_divisible(num: list[int], den: list[int], p: int) -> bool:
     num = num[:]
     inv_lead = pow(den[-1], p - 2, p)
@@ -598,20 +588,3 @@ def class_catalog() -> list[dict]:
             }
         )
     return out
-
-def experimental_family(n: int) -> tuple[list[SignedPerm], int]:
-    """Conjectured 25th family (no correctness claim; not part of any check).
-
-    At n = 1 it closes to one of the rank-6 S_4 rows.  For larger n the
-    Sylow 2-subgroup grows quickly and whether the cohomological condition
-    persists is open; ships only as an experiment fixture.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    N = 4 * n + 2
-    o2 = 2 * n + 1
-    g1 = _el(N, range(1, N + 1), _trans_chain(0, n) + _trans_chain(o2, n))
-    g2 = _el(N, (), [_std_cycle(0, n), _std_cycle(o2, n)])
-    g3 = _el(N, (), [(1, o2 + 1)] + [(2 * k, o2 + 2 * k) for k in range(1, n + 1)])
-    g4 = _el(N, (), [(2 * k + 1, o2 + 2 * k + 1) for k in range(0, n + 1)])
-    return [g1, g2, g3, g4], N

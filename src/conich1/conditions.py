@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, closure, enc_closure, index_orbits, pair_orbits
-from .intlinalg import LatticeBasis, lattice_equal
+from .groups import FiniteGroup, enc_closure, index_orbits, pair_orbits
+from .intlinalg import lattice_equal
 from .picard import fixed_sublattice_of, minimal_lattice
 from .signedperm import SignedPerm, signed_cycles
 
@@ -57,11 +57,6 @@ def relative_minimality(G: FiniteGroup) -> bool:
     gens = list(G.generators) or list(G.elements)
     fixed = fixed_sublattice_of(G.n, [g for g in gens if not g.is_identity()])
     return lattice_equal(fixed, minimal_lattice(G.n))
-
-
-def fixed_lattice(G: FiniteGroup) -> LatticeBasis:
-    gens = list(G.generators) or list(G.elements)
-    return fixed_sublattice_of(G.n, [g for g in gens if not g.is_identity()])
 
 
 def orbit_count_filter(G: FiniteGroup) -> bool:

@@ -4,14 +4,16 @@ verification of the bundled per-rank reference tables.
 Two modes:
 
 * full (n <= 5): the complete subgroup lattice up to W(D_n)-conjugacy,
-  grown by prime-power cyclic extensions with conjugation-orbit dedup,
-  then filtered.
-* generator_guided (n <= 7): grow only through "clean" subgroups (every
-  element generates a cyclic group with trivial H^1 at all powers); any
-  group passing the filters is clean, so the search is complete for the
-  target set.  Partial groups are never pruned by orbit counts: that
-  would lose D4(1), both of whose one-generator partials already have
-  four symbol orbits.
+  grown by prime-power cyclic extensions over an integer multiplication
+  table of W(D_n), with conjugation-orbit dedup, then filtered.  It is
+  the independent reference that guided mode is tested against.
+* generator_guided (n <= 7): groups.subgroup_walk, the walker behind
+  groups.all_subgroups, over the prime-power cyclic generators of the
+  "clean" elements (those whose cyclic group has trivial H^1), rejecting
+  every closure that meets an unclean element.  Any group passing the
+  filters is clean, so the search is complete for the target set.
+  Partial groups are never pruned by orbit counts: that would lose D4(1),
+  both of whose one-generator partials already have four symbol orbits.
 """
 
 from __future__ import annotations
@@ -22,18 +24,19 @@ from .classes import ClassSpec, build_group
 from .cohomology import h1_condition, h1_condition_cyclic
 from .conditions import fiber_pair_condition, orbit_count_filter, relative_minimality
 from .groups import (
+    ClassStore,
     Enc,
     FiniteGroup,
     abelian_invariants,
     are_conjugate,
     canonical_form,
     enc_closure,
-    enc_mul,
     enc_inv,
-    enc_order,
-    fingerprint,
+    enc_mul,
     identity_enc,
     index_orbits,
+    prime_power_cyclic_generators,
+    subgroup_walk,
 )
 from .signedperm import SignedPerm, format_element, iter_wdn, wdn_order
 
@@ -96,29 +99,6 @@ def _passes_filters(G: FiniteGroup) -> bool:
     return bool(cond.ok)
 
 
-class _ClassStore:
-    """Conjugacy-class dedup via fingerprint buckets + exact backtracking."""
-
-    def __init__(self) -> None:
-        self.buckets: dict[tuple, list[FiniteGroup]] = {}
-        self.count = 0
-        self.tests = 0
-
-    def add(self, G: FiniteGroup) -> bool:
-        fp = fingerprint(G)
-        bucket = self.buckets.setdefault(fp, [])
-        for rep in bucket:
-            self.tests += 1
-            if are_conjugate(rep, G):
-                return False
-        bucket.append(G)
-        self.count += 1
-        return True
-
-    def reps(self) -> list[FiniteGroup]:
-        return [G for bucket in self.buckets.values() for G in bucket]
-
-
 class _IntGroup:
     """W(D_n) with elements renumbered 0..N-1 and a full multiplication table."""
 
@@ -126,7 +106,8 @@ class _IntGroup:
         self.n = n
         wdn_gens = _wdn_generators(n)
         all_encs = enc_closure(wdn_gens, n, cap=wdn_order(n) + 1)
-        assert all_encs is not None and len(all_encs) == wdn_order(n)
+        if all_encs is None or len(all_encs) != wdn_order(n):
+            raise RuntimeError(f"the generators of W(D_{n}) do not close to {wdn_order(n)} elements")
         self.encs = sorted(all_encs)
         self.index = {e: i for i, e in enumerate(self.encs)}
         idx = self.index
@@ -137,7 +118,7 @@ class _IntGroup:
         self.identity = idx[identity_enc(n)]
         self.gen_ids = [idx[g] for g in wdn_gens]
 
-    def closure_int(self, gens: list[int], cap: int | None = None) -> frozenset[int]:
+    def closure_int(self, gens: list[int]) -> frozenset[int]:
         mul = self.mul
         seen = {self.identity}
         seen.update(gens)
@@ -175,29 +156,7 @@ def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
     W = _IntGroup(n)
     mul = W.mul
 
-    # one generator per prime-power cyclic subgroup
-    cyclic_seen: set[frozenset[int]] = set()
-    ppow: list[int] = []
-    for i, e in enumerate(W.encs):
-        k = enc_order(e)
-        if k == 1:
-            continue
-        f = min(q for q in range(2, k + 1) if k % q == 0)
-        kk = k
-        while kk % f == 0:
-            kk //= f
-        if kk != 1:
-            continue
-        cyc = [W.identity]
-        x = i
-        while x != W.identity:
-            cyc.append(x)
-            x = mul[x][i]
-        key = frozenset(cyc)
-        if key not in cyclic_seen:
-            cyclic_seen.add(key)
-            ppow.append(i)
-
+    ppow = [W.index[e] for e in prime_power_cyclic_generators(W.encs)]
     trivial = frozenset({W.identity})
     seen: set[frozenset[int]] = {trivial}
     class_reps: list[tuple[frozenset[int], list[int]]] = [(trivial, [])]
@@ -236,72 +195,26 @@ def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
 
 
 def _enumerate_guided(n: int, cap: int = CLEAN_SUBGROUP_CAP) -> tuple[list[FiniteGroup], dict]:
+    """Classes of clean subgroups of order <= cap.
+
+    Complete: every finite group is generated by its elements of
+    prime-power order, and the clean set is closed under powers and
+    conjugation, so every clean subgroup is reached through clean
+    intermediate subgroups by the walker's prime-power extensions.
+    """
     clean = clean_elements(n)
-
-    def reject(e: Enc) -> bool:
-        return e not in clean
-
-    # extension candidates: one clean generator per clean cyclic subgroup
-    cyc_seen: set[frozenset[Enc]] = set()
-    candidates: list[Enc] = []
-    for e in sorted(clean):
-        if e == identity_enc(n):
-            continue
-        cyc = [identity_enc(n)]
-        x = e
-        good = True
-        while x != cyc[0]:
-            cyc.append(x)
-            x = enc_mul(x, e)
-        key = frozenset(cyc)
-        if key not in cyc_seen:
-            cyc_seen.add(key)
-            candidates.append(e)
-
-    store = _ClassStore()
-    literal_seen: set[frozenset[Enc]] = set()
-    worklist: list[tuple[frozenset[Enc], list[Enc]]] = []
-    closures = aborted = 0
-
-    def offer(K: frozenset[Enc], gens: list[Enc]) -> None:
-        if K in literal_seen:
-            return
-        literal_seen.add(K)
-        G = FiniteGroup.from_enc_set(n, K, gens)
-        if store.add(G):
-            worklist.append((K, gens))
-
-    for e in candidates:
-        K = enc_closure([e], n, cap=cap, reject=reject)
-        closures += 1
-        if K is None:
-            aborted += 1
-            continue
-        offer(K, [e])
-
-    qi = 0
-    while qi < len(worklist):
-        H, gens = worklist[qi]
-        qi += 1
-        for x in candidates:
-            if x in H:
-                continue
-            K = enc_closure(gens + [x], n, cap=cap, reject=reject)
-            closures += 1
-            if K is None:
-                aborted += 1
-                continue
-            offer(K, gens + [x])
-
+    candidates = prime_power_cyclic_generators(clean)
+    store = ClassStore()
+    walk = subgroup_walk(n, candidates, cap, reject=lambda e: e not in clean, store=store)
     stats = {
         "clean_elements": len(clean),
         "clean_cyclic_candidates": len(candidates),
         "clean_subgroup_classes": store.count,
-        "closures": closures,
-        "aborted_closures": aborted,
+        "closures": walk.closures,
+        "aborted_closures": walk.aborted,
         "conjugacy_tests": store.tests,
     }
-    return store.reps(), stats
+    return list(walk.subgroups), stats
 
 
 def enumerate_wdn(

@@ -43,10 +43,6 @@ def enc_conj(t: Enc, a: Enc, tinv: Enc | None = None) -> Enc:
     return enc_mul(enc_mul(t, a), tinv)
 
 
-def enc_sigma(a: Enc) -> int:
-    return -1 if sum(s & 1 for s in a) % 2 else 1
-
-
 def enc_order(a: Enc) -> int:
     from math import lcm
 
@@ -220,9 +216,6 @@ class FiniteGroup:
     def identity(self) -> SignedPerm:
         return SignedPerm.identity(self.n)
 
-    def subgroup_from_encs(self, encs: Iterable[Enc], gens_enc: Sequence[Enc] = ()) -> "FiniteGroup":
-        return FiniteGroup.from_enc_set(self.n, encs, gens_enc)
-
     def conjugate_by(self, t: SignedPerm) -> "FiniteGroup":
         tinv = t.inverse()
         gens = [t * g * tinv for g in self.generators]
@@ -264,7 +257,8 @@ class FiniteGroup:
             for b in gens:
                 comms.add(enc_mul(enc_mul(a, b), enc_mul(ainv, enc_inv(b))))
         out = enc_closure(sorted(comms), self.n, cap=self.order + 1)
-        assert out is not None
+        if out is None:
+            raise RuntimeError(f"derived subgroup outgrew its group of order {self.order}")
         return out
 
 
@@ -292,14 +286,14 @@ def closure(gens: Sequence[SignedPerm], n: int | None = None, cap: int = DEFAULT
 class SubgroupList:
     parent: FiniteGroup
     subgroups: tuple[FiniteGroup, ...]
-    mode: str  # all | up_to_parent_conjugacy | up_to_WDn_conjugacy
 
 
-def _prime_power_cyclic_generators(G: FiniteGroup) -> list[Enc]:
-    """One generator per cyclic subgroup of prime power order, deterministic."""
+def prime_power_cyclic_generators(encs: Iterable[Enc]) -> list[Enc]:
+    """One generator per cyclic subgroup of prime-power order: the least
+    element of ``encs`` that generates it."""
     seen: set[frozenset[Enc]] = set()
     out: list[Enc] = []
-    for e in G.enc_sorted:
+    for e in sorted(encs):
         k = enc_order(e)
         if k == 1:
             continue
@@ -326,66 +320,102 @@ def _cyclic_encs(e: Enc) -> list[Enc]:
     return out
 
 
+class ClassStore:
+    """Conjugacy-class dedup via fingerprint buckets + exact backtracking."""
+
+    def __init__(self) -> None:
+        self.buckets: dict[tuple, list[FiniteGroup]] = {}
+        self.count = 0
+        self.tests = 0
+
+    def add(self, G: FiniteGroup) -> bool:
+        """Store G and return True unless it is W(D_n)-conjugate to a stored group."""
+        bucket = self.buckets.setdefault(fingerprint(G), [])
+        for rep in bucket:
+            self.tests += 1
+            if are_conjugate(rep, G):
+                return False
+        bucket.append(G)
+        self.count += 1
+        return True
+
+
+@dataclass(frozen=True)
+class SubgroupWalk:
+    subgroups: tuple[FiniteGroup, ...]  # in discovery order, the trivial group first
+    closures: int
+    aborted: int
+
+
+def subgroup_walk(
+    n: int,
+    candidates: Sequence[Enc],
+    cap: int,
+    reject: Callable[[Enc], bool] | None = None,
+    store: ClassStore | None = None,
+) -> SubgroupWalk:
+    """Breadth-first cyclic-extension walk of a subgroup lattice.
+
+    Starting from the trivial group, each kept subgroup H = <gens> is
+    extended to <gens, x> for one candidate x per H-conjugation orbit, the
+    least h x h^-1 over h in H (every element of the orbit gives the same
+    <H, x>; the orbit is traced by conjugating with gens), closed by
+    enc_closure under ``cap`` and ``reject``.  Literal element sets are
+    kept once; given a ClassStore, only the first subgroup of each
+    W(D_n)-class is kept and extended (the trivial group is not stored).
+    The walk reaches every subgroup, or class, generated by candidates
+    whose intermediate closures pass ``cap`` and ``reject``.  This is the
+    cyclic extension method (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005).
+    """
+    trivial = frozenset({identity_enc(n)})
+    walk: list[tuple[frozenset[Enc], list[Enc]]] = [(trivial, [])]
+    kept = [FiniteGroup.from_enc_set(n, trivial)]
+    seen = {trivial}
+    closures = aborted = 0
+    for H, gens in walk:  # walk grows while it is read: breadth first
+        conj = [(g, enc_inv(g)) for g in gens]
+        rep_of: dict[Enc, Enc] = {}
+        for x in candidates:
+            if x in H or x in rep_of:
+                continue
+            rep_of[x] = x
+            orbit = [x]
+            for y in orbit:  # orbit grows while it is read
+                for t, ti in conj:
+                    z = enc_conj(t, y, ti)
+                    if z not in rep_of:
+                        rep_of[z] = z
+                        orbit.append(z)
+            least = min(orbit)
+            for y in orbit:
+                rep_of[y] = least
+        for x in sorted(set(rep_of.values())):
+            closures += 1
+            K = enc_closure(gens + [x], n, cap=cap, reject=reject)
+            if K is None:
+                aborted += 1
+                continue
+            if K in seen:
+                continue
+            seen.add(K)
+            G = FiniteGroup.from_enc_set(n, K, gens + [x])
+            if store is None or store.add(G):
+                walk.append((K, gens + [x]))
+                kept.append(G)
+    return SubgroupWalk(tuple(kept), closures, aborted)
+
+
 def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> SubgroupList:
-    """Every subgroup, grown layer by layer by prime-power cyclic extensions."""
+    """Every subgroup of G, by subgroup_walk over its prime-power cyclic
+    generators, sorted by order and then by sorted element encodings."""
     if G.order > bound:
         raise ValueError(f"group order {G.order} exceeds subgroup enumeration bound {bound}")
-    n = G.n
-    ident = identity_enc(n)
-    ppgens = _prime_power_cyclic_generators(G)
-    trivial = frozenset({ident})
-    seen: dict[frozenset[Enc], list[Enc]] = {trivial: []}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for x in ppgens:
-                if x in H:
-                    continue
-                K = enc_closure(list(seen[H]) + [x], n, cap=G.order)
-                assert K is not None
-                if K not in seen:
-                    seen[K] = list(seen[H]) + [x]
-                    nxt.append(K)
-        frontier = nxt
-    subs = [
-        FiniteGroup.from_enc_set(n, H, gens)
-        for H, gens in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    ]
-    return SubgroupList(G, tuple(subs), "all")
-
-
-def subgroups_up_to_conjugacy(G: FiniteGroup, ambient: str = "parent", bound: int = DEFAULT_SUBGROUP_BOUND) -> SubgroupList:
-    """Subgroup list reduced modulo conjugacy in the parent or in W(D_n)."""
-    full = all_subgroups(G, bound=bound)
-    if ambient == "parent":
-        conjugators = [g.enc for g in (G.generators or G.generating_sequence())]
-        seen: set[frozenset[Enc]] = set()
-        reps: list[FiniteGroup] = []
-        for H in full.subgroups:
-            if H.enc_set in seen:
-                continue
-            reps.append(H)
-            frontier = [H.enc_set]
-            seen.add(H.enc_set)
-            while frontier:
-                nxt = []
-                for Q in frontier:
-                    for t in conjugators:
-                        ti = enc_inv(t)
-                        img = frozenset(enc_mul(enc_mul(t, q), ti) for q in Q)
-                        if img not in seen:
-                            seen.add(img)
-                            nxt.append(img)
-                frontier = nxt
-        return SubgroupList(G, tuple(reps), "up_to_parent_conjugacy")
-    if ambient == "wdn":
-        reps = []
-        for H in full.subgroups:
-            if not any(are_conjugate(H, R) for R in reps if R.order == H.order):
-                reps.append(H)
-        return SubgroupList(G, tuple(reps), "up_to_WDn_conjugacy")
-    raise ValueError(f"unknown ambient {ambient!r}")
+    walk = subgroup_walk(G.n, prime_power_cyclic_generators(G.enc_set), cap=G.order)
+    if walk.aborted:
+        raise RuntimeError(f"a closure inside a group of order {G.order} outgrew it")
+    subs = sorted(walk.subgroups, key=lambda H: (H.order, H.enc_sorted))
+    return SubgroupList(G, tuple(subs))
 
 
 def sylow2(G: FiniteGroup) -> FiniteGroup:
@@ -414,10 +444,13 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
             if all(enc_mul(enc_mul(e, p), ei) in P for p in P):
                 candidate = e
                 break
-        assert candidate is not None, "Sylow climb failed"
+        if candidate is None:
+            raise RuntimeError(f"Sylow climb stalled at order {len(P)} below {two_part}")
         gens.append(candidate)
-        P = enc_closure(gens, n, cap=two_part)  # type: ignore[assignment]
-        assert P is not None
+        closed = enc_closure(gens, n, cap=two_part)
+        if closed is None:
+            raise RuntimeError(f"Sylow climb outgrew the 2-part {two_part}")
+        P = closed
     # deterministic representative: least conjugate under the element ordering
     best = tuple(sorted(P))
     best_gens = list(gens)
@@ -485,7 +518,8 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     def exact_plog(x: int, p: int) -> int:
         e = 0
         while x > 1:
-            assert x % p == 0
+            if x % p:
+                raise RuntimeError(f"{x} is not a power of {p}")
             x //= p
             e += 1
         return e
@@ -677,7 +711,8 @@ def canonical_form(
             )
             if best is None or key < best:
                 best = key
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no conjugator was scanned")
     return (n, best)
 
 

@@ -53,11 +53,6 @@ class PicLattice:
         return sum(a * b for a, b in zip(gv, w))
 
 
-@lru_cache(maxsize=4096)
-def _gram(n: int) -> IntMatrix:
-    return PicLattice(n).gram
-
-
 def psi(a: SignedPerm) -> IntMatrix:
     """Signed permutation matrix: column j is s(tau(j)) e_{tau(j)}."""
     n = a.n
@@ -66,11 +61,6 @@ def psi(a: SignedPerm) -> IntMatrix:
         t = a.image[j - 1]
         rows[t - 1][j - 1] = -1 if t in a.minus else 1
     return IntMatrix.from_rows(rows)
-
-
-def phi_rows(a: SignedPerm) -> tuple[tuple[int, ...], ...]:
-    """Rows of phi(a) as tuples (cached via phi)."""
-    return tuple(phi(a).row(i) for i in range(a.n + 2))
 
 
 @lru_cache(maxsize=200000)

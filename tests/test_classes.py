@@ -188,22 +188,3 @@ def test_d4_sylow_classes_11_18_22_24():
         assert P.order == 8
         assert sorted(g.order() for g in P.elements) == [1, 2, 2, 2, 2, 2, 4, 4]
         assert h1_oracle(P).f2_rank == 0
-
-
-def test_experimental_family_smoke():
-    # experiment fixture only: no acceptance weight, no correctness claim
-    from conich1.classes import experimental_family
-    from conich1.enumeration import TABLE_ROWS
-
-    gens, N = experimental_family(1)
-    grp = closure(gens, n=N)
-    assert grp.order == 24
-    assert any(
-        row.name == "S_4" and are_conjugate(grp, row.build(6)) for row in TABLE_ROWS[6]
-    )
-    gens, N = experimental_family(2)
-    grp2 = closure(gens, n=N)
-    assert grp2.order == 320 and N == 10
-    from conich1.cohomology import h1_condition
-
-    assert h1_condition(grp2).ok is not False  # open question; record, don't claim

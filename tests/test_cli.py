@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 
+import conich1
 from conich1.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, REPORT_SCHEMA, main
 
 
@@ -92,6 +96,20 @@ def test_enumerate_command(capsys):
     assert rep["result"]["count"] == 1
     assert rep["result"]["entries"][0]["class_id"] == 1
     assert no_floats(rep)
+
+
+def test_invariant_checks_survive_python_O(capsys):
+    # -O strips asserts; the invariants must be explicit exceptions
+    argv = ["enumerate", "-n", "4", "--mode", "generator_guided"]
+    assert main(argv) == EXIT_OK
+    in_process = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conich1.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "conich1.cli", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == in_process
 
 
 def test_verify_tables_command(capsys):

@@ -100,6 +100,6 @@ def test_enumerate_7_matches_table(guided_enumeration):
     for e in res.entries:
         grp = closure([parse_element(t, 7) for t in e.generators], n=7)
         hits = [row.row_id for row, R in rows if R.order == grp.order and are_conjugate(grp, R)]
-        assert len(hits) >= 1, (e.order, hits)
-        matched.update(hits)
+        assert len(hits) == 1, (e.order, hits)
+        matched.add(hits[0])
     assert len(matched) == 10

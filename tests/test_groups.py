@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
+from conich1.enumeration import _enumerate_full
 from conich1.groups import (
+    ClassStore,
     abelian_invariants,
     all_subgroups,
     are_conjugate,
@@ -12,9 +14,11 @@ from conich1.groups import (
     conjugating_element,
     enc_order,
     fingerprint,
+    prime_power_cyclic_generators,
+    subgroup_walk,
     sylow2,
 )
-from conich1.signedperm import SignedPerm, parse_element
+from conich1.signedperm import SignedPerm, iter_wdn, parse_element
 
 
 def G(n, *texts):
@@ -169,18 +173,23 @@ def test_abelian_invariants():
     assert abelian_invariants(closure([], n=3)) == ()
 
 
-def test_subgroups_up_to_conjugacy_modes():
-    from conich1.groups import subgroups_up_to_conjugacy
-
+def test_subgroup_walk_s3():
     grp = d41()
-    full = all_subgroups(grp).subgroups
-    par = subgroups_up_to_conjugacy(grp, "parent")
-    wdn = subgroups_up_to_conjugacy(grp, "wdn")
-    # S_3: the three reflection subgroups fuse under parent conjugation
-    assert len(full) == 6 and len(par.subgroups) == 4 and len(wdn.subgroups) == 4
-    assert par.mode == "up_to_parent_conjugacy" and wdn.mode == "up_to_WDn_conjugacy"
-    with pytest.raises(ValueError):
-        subgroups_up_to_conjugacy(grp, "nope")
+    cands = prime_power_cyclic_generators(grp.enc_set)
+    walk = subgroup_walk(4, cands, cap=grp.order)
+    assert len(walk.subgroups) == 6 and walk.aborted == 0
+    # S_3: the three reflection subgroups fuse under W(D_4)-conjugation
+    classes = subgroup_walk(4, cands, cap=grp.order, store=ClassStore())
+    assert sorted(H.order for H in classes.subgroups) == [1, 2, 3, 6]
+
+
+def test_subgroup_walk_matches_full_lattice_wdn4():
+    # fingerprint + backtracking dedup against the int-table orbit dedup
+    wdn = [g.enc for g in iter_wdn(4)]
+    walk = subgroup_walk(4, prime_power_cyclic_generators(wdn), cap=len(wdn), store=ClassStore())
+    reference, stats = _enumerate_full(4)
+    assert len(walk.subgroups) == len(reference) == stats["subgroup_classes"] == 98
+    assert {canonical_form(H) for H in walk.subgroups} == {canonical_form(H) for H in reference}
 
 
 def test_canonical_form_invariance_rank5_fixture():
