@@ -106,7 +106,8 @@ class FieldLabeling:
         for _ in range(self.q - 1):
             out.append(self.lab(x))
             x = self.mul(x, self.gamma)
-        assert x == self.one
+        if x != self.one:
+            raise RuntimeError(f"gamma^{self.q - 1} is not 1")
         return out
 
     def addition_cycles(self) -> list[list[int]]:
@@ -169,7 +170,8 @@ def field_labeling(p: int, r: int) -> FieldLabeling:
         if _irreducible(list(tail) + [1], p):
             modulus = tuple(tail)
             break
-    assert modulus is not None
+    if modulus is None:
+        raise RuntimeError(f"no monic irreducible polynomial of degree {r} over F_{p}")
     lab = FieldLabeling(p, r, modulus, (0,) * r)
     q = p**r
     prime_divs = []
@@ -489,7 +491,8 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
 def build_group(spec: ClassSpec, cap: int = 100000) -> FiniteGroup:
     gens, N, _ = class_generators(spec)
     for g in gens:
-        assert sigma(g) == 1, f"class {spec.id} generator left W(D_n)"
+        if sigma(g) != 1:
+            raise RuntimeError(f"class {spec.id} generator left W(D_n)")
     return closure(gens, n=N, cap=cap)
 
 

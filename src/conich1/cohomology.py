@@ -11,7 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, all_subgroups, closure, enc_mul, identity_enc, index_orbits, sylow2
+from .groups import (
+    Enc,
+    FiniteGroup,
+    _walk_levels,
+    closure,
+    enc_mul,
+    identity_enc,
+    index_orbits,
+    prime_power_cyclic_generators,
+    sylow2,
+)
 from .intlinalg import LatticeBasis, kernel_of_rows, quotient_invariants
 from .picard import phi
 from .signedperm import SignedPerm, lambda_count, sigma, signed_cycles
@@ -56,6 +66,15 @@ def _check_torsion(factors: tuple[int, ...]) -> None:
         raise TorsionError(f"H^1 invariant factors {factors} are not all 2")
 
 
+def _finite_quotient(lattice: LatticeBasis, sub: LatticeBasis) -> tuple[int, ...]:
+    """Invariant factors of lattice/sub, which must be finite and 2-torsion."""
+    factors, free = quotient_invariants(lattice, sub)
+    if free:
+        raise RuntimeError(f"the quotient has free rank {free}; H^1 of a finite group must be finite")
+    _check_torsion(factors)
+    return factors
+
+
 def _generating_set(G: FiniteGroup, generators, use_all_elements: bool) -> list[SignedPerm]:
     if use_all_elements:
         return list(G.elements)
@@ -75,10 +94,10 @@ def _generating_set(G: FiniteGroup, generators, use_all_elements: bool) -> list[
 
 def coboundary_columns(gens: list[SignedPerm], n: int | None = None) -> CoboundaryColumns:
     """The f_i vectors over a generator list, with the half-sum identity checked."""
-    if not gens and n is None:
+    if gens:
+        n = gens[0].n
+    elif n is None:
         raise ValueError("empty generator list needs an explicit rank n")
-    n = gens[0].n if gens else n
-    assert n is not None
     for g in gens:
         if sigma(g) != 1:
             raise ValueError("generator outside W(D_n)")
@@ -94,8 +113,8 @@ def coboundary_columns(gens: list[SignedPerm], n: int | None = None) -> Cobounda
     for i in range(1, n + 1):
         for k, x in enumerate(cols[i]):
             total[k] += x
-    assert all(x % 2 == 0 for x in total)
-    assert [x // 2 for x in total] == cols[-1], "half-sum identity f_-1 = (1/2) sum f_i failed"
+    if any(x % 2 for x in total) or [x // 2 for x in total] != cols[-1]:
+        raise RuntimeError("half-sum identity f_-1 = (1/2) sum f_i failed")
     return CoboundaryColumns(n, tuple(gens), {i: tuple(v) for i, v in cols.items()})
 
 
@@ -162,7 +181,8 @@ def h1_oracle(
                             row[off + c] -= Pr[c]
                     if any(row):
                         relation_rows.add(tuple(row))
-    assert len(E) == G.order
+    if len(E) != G.order:
+        raise RuntimeError(f"the Cayley graph reached {len(E)} of {G.order} elements")
 
     kernel = kernel_of_rows(sorted(relation_rows), D)
     Z = LatticeBasis.from_vectors(D, kernel)
@@ -179,17 +199,14 @@ def h1_oracle(
     F = LatticeBasis.from_vectors(D, [cob[i] for i in range(1, n + 1)])
 
     for i in (-1, 0, 1):
-        assert Z.member(cob[i]), "coboundary is not a cocycle; oracle is inconsistent"
+        if not Z.member(cob[i]):
+            raise RuntimeError("coboundary is not a cocycle; oracle is inconsistent")
 
-    factors, free = quotient_invariants(Z, B)
-    assert free == 0, "H^1 of a finite group must be finite"
-    _check_torsion(factors)
-
-    f_factors, f_free = quotient_invariants(Z, F)
-    assert f_free == 0
-    _check_torsion(f_factors)
+    factors = _finite_quotient(Z, B)
+    f_factors = _finite_quotient(Z, F)
     f_minus1_in_f = F.member(cob[-1])
-    assert len(f_factors) == len(factors) + (0 if f_minus1_in_f else 1)
+    if len(f_factors) != len(factors) + (0 if f_minus1_in_f else 1):
+        raise RuntimeError("Z^1/F and Z^1/B^1 disagree on whether f_-1 lies in F")
 
     return H1Report(
         invariant_factors=factors,
@@ -232,7 +249,8 @@ def h1_condition_cyclic(g: SignedPerm) -> tuple[bool, int | None]:
         return True, 3
     if odd_lens == [1, 1]:
         return True, 1
-    assert odd_lens == [1, 2], f"unexpected odd-cycle shape {odd_lens} passed the power check"
+    if odd_lens != [1, 2]:
+        raise RuntimeError(f"unexpected odd-cycle shape {odd_lens} passed the power check")
     return True, 2
 
 
@@ -292,20 +310,19 @@ def h1_halfsum(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1
             if combo >> t & 1:
                 for c, x in enumerate(orbit_sums[t]):
                     v[c] += x
-        assert all(x % 2 == 0 for x in v)
+        if any(x % 2 for x in v):
+            raise RuntimeError("an orbit combination in the parity nullspace has an odd column sum")
         return tuple(x // 2 for x in v)
 
     xis = [xi_of(cm) for cm in null_combos]
     W = F.sum_with(xis)
-    factors, free = quotient_invariants(W, F)
-    assert free == 0
-    _check_torsion(factors)
-    dim_span = len(factors)
+    dim_span = len(_finite_quotient(W, F))
 
     f_minus1 = cc.columns[-1]
     in_f = F.member(f_minus1)
     rank = dim_span - (0 if in_f else 1)
-    assert rank >= 0
+    if rank < 0:
+        raise RuntimeError("f_-1 lies outside F although the half-sum span adds nothing")
 
     # minimal-cardinality independent witnesses, ties broken lexicographically
     candidates = []
@@ -369,6 +386,14 @@ def h1_condition(
     is equivalent; route='direct' enumerates all subgroups of G itself.
     Past the enumeration bound only sampling runs: a failure is definitive,
     anything else is reported as undecided, never as a clean verdict.
+
+    Within the bound the subgroups are checked in (order, sorted element
+    encodings) order, and the witness of a failure is the least failing
+    one; ``subgroups_checked`` counts the nontrivial subgroups up to it.
+    The subgroup walk is read one breadth-first level at a time and stops
+    at the witness: every walk step at least doubles the order, so after
+    level d all subgroups of order < 2^(d+1) are known and can be checked
+    in that order before the walk goes on.
     """
     if route == "sylow2":
         base = sylow2(G)
@@ -392,13 +417,22 @@ def h1_condition(
             if h1_oracle(H, bound=oracle_bound).f2_rank:
                 return H1ConditionResult(False, H, route, i + 1, "found by sampling")
         return H1ConditionResult(None, None, route, samples, "subgroup enumeration bound exceeded")
+    pending: list[tuple[int, tuple[Enc, ...], frozenset[Enc], list[Enc]]] = []
     checked = 0
-    for H in all_subgroups(base, bound=subgroup_bound).subgroups:
-        if H.order == 1:
-            continue
-        checked += 1
-        if h1_oracle(H, bound=oracle_bound).f2_rank:
-            return H1ConditionResult(False, H, route, checked)
+    levels = _walk_levels(base.n, prime_power_cyclic_generators(base.enc_set), cap=base.order)
+    for d, (level, _, aborted) in enumerate(levels):
+        if aborted:
+            raise RuntimeError(f"a closure inside a group of order {base.order} outgrew it")
+        pending.extend((len(K), tuple(sorted(K)), K, gens) for K, gens, _ in level)
+        pending.sort(reverse=True)  # the least subgroup last
+        while pending and (not level or pending[-1][0] < 2 ** (d + 1)):
+            order, _, K, gens = pending.pop()
+            if order == 1:
+                continue
+            checked += 1
+            H = FiniteGroup.from_enc_set(base.n, K, gens)
+            if h1_oracle(H, bound=oracle_bound).f2_rank:
+                return H1ConditionResult(False, H, route, checked)
     return H1ConditionResult(True, None, route, checked)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .signedperm import SignedPerm, sigma, wdn_order
 
@@ -171,26 +171,41 @@ def pair_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
 
 
 class FiniteGroup:
-    """Closed set of W(D_n) elements with a distinguished generator list."""
+    """Closed set of W(D_n) elements with a distinguished generator list.
 
-    __slots__ = ("n", "generators", "elements", "enc_set", "order", "_enc_sorted")
+    ``enc_set`` is the group; ``elements``, the SignedPerm tuple sorted by
+    SignedPerm.sort_key, is built on first access.
+    """
+
+    __slots__ = ("n", "generators", "enc_set", "order", "_elements", "_enc_sorted")
 
     def __init__(self, n: int, generators: Sequence[SignedPerm], elements: Iterable[SignedPerm]):
         self.n = n
         self.generators = tuple(generators)
-        elems = sorted(set(elements), key=SignedPerm.sort_key)
-        self.elements = tuple(elems)
-        self.enc_set = frozenset(e.enc for e in elems)
-        self.order = len(elems)
+        self._elements: tuple[SignedPerm, ...] | None = tuple(sorted(set(elements), key=SignedPerm.sort_key))
+        self.enc_set = frozenset(e.enc for e in self._elements)
+        self.order = len(self._elements)
         self._enc_sorted: tuple[Enc, ...] | None = None
         if len(self.enc_set) != self.order:
             raise ValueError("duplicate elements")
 
     @classmethod
     def from_enc_set(cls, n: int, encs: Iterable[Enc], gens_enc: Sequence[Enc] = ()) -> "FiniteGroup":
-        elems = [SignedPerm.from_enc(n, e) for e in encs]
-        gens = [SignedPerm.from_enc(n, e) for e in gens_enc]
-        return cls(n, gens, elems)
+        G = cls.__new__(cls)
+        G.n = n
+        G.generators = tuple(SignedPerm.from_enc(n, e) for e in gens_enc)
+        G.enc_set = frozenset(encs)
+        G.order = len(G.enc_set)
+        G._elements = None
+        G._enc_sorted = None
+        return G
+
+    @property
+    def elements(self) -> tuple[SignedPerm, ...]:
+        if self._elements is None:
+            perms = (SignedPerm.from_enc(self.n, e) for e in self.enc_set)
+            self._elements = tuple(sorted(perms, key=SignedPerm.sort_key))
+        return self._elements
 
     @property
     def enc_sorted(self) -> tuple[Enc, ...]:
@@ -340,6 +355,11 @@ class ClassStore:
         return True
 
 
+# one subgroup of a walk level: element set, generators, and the FiniteGroup
+# built for a ClassStore (None without one)
+_LevelEntry = tuple[frozenset[Enc], list[Enc], FiniteGroup | None]
+
+
 @dataclass(frozen=True)
 class SubgroupWalk:
     subgroups: tuple[FiniteGroup, ...]  # in discovery order, the trivial group first
@@ -368,42 +388,70 @@ def subgroup_walk(
     cyclic extension method (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 2005).
     """
+    kept: list[FiniteGroup] = []
+    closures = aborted = 0
+    for level, closures, aborted in _walk_levels(n, candidates, cap, reject, store):
+        kept.extend(G if G is not None else FiniteGroup.from_enc_set(n, K, gens) for K, gens, G in level)
+    return SubgroupWalk(tuple(kept), closures, aborted)
+
+
+def _walk_levels(
+    n: int,
+    candidates: Sequence[Enc],
+    cap: int,
+    reject: Callable[[Enc], bool] | None = None,
+    store: ClassStore | None = None,
+) -> Iterator[tuple[list[_LevelEntry], int, int]]:
+    """The loop of subgroup_walk, one breadth-first level at a time.
+
+    Yields (level, closures, aborted) for levels 0, 1, 2, ...: the
+    subgroups first kept at that level, then the running counts of
+    closures and aborted closures; the last level yielded is empty.
+    Level 0 is the trivial group.  Every extension at least doubles the
+    order, so a subgroup kept at level d has order >= 2^d, and once level
+    d is yielded every reachable subgroup of order < 2^(d+1) has been.
+    """
     trivial = frozenset({identity_enc(n)})
-    walk: list[tuple[frozenset[Enc], list[Enc]]] = [(trivial, [])]
-    kept = [FiniteGroup.from_enc_set(n, trivial)]
+    level: list[_LevelEntry] = [(trivial, [], None)]
     seen = {trivial}
     closures = aborted = 0
-    for H, gens in walk:  # walk grows while it is read: breadth first
-        conj = [(g, enc_inv(g)) for g in gens]
-        rep_of: dict[Enc, Enc] = {}
-        for x in candidates:
-            if x in H or x in rep_of:
-                continue
-            rep_of[x] = x
-            orbit = [x]
-            for y in orbit:  # orbit grows while it is read
-                for t, ti in conj:
-                    z = enc_conj(t, y, ti)
-                    if z not in rep_of:
-                        rep_of[z] = z
-                        orbit.append(z)
-            least = min(orbit)
-            for y in orbit:
-                rep_of[y] = least
-        for x in sorted(set(rep_of.values())):
-            closures += 1
-            K = enc_closure(gens + [x], n, cap=cap, reject=reject)
-            if K is None:
-                aborted += 1
-                continue
-            if K in seen:
-                continue
-            seen.add(K)
-            G = FiniteGroup.from_enc_set(n, K, gens + [x])
-            if store is None or store.add(G):
-                walk.append((K, gens + [x]))
-                kept.append(G)
-    return SubgroupWalk(tuple(kept), closures, aborted)
+    yield level, closures, aborted
+    while level:
+        nxt: list[_LevelEntry] = []
+        for H, gens, _ in level:
+            conj = [(g, enc_inv(g)) for g in gens]
+            rep_of: dict[Enc, Enc] = {}
+            for x in candidates:
+                if x in H or x in rep_of:
+                    continue
+                rep_of[x] = x
+                orbit = [x]
+                for y in orbit:  # orbit grows while it is read
+                    for t, ti in conj:
+                        z = enc_conj(t, y, ti)
+                        if z not in rep_of:
+                            rep_of[z] = z
+                            orbit.append(z)
+                least = min(orbit)
+                for y in orbit:
+                    rep_of[y] = least
+            for x in sorted(set(rep_of.values())):
+                closures += 1
+                K = enc_closure(gens + [x], n, cap=cap, reject=reject)
+                if K is None:
+                    aborted += 1
+                    continue
+                if K in seen:
+                    continue
+                seen.add(K)
+                G = None
+                if store is not None:
+                    G = FiniteGroup.from_enc_set(n, K, gens + [x])
+                    if not store.add(G):
+                        continue
+                nxt.append((K, gens + [x], G))
+        level = nxt
+        yield level, closures, aborted
 
 
 def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> SubgroupList:

@@ -100,16 +100,19 @@ def test_enumerate_command(capsys):
 
 def test_invariant_checks_survive_python_O(capsys):
     # -O strips asserts; the invariants must be explicit exceptions
-    argv = ["enumerate", "-n", "4", "--mode", "generator_guided"]
-    assert main(argv) == EXIT_OK
-    in_process = capsys.readouterr().out
     src = os.path.dirname(os.path.dirname(os.path.abspath(conich1.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "conich1.cli", *argv], capture_output=True, text=True, env=env, check=False
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout == in_process
+    for argv, code in [
+        (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK),
+        (["check", "-n", "4", "c1 c2 c3 c4"], EXIT_FAILED),
+    ]:
+        assert main(argv) == code
+        in_process = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "conich1.cli", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == in_process
 
 
 def test_verify_tables_command(capsys):

@@ -12,6 +12,7 @@ from conich1.cohomology import (
     h1_halfsum,
     h1_oracle,
 )
+from conich1.enumeration import _enumerate_full
 from conich1.groups import all_subgroups, closure, random_subgroup, sylow2
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
 
@@ -210,6 +211,43 @@ def test_h1_condition_routes_agree():
             H = random_subgroup(grp, rng, max_gens=2)
             assert h1_condition(H, route="sylow2").ok == h1_condition(H, route="direct").ok
             checked += 1
+
+
+def _full_scan(base):
+    # the whole subgroup list of the base, in all_subgroups order, checked
+    # with the oracle up to the first failure
+    checked = 0
+    for H in all_subgroups(base).subgroups:
+        if H.order == 1:
+            continue
+        checked += 1
+        if h1_oracle(H).f2_rank:
+            return False, H.enc_set, checked
+    return True, None, checked
+
+
+def test_h1_condition_matches_full_scan_wdn4_classes():
+    # one representative of each of the 98 subgroup classes of W(D_4)
+    reps, _ = _enumerate_full(4)
+    assert len(reps) == 98
+    scans = {}  # a full scan depends only on the element set of its base
+    compared = noncyclic_witnesses = 0
+    for grp in reps:
+        for route in ("sylow2", "direct"):
+            if route == "direct" and grp.order > 64:
+                continue
+            base = sylow2(grp) if route == "sylow2" else grp
+            if base.enc_set not in scans:
+                scans[base.enc_set] = _full_scan(base)
+            res = h1_condition(grp, route=route)
+            witness = res.witness.enc_set if res.witness is not None else None
+            assert (res.ok, witness, res.subgroups_checked) == scans[base.enc_set], (grp, route)
+            compared += 1
+            if res.witness is not None and res.witness.order == 4:
+                noncyclic_witnesses += all(h1_cyclic(g).f2_rank == 0 for g in res.witness.elements)
+    assert compared > 98
+    # witnesses of order 4 with no failing cyclic subgroup: the Klein four-groups
+    assert noncyclic_witnesses > 0
 
 
 def test_h1_condition_unknown_on_bound():

@@ -6,6 +6,7 @@ import pytest
 from conich1.enumeration import _enumerate_full
 from conich1.groups import (
     ClassStore,
+    _walk_levels,
     abelian_invariants,
     all_subgroups,
     are_conjugate,
@@ -190,6 +191,22 @@ def test_subgroup_walk_matches_full_lattice_wdn4():
     reference, stats = _enumerate_full(4)
     assert len(walk.subgroups) == len(reference) == stats["subgroup_classes"] == 98
     assert {canonical_form(H) for H in walk.subgroups} == {canonical_form(H) for H in reference}
+
+
+def test_walk_levels_complete_below_next_power_of_two():
+    # after level d every subgroup of order < 2^(d+1) has been yielded,
+    # which is what lets h1_condition stop the walk at its witness
+    wdn = closure(list(iter_wdn(4)), n=4)
+    for base in (sylow2(wdn), d41()):
+        subgroups = {H.enc_set for H in all_subgroups(base).subgroups}
+        found: set = set()
+        levels = _walk_levels(4, prime_power_cyclic_generators(base.enc_set), cap=base.order)
+        for d, (level, _, aborted) in enumerate(levels):
+            assert aborted == 0
+            assert all(len(K) >= 2**d for K, _, _ in level)
+            found.update(K for K, _, _ in level)
+            assert {K for K in subgroups if len(K) < 2 ** (d + 1)} <= found
+        assert found == subgroups
 
 
 def test_canonical_form_invariance_rank5_fixture():
