@@ -6,10 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, enc_closure, index_orbits, pair_orbits
+from .groups import Enc, FiniteGroup, enc_closure, enc_mul, index_orbits, pair_orbits
 from .intlinalg import lattice_equal
 from .picard import fixed_sublattice_of, minimal_lattice
-from .signedperm import SignedPerm, signed_cycles
 
 
 @dataclass(frozen=True)
@@ -74,68 +73,56 @@ class ProjectedGroup:
     appended_flag: bool
 
 
-def _restrict(g: SignedPerm, orbit: set[int], relabel: dict[int, int], target_rank: int) -> tuple[SignedPerm, int]:
-    """Restriction of g to the cycles supported on the orbit, relabelled.
+def _orbit_images(G: FiniteGroup, orbit: tuple[int, ...]) -> tuple[dict[Enc, Enc], bool]:
+    """Each element's image under P_O, by encoding, and whether a flip was appended.
 
-    Returns (restricted element without the appended flip, its sigma).
+    The restriction to the sorted orbit is relabelled to 1..n'; when some
+    restriction has sigma = -1, every image gains index n'+1, flipped exactly
+    where sigma = -1.
     """
-    image = list(range(1, target_rank + 1))
-    minus = []
-    sig = 1
-    for cyc in signed_cycles(g):
-        if cyc.support[0] not in orbit:
-            continue
-        for a in cyc.support:
-            image[relabel[a] - 1] = relabel[g.act_index(a)]
-        for a in cyc.minus_indices:
-            minus.append(relabel[a])
-            sig = -sig
-    return SignedPerm(target_rank, image, minus), sig
+    pos = {a - 1: i for i, a in enumerate(orbit)}
+    restricted = {}
+    for e in G.enc_set:
+        r = [2 * pos[e[a] >> 1] ^ (e[a] & 1) for a in pos]
+        restricted[e] = (r, sum(r) & 1)  # the parity of the flips on O
+    appended = any(odd for _, odd in restricted.values())
+    if not appended:
+        return {e: tuple(r) for e, (r, _) in restricted.items()}, False
+    fixed = 2 * len(orbit)
+    return {e: (*r, fixed ^ odd) for e, (r, odd) in restricted.items()}, True
 
 
-def project(G: FiniteGroup, orbit: tuple[int, ...] | frozenset[int], verify: bool = True) -> ProjectedGroup:
-    """The orbit projection P_O: restrict to O, appending a fresh flip when
-    the restriction has sigma = -1 so the image stays inside a W(D_*).
-    """
-    O = set(orbit)
-    idx_orbits = index_orbits(G.n, G.enc_set)
-    if tuple(sorted(O)) not in {tuple(o) for o in idx_orbits}:
-        raise ValueError(f"{sorted(O)} is not an orbit of the index action")
-    n_prime = len(O)
-    relabel = {a: i + 1 for i, a in enumerate(sorted(O))}
-
-    sigmas = {}
-    for g in G.elements:
-        _, sig = _restrict(g, O, relabel, n_prime)
-        sigmas[g.enc] = sig
-    appended = any(s == -1 for s in sigmas.values())
-    rank = n_prime + 1 if appended else n_prime
-
-    images = {}
-    for g in G.elements:
-        r, sig = _restrict(g, O, relabel, rank)
-        if sig == -1:
-            r = r * SignedPerm(rank, range(1, rank + 1), (rank,))
-        images[g.enc] = r
-    image_set = set(images.values())
-    gen_images = [images[g.enc] for g in (G.generators or G.elements)]
-
-    if verify:
-        # closure of the generator images must reproduce the image set exactly
-        closed = enc_closure([h.enc for h in gen_images], rank, cap=len(image_set))
-        if closed is None or closed != frozenset(h.enc for h in image_set):
-            raise RuntimeError("projection image is not the closed group it must be")
-        pairs = (
-            [(a, b) for a in G.elements for b in G.elements]
-            if G.order <= 400
-            else [(a, b) for a in G.elements for b in G.generators]
-        )
-        for a, b in pairs:
-            if images[(a * b).enc] != images[a.enc] * images[b.enc]:
+def _check_homomorphism(images: dict[Enc, Enc], gens: list[Enc]) -> None:
+    """Raise unless images[a*s] == images[a] * images[s] for every a and every s in gens."""
+    for s in gens:
+        fs = images[s]
+        for a, fa in images.items():
+            if images[enc_mul(a, s)] != enc_mul(fa, fs):
                 raise RuntimeError("projection failed the homomorphism identity")
 
-    H = FiniteGroup(rank, tuple(dict.fromkeys(gen_images)), image_set)
-    return ProjectedGroup(tuple(sorted(O)), rank, H, appended)
+
+def project(G: FiniteGroup, orbit: tuple[int, ...] | frozenset[int]) -> ProjectedGroup:
+    """The orbit projection P_O: restrict to O, appending a fresh flip when
+    the restriction has sigma = -1 so the image stays inside a W(D_*).
+
+    Always verified: P_O(a*s) = P_O(a) P_O(s) for every a in G and every
+    generator s (every element when G has none), which gives the identity
+    on all pairs by induction on word length, so the check costs |G| |S|
+    products; and the generator images must close to exactly the image set.
+    """
+    O = tuple(sorted(orbit))
+    if O not in index_orbits(G.n, G.enc_set):
+        raise ValueError(f"{list(O)} is not an orbit of the index action")
+    images, appended = _orbit_images(G, O)
+    rank = len(O) + 1 if appended else len(O)
+    gens = [g.enc for g in (G.generators or G.elements)]
+    _check_homomorphism(images, gens)
+    image_set = frozenset(images.values())
+    gen_images = list(dict.fromkeys(images[g] for g in gens))
+    if enc_closure(gen_images, rank, cap=len(image_set)) != image_set:
+        raise RuntimeError("projection image is not the closed group it must be")
+    H = FiniteGroup.from_enc_set(rank, image_set, gen_images)
+    return ProjectedGroup(O, rank, H, appended)
 
 
 @dataclass(frozen=True)

@@ -468,17 +468,18 @@ def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> Subgro
 
 def sylow2(G: FiniteGroup) -> FiniteGroup:
     """A Sylow 2-subgroup; deterministically the lex-least one as an element set."""
-    two_part = 1
-    m = G.order
-    while m % 2 == 0:
-        two_part *= 2
-        m //= 2
+    two_part = G.order & -G.order
     n = G.n
-    ident = identity_enc(n)
-    P: frozenset[Enc] = frozenset({ident})
+
+    def conjugation(t: Enc) -> Callable[[Enc], Enc]:
+        # q -> t q t^-1 in one pass: entry j is t applied to the symbol q(t^-1(j^+))
+        T = [t[x >> 1] ^ (x & 1) for x in range(2 * n)]
+        ti = [(s >> 1, s & 1) for s in enc_inv(t)]
+        return lambda q: tuple([T[q[k]] ^ f for k, f in ti])
+
+    P: frozenset[Enc] = frozenset({identity_enc(n)})
     gens: list[Enc] = []
     elems = G.enc_sorted
-    inv_cache = {e: enc_inv(e) for e in elems}
     while len(P) < two_part:
         # normalizer scan; P < Sylow guarantees a 2-element of N outside P
         candidate = None
@@ -488,8 +489,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
             k = enc_order(e)
             if k & (k - 1):
                 continue  # not a 2-power
-            ei = inv_cache[e]
-            if all(enc_mul(enc_mul(e, p), ei) in P for p in P):
+            if all(q in P for q in map(conjugation(e), P)):
                 candidate = e
                 break
         if candidate is None:
@@ -502,23 +502,22 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     # deterministic representative: least conjugate under the element ordering
     best = tuple(sorted(P))
     best_gens = list(gens)
-    seen = {frozenset(P)}
-    frontier = [frozenset(P)]
-    reps = {frozenset(P): list(gens)}
+    seen = {P}
+    frontier = [(P, gens)]
+    conjugations = [conjugation(g.enc) for g in G.generators]
     while frontier:
         nxt = []
-        for Q in frontier:
-            for t in (g.enc for g in G.generators):
-                ti = enc_inv(t)
-                img = frozenset(enc_mul(enc_mul(t, q), ti) for q in Q)
+        for Q, Q_gens in frontier:
+            for conj in conjugations:
+                img = frozenset(map(conj, Q))
                 if img not in seen:
                     seen.add(img)
-                    reps[img] = [enc_mul(enc_mul(t, q), ti) for q in reps[Q]]
-                    nxt.append(img)
+                    img_gens = list(map(conj, Q_gens))
+                    nxt.append((img, img_gens))
                     key = tuple(sorted(img))
                     if key < best:
                         best = key
-                        best_gens = reps[img]
+                        best_gens = img_gens
         frontier = nxt
     return FiniteGroup.from_enc_set(n, best, best_gens)
 

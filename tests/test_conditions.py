@@ -1,8 +1,11 @@
 import pytest
 
-from conich1.classes import ClassSpec, build_group
+from conich1 import conditions, groups
+from conich1.classes import ClassSpec, build_group, smallest_param_tuples
 from conich1.cohomology import h1_condition
 from conich1.conditions import (
+    _check_homomorphism,
+    _orbit_images,
     check_conditions,
     fiber_pair_condition,
     orbit_count_filter,
@@ -10,8 +13,8 @@ from conich1.conditions import (
     project,
     relative_minimality,
 )
-from conich1.groups import closure
-from conich1.signedperm import parse_element
+from conich1.groups import closure, enc_mul, identity_enc
+from conich1.signedperm import SignedPerm, parse_element
 
 
 def G(n, *texts):
@@ -161,3 +164,86 @@ def test_pair_orbits_refine_index_orbits():
                 index_of[j] = k
         for porb in dec.pair_orbits:
             assert len({index_of[j] for j, _ in porb}) == 1
+
+
+def restrict_by_hand(g, orbit, rank):
+    # P_O from the definition: relabel the orbit to 1..n', keep the flips
+    # landing on it, and flip index n'+1 too when those are odd
+    relabel = {a: i + 1 for i, a in enumerate(orbit)}
+    image = [relabel[g.act_index(a)] for a in orbit] + [rank] * (rank - len(orbit))
+    minus = {relabel[k] for k in g.minus if k in relabel}
+    if len(minus) % 2:
+        minus.add(rank)
+    return SignedPerm(rank, image, minus)
+
+
+def test_projection_images_are_homomorphisms_on_all_pairs():
+    # the generator check in project must imply the identity on all |G|^2 pairs
+    checked = 0
+    for cid in range(1, 25):
+        grp = build_group(smallest_param_tuples(cid, count=1)[0])
+        if grp.order > 400:
+            continue
+        encs = list(grp.enc_set)
+        for orb in orbits(grp).orbits:
+            images, appended = _orbit_images(grp, orb)
+            proj = project(grp, orb)
+            assert proj.group.enc_set == set(images.values())
+            assert appended == proj.appended_flag and len(orb) + appended == proj.rank
+            for g in grp.elements:
+                assert images[g.enc] == restrict_by_hand(g, orb, proj.rank).enc
+            for a in encs:
+                fa = images[a]
+                for b in encs:
+                    assert images[enc_mul(a, b)] == enc_mul(fa, images[b])
+            checked += 1
+    assert checked == 48  # every orbit of the 23 smallest instances of order <= 400
+
+
+def test_projection_rejects_a_corrupted_image_table(monkeypatch):
+    grp = d41()
+    gens = [g.enc for g in grp.generators]
+    images, _ = _orbit_images(grp, (1, 2, 3))
+    _check_homomorphism(images, gens)
+    for corrupt in (
+        {gens[0]: images[gens[1]], gens[1]: images[gens[0]]},  # two images swapped
+        {gens[1]: identity_enc(4)},  # an order-3 element sent to the identity
+    ):
+        with pytest.raises(RuntimeError):
+            _check_homomorphism(images | corrupt, gens)
+
+        def corrupted(G, O, corrupt=corrupt, real=conditions._orbit_images):
+            table, appended = real(G, O)
+            return table | corrupt, appended
+
+        # project must run the check on the table it builds
+        monkeypatch.setattr(conditions, "_orbit_images", corrupted)
+        with pytest.raises(RuntimeError, match="homomorphism"):
+            project(grp, (1, 2, 3))
+        monkeypatch.undo()
+
+
+def test_project_work_is_linear_in_the_group_order(monkeypatch):
+    # counts the products project makes, so an all-pairs check (|G|^2 = 5184
+    # here) cannot come back unnoticed
+    grp = build_group(ClassSpec(18, {"n": 1}))
+    assert grp.order == 72
+    counts = {"SignedPerm": 0, "enc": 0}
+
+    def counting(kind, f):
+        def wrapped(*args):
+            counts[kind] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(SignedPerm, "__mul__", counting("SignedPerm", SignedPerm.__mul__))
+    monkeypatch.setattr(conditions, "enc_mul", counting("enc", conditions.enc_mul))
+    monkeypatch.setattr(groups, "enc_mul", counting("enc", groups.enc_mul))
+    order, S = grp.order, len(grp.generators)
+    for orb in orbits(grp).orbits:
+        counts.update(SignedPerm=0, enc=0)
+        project(grp, orb)
+        assert counts["SignedPerm"] <= order * (S + 2)
+        # the generator check (2 per pair) and the closure of the image
+        assert counts["enc"] <= 3 * order * S

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from conich1.classes import build_group, smallest_param_tuples
 from conich1.enumeration import _enumerate_full
 from conich1.groups import (
     ClassStore,
@@ -13,6 +14,7 @@ from conich1.groups import (
     canonical_form,
     closure,
     conjugating_element,
+    enc_conj,
     enc_order,
     fingerprint,
     prime_power_cyclic_generators,
@@ -121,6 +123,24 @@ def test_sylow2_order_times_odd_part():
         odd = grp.order // P.order
         assert P.order * odd == grp.order and odd % 2 == 1
         assert P.order & (P.order - 1) == 0
+
+
+def least_sylow2_by_brute_force(grp):
+    # conjugate one Sylow 2-subgroup by every element of G and keep the least
+    P = sylow2(grp).enc_set
+    return min(tuple(sorted(enc_conj(t, q) for q in P)) for t in grp.enc_set)
+
+
+def test_sylow2_is_the_least_conjugate():
+    reps, _ = _enumerate_full(4)
+    families = [build_group(spec) for cid in (3, 13, 18, 20, 22, 23) for spec in smallest_param_tuples(cid, count=1)]
+    cases = [H for H in reps if H.order <= 96] + families
+    assert len(cases) > 90 and all(grp.order // (grp.order & -grp.order) > 1 for grp in families)
+    for grp in cases:
+        P = sylow2(grp)
+        assert P.order == grp.order & -grp.order and P.enc_set <= grp.enc_set
+        assert closure(P.generators, n=grp.n).enc_set == P.enc_set
+        assert tuple(sorted(P.enc_set)) == least_sylow2_by_brute_force(grp)
 
 
 def test_canonical_form_conjugation_invariance():
