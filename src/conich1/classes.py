@@ -517,7 +517,7 @@ def verify_class(spec: ClassSpec, cap: int = 100000) -> ClassReport:
     """Build the family instance and run the full condition panel on it."""
     gens, N, expected = class_generators(spec)
     G = closure(gens, n=N, cap=cap)
-    profile = tuple(sorted((len(o) for o in index_orbits(N, G.enc_set)), reverse=True))
+    profile = tuple(sorted((len(o) for o in index_orbits(N, G.spanning_encs)), reverse=True))
     cond = h1_condition(G)
     return ClassReport(
         spec=spec,

@@ -34,16 +34,15 @@ def _symbol(code: int) -> tuple[int, int]:
 
 def orbits(G: FiniteGroup) -> OrbitDecomposition:
     """Both orbit partitions, deterministically ordered by smallest member."""
-    idx = tuple(index_orbits(G.n, G.enc_set))
-    pairs = tuple(
-        tuple(_symbol(c) for c in orb) for orb in pair_orbits(G.n, G.enc_set)
-    )
+    span = G.spanning_encs
+    idx = tuple(index_orbits(G.n, span))
+    pairs = tuple(tuple(_symbol(c) for c in orb) for orb in pair_orbits(G.n, span))
     return OrbitDecomposition(G.n, idx, pairs)
 
 
 def fiber_pair_condition(G: FiniteGroup) -> bool:
     """True iff q_j^+ and q_j^- lie in one orbit for every j."""
-    for orb in pair_orbits(G.n, G.enc_set):
+    for orb in pair_orbits(G.n, G.spanning_encs):
         members = set(orb)
         for c in orb:
             if (c ^ 1) not in members:
@@ -60,7 +59,7 @@ def relative_minimality(G: FiniteGroup) -> bool:
 
 def orbit_count_filter(G: FiniteGroup) -> bool:
     """True iff the symbol action has at most three orbits."""
-    return len(pair_orbits(G.n, G.enc_set)) <= 3
+    return len(pair_orbits(G.n, G.spanning_encs)) <= 3
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def project(G: FiniteGroup, orbit: tuple[int, ...] | frozenset[int]) -> Projecte
     products; and the generator images must close to exactly the image set.
     """
     O = tuple(sorted(orbit))
-    if O not in index_orbits(G.n, G.enc_set):
+    if O not in index_orbits(G.n, G.spanning_encs):
         raise ValueError(f"{list(O)} is not an orbit of the index action")
     images, appended = _orbit_images(G, O)
     rank = len(O) + 1 if appended else len(O)

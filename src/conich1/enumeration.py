@@ -31,6 +31,7 @@ from .groups import (
     are_conjugate,
     canonical_form,
     enc_closure,
+    enc_cycle_type,
     enc_inv,
     enc_mul,
     identity_enc,
@@ -47,12 +48,21 @@ CLEAN_SUBGROUP_CAP = 1024
 
 def clean_elements(n: int) -> frozenset[Enc]:
     """Elements whose cyclic group satisfies (H1); only they can occur in a
-    group passing the (H1) condition."""
+    group passing the (H1) condition.
+
+    Whether <g> passes depends only on the Lambda counts of the powers of
+    g, which depend only on its signed cycle type, so the condition is
+    evaluated once per cycle type.
+    """
+    verdicts: dict[tuple, bool] = {}
     out = []
     for g in iter_wdn(n):
-        ok, _ = h1_condition_cyclic(g)
-        if ok:
-            out.append(g.enc)
+        e = g.enc
+        t = enc_cycle_type(e)
+        if t not in verdicts:
+            verdicts[t] = h1_condition_cyclic(g)[0]
+        if verdicts[t]:
+            out.append(e)
     return frozenset(out)
 
 
@@ -245,7 +255,7 @@ def enumerate_wdn(
         entries.append(
             EnumEntry(
                 order=G.order,
-                orbit_profile=tuple(sorted((len(o) for o in index_orbits(n, G.enc_set)), reverse=True)),
+                orbit_profile=tuple(sorted((len(o) for o in index_orbits(n, G.spanning_encs)), reverse=True)),
                 abelian_invariants=abelian_invariants(G),
                 name=name,
                 class_id=cls_id,

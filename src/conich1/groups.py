@@ -26,7 +26,7 @@ def identity_enc(n: int) -> Enc:
 
 def enc_mul(a: Enc, b: Enc) -> Enc:
     """Product with b applied first (matches SignedPerm.__mul__)."""
-    return tuple(a[s >> 1] ^ (s & 1) for s in b)
+    return tuple([a[s >> 1] ^ (s & 1) for s in b])
 
 
 def enc_inv(a: Enc) -> Enc:
@@ -36,11 +36,12 @@ def enc_inv(a: Enc) -> Enc:
     return tuple(out)
 
 
-def enc_conj(t: Enc, a: Enc, tinv: Enc | None = None) -> Enc:
-    """t a t^{-1}."""
-    if tinv is None:
-        tinv = enc_inv(t)
-    return enc_mul(enc_mul(t, a), tinv)
+def enc_conjugation(t: Enc) -> Callable[[Enc], Enc]:
+    """q -> t q t^-1 in one pass per q, from a symbol table of t and the
+    pairs of t^-1: entry j is t applied to the symbol q(t^-1(j^+))."""
+    T = [t[x >> 1] ^ (x & 1) for x in range(2 * len(t))]
+    ti = [(s >> 1, s & 1) for s in enc_inv(t)]
+    return lambda q: tuple([T[q[k]] ^ f for k, f in ti])
 
 
 def enc_order(a: Enc) -> int:
@@ -91,40 +92,61 @@ def enc_closure(
     n: int,
     cap: int = DEFAULT_CLOSURE_CAP,
     reject: Callable[[Enc], bool] | None = None,
+    subgroup: Iterable[Enc] | None = None,
 ) -> frozenset[Enc] | None:
-    """Breadth-first product saturation of a generator list.
+    """The group generated by ``gens``, grown as a union of right cosets.
+
+    Each step extends a closed subgroup H to K = <H, S> for a generator
+    list S with H inside <S>: for each coset representative r, starting
+    from the identity, and each s in S, the coset H(rs) is added when rs
+    is not in K yet.  Every added coset is disjoint from K, and the union
+    is closed under right multiplication by S, so it is <S>.  Without
+    ``subgroup`` the group grows from the trivial group one generator at a
+    time (Dimino's algorithm); ``subgroup``, a closed subgroup of <gens>
+    whose elements pass ``reject`` (the walker passes <gens[:-1]>), is the
+    start of a single step.
 
     Returns None as soon as the closure exceeds ``cap`` or contains an
-    element matched by ``reject`` (used as an early abort by enumeration).
+    element matched by ``reject`` (used as an early abort by enumeration);
+    both are checked as each coset is added.
     """
-    gens = [g for g in gens]
+    gens = list(gens)
     ident = identity_enc(n)
-    seen = {ident}
-    if reject is not None and reject(ident):
-        return None
-    frontier = [ident]
-    for g in gens:
-        if g not in seen:
-            if reject is not None and reject(g):
-                return None
-            seen.add(g)
-            frontier.append(g)
-            if len(seen) > cap:
-                return None
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = enc_mul(x, g)
-                if y not in seen:
-                    if reject is not None and reject(y):
-                        return None
-                    seen.add(y)
-                    if len(seen) > cap:
-                        return None
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    if subgroup is not None:
+        K = set(subgroup)
+        if len(K) > cap:
+            return None
+        steps = [len(gens)]
+    else:
+        if reject is not None and reject(ident):
+            return None
+        K = {ident}
+        steps = range(1, len(gens) + 1)
+    for k in steps:
+        S = gens[:k]
+        if subgroup is None and S[-1] in K:
+            continue  # K = <S[:-1]> already holds S[-1]
+        H = list(K)
+        reps = [ident]
+        for r in reps:  # reps grows while it is read
+            for s in S:
+                y = s if r is ident else enc_mul(r, s)
+                if y in K:
+                    continue
+                coset = _right_coset(H, y)
+                if reject is not None and any(map(reject, coset)):
+                    return None
+                K.update(coset)
+                if len(K) > cap:
+                    return None
+                reps.append(y)
+    return frozenset(K)
+
+
+def _right_coset(H: Sequence[Enc], y: Enc) -> list[Enc]:
+    """[h*y for h in H], with y's symbol pairs read once for all of H."""
+    pairs = [(s >> 1, s & 1) for s in y]
+    return [tuple([h[k] ^ f for k, f in pairs]) for h in H]
 
 
 def index_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
@@ -174,10 +196,10 @@ class FiniteGroup:
     """Closed set of W(D_n) elements with a distinguished generator list.
 
     ``enc_set`` is the group; ``elements``, the SignedPerm tuple sorted by
-    SignedPerm.sort_key, is built on first access.
+    SignedPerm.sort_key, and the fingerprint are built on first access.
     """
 
-    __slots__ = ("n", "generators", "enc_set", "order", "_elements", "_enc_sorted")
+    __slots__ = ("n", "generators", "enc_set", "order", "_elements", "_enc_sorted", "_fingerprint")
 
     def __init__(self, n: int, generators: Sequence[SignedPerm], elements: Iterable[SignedPerm]):
         self.n = n
@@ -186,6 +208,7 @@ class FiniteGroup:
         self.enc_set = frozenset(e.enc for e in self._elements)
         self.order = len(self._elements)
         self._enc_sorted: tuple[Enc, ...] | None = None
+        self._fingerprint: tuple | None = None
         if len(self.enc_set) != self.order:
             raise ValueError("duplicate elements")
 
@@ -198,6 +221,7 @@ class FiniteGroup:
         G.order = len(G.enc_set)
         G._elements = None
         G._enc_sorted = None
+        G._fingerprint = None
         return G
 
     @property
@@ -212,6 +236,12 @@ class FiniteGroup:
         if self._enc_sorted is None:
             self._enc_sorted = tuple(sorted(self.enc_set))
         return self._enc_sorted
+
+    @property
+    def spanning_encs(self) -> list[Enc]:
+        """Encodings generating the group: the generators', or every
+        element's when it has none.  Its index and symbol orbits are G's."""
+        return [g.enc for g in self.generators] or list(self.enc_sorted)
 
     def __contains__(self, g: SignedPerm) -> bool:
         return g.enc in self.enc_set
@@ -419,7 +449,7 @@ def _walk_levels(
     while level:
         nxt: list[_LevelEntry] = []
         for H, gens, _ in level:
-            conj = [(g, enc_inv(g)) for g in gens]
+            conjugations = [enc_conjugation(g) for g in gens]
             rep_of: dict[Enc, Enc] = {}
             for x in candidates:
                 if x in H or x in rep_of:
@@ -427,8 +457,8 @@ def _walk_levels(
                 rep_of[x] = x
                 orbit = [x]
                 for y in orbit:  # orbit grows while it is read
-                    for t, ti in conj:
-                        z = enc_conj(t, y, ti)
+                    for conj in conjugations:
+                        z = conj(y)
                         if z not in rep_of:
                             rep_of[z] = z
                             orbit.append(z)
@@ -437,7 +467,7 @@ def _walk_levels(
                     rep_of[y] = least
             for x in sorted(set(rep_of.values())):
                 closures += 1
-                K = enc_closure(gens + [x], n, cap=cap, reject=reject)
+                K = enc_closure(gens + [x], n, cap=cap, reject=reject, subgroup=H)
                 if K is None:
                     aborted += 1
                     continue
@@ -470,13 +500,6 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     """A Sylow 2-subgroup; deterministically the lex-least one as an element set."""
     two_part = G.order & -G.order
     n = G.n
-
-    def conjugation(t: Enc) -> Callable[[Enc], Enc]:
-        # q -> t q t^-1 in one pass: entry j is t applied to the symbol q(t^-1(j^+))
-        T = [t[x >> 1] ^ (x & 1) for x in range(2 * n)]
-        ti = [(s >> 1, s & 1) for s in enc_inv(t)]
-        return lambda q: tuple([T[q[k]] ^ f for k, f in ti])
-
     P: frozenset[Enc] = frozenset({identity_enc(n)})
     gens: list[Enc] = []
     elems = G.enc_sorted
@@ -489,7 +512,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
             k = enc_order(e)
             if k & (k - 1):
                 continue  # not a 2-power
-            if all(q in P for q in map(conjugation(e), P)):
+            if all(q in P for q in map(enc_conjugation(e), P)):
                 candidate = e
                 break
         if candidate is None:
@@ -504,7 +527,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     best_gens = list(gens)
     seen = {P}
     frontier = [(P, gens)]
-    conjugations = [conjugation(g.enc) for g in G.generators]
+    conjugations = [enc_conjugation(g.enc) for g in G.generators]
     while frontier:
         nxt = []
         for Q, Q_gens in frontier:
@@ -601,14 +624,18 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def fingerprint(G: FiniteGroup) -> tuple:
-    """Cheap conjugation invariant used to bucket groups before exact tests."""
-    types: dict[tuple, int] = {}
-    for e in G.enc_sorted:
-        t = enc_cycle_type(e)
-        types[t] = types.get(t, 0) + 1
-    idx_profile = tuple(sorted((len(o) for o in index_orbits(G.n, G.enc_set)), reverse=True))
-    pair_profile = tuple(sorted((len(o) for o in pair_orbits(G.n, G.enc_set)), reverse=True))
-    return (G.n, G.order, idx_profile, pair_profile, tuple(sorted(types.items())))
+    """Cheap conjugation invariant used to bucket groups before exact tests;
+    computed once per group."""
+    if G._fingerprint is None:
+        types: dict[tuple, int] = {}
+        for e in G.enc_set:
+            t = enc_cycle_type(e)
+            types[t] = types.get(t, 0) + 1
+        span = G.spanning_encs
+        idx_profile = tuple(sorted((len(o) for o in index_orbits(G.n, span)), reverse=True))
+        pair_profile = tuple(sorted((len(o) for o in pair_orbits(G.n, span)), reverse=True))
+        G._fingerprint = (G.n, G.order, idx_profile, pair_profile, tuple(sorted(types.items())))
+    return G._fingerprint
 
 
 def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
@@ -628,8 +655,8 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
     h2_elems = H2.enc_sorted
     h2_types = {e: enc_cycle_type(e) for e in h2_elems}
 
-    orb1 = pair_orbits(n, H1.enc_set)
-    orb2 = pair_orbits(n, H2.enc_set)
+    orb1 = pair_orbits(n, H1.spanning_encs)
+    orb2 = pair_orbits(n, H2.spanning_encs)
     size1 = {}
     for o in orb1:
         for s in o:
@@ -658,7 +685,7 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
 
     timage: dict[int, int] = {}  # symbol -> symbol, closed under pairing
     assigned: list[int] = []  # indices j (0-based) already placed
-    cands = [{e for e in h2_elems if h2_types[e] == enc_cycle_type(g)} for g in gens]
+    cands = [{e for e in h2_elems if h2_types[e] == t} for t in map(enc_cycle_type, gens)]
 
     def filter_cands(cand: set[Enc], g: Enc) -> set[Enc]:
         # keep h with h(t(j^+)) = t(g(j^+)) wherever both sides are known
@@ -679,9 +706,9 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
             enc_t = tuple(timage[2 * j] for j in range(n))
             if sum(s & 1 for s in enc_t) % 2:
                 return False  # odd conjugator lies outside W(D_n)
-            tinv = enc_inv(enc_t)
+            conj = enc_conjugation(enc_t)
             for g in gens:
-                if enc_conj(enc_t, g, tinv) not in H2.enc_set:
+                if conj(g) not in H2.enc_set:
                     return False
             result[0] = SignedPerm.from_enc(n, enc_t)
             return True

@@ -13,7 +13,8 @@ from conich1.conditions import (
     project,
     relative_minimality,
 )
-from conich1.groups import closure, enc_mul, identity_enc
+from conich1.enumeration import _enumerate_full
+from conich1.groups import closure, enc_mul, identity_enc, index_orbits, pair_orbits
 from conich1.signedperm import SignedPerm, parse_element
 
 
@@ -164,6 +165,18 @@ def test_pair_orbits_refine_index_orbits():
                 index_of[j] = k
         for porb in dec.pair_orbits:
             assert len({index_of[j] for j, _ in porb}) == 1
+
+
+def test_orbits_from_generators_equal_orbits_from_elements():
+    # the orbits of <S> are the orbits generated by S, so the orbit
+    # computations read the generators, not all |G| elements
+    reps, _ = _enumerate_full(4)
+    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=1)]
+    cases = reps + [grp for grp in families if grp.order <= 400]
+    assert len(cases) == 98 + 23
+    for grp in cases:
+        assert index_orbits(grp.n, grp.spanning_encs) == index_orbits(grp.n, grp.enc_set)
+        assert pair_orbits(grp.n, grp.spanning_encs) == pair_orbits(grp.n, grp.enc_set)
 
 
 def restrict_by_hand(g, orbit, rank):

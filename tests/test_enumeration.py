@@ -1,5 +1,6 @@
 import pytest
 
+from conich1.cohomology import h1_condition_cyclic
 from conich1.enumeration import (
     D6_FIXTURES,
     TABLE_ROWS,
@@ -8,8 +9,8 @@ from conich1.enumeration import (
     match_table_row,
     verify_tables,
 )
-from conich1.groups import are_conjugate, closure
-from conich1.signedperm import parse_element
+from conich1.groups import are_conjugate, canonical_form, closure
+from conich1.signedperm import iter_wdn, parse_element
 
 
 def test_table_row_counts():
@@ -42,6 +43,12 @@ def test_clean_elements_small():
     assert parse_element("(1,2,3)", 4).enc in clean
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_clean_elements_match_per_element_evaluation(n):
+    # clean_elements evaluates one element per signed cycle type
+    assert clean_elements(n) == {g.enc for g in iter_wdn(n) if h1_condition_cyclic(g)[0]}
+
+
 def test_enumerate_4_both_modes():
     full = enumerate_wdn(4, "full")
     guided = enumerate_wdn(4, "generator_guided")
@@ -66,6 +73,16 @@ def test_match_table_row():
     unknown = closure([parse_element("c1 c2", 4)])
     name, cid, params = match_table_row(unknown)
     assert cid is None and "order 2" in name
+
+
+def test_enumerate_5_guided_matches_table(guided_enumeration):
+    res = guided_enumeration(5)
+    rows = TABLE_ROWS[5]
+    assert sorted(e.name for e in res.entries) == sorted(row.name for row in rows)
+    assert {e.canonical_key for e in res.entries} == {canonical_form(row.build(5)) for row in rows}
+    # the walk's work is deterministic; a change here is a change of the search
+    stats = {k: res.stats[k] for k in ("closures", "aborted_closures", "conjugacy_tests", "clean_subgroup_classes")}
+    assert stats == {"closures": 8893, "aborted_closures": 6747, "conjugacy_tests": 783, "clean_subgroup_classes": 60}
 
 
 @pytest.mark.heavy

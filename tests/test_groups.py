@@ -2,9 +2,11 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conich1 import groups
 from conich1.classes import build_group, smallest_param_tuples
-from conich1.enumeration import _enumerate_full
+from conich1.enumeration import _enumerate_full, _wdn_generators
 from conich1.groups import (
     ClassStore,
     _walk_levels,
@@ -14,11 +16,15 @@ from conich1.groups import (
     canonical_form,
     closure,
     conjugating_element,
-    enc_conj,
+    enc_closure,
+    enc_conjugation,
+    enc_cycle_type,
+    enc_mul,
     enc_order,
     fingerprint,
     prime_power_cyclic_generators,
     subgroup_walk,
+    identity_enc,
     sylow2,
 )
 from conich1.signedperm import SignedPerm, iter_wdn, parse_element
@@ -128,7 +134,7 @@ def test_sylow2_order_times_odd_part():
 def least_sylow2_by_brute_force(grp):
     # conjugate one Sylow 2-subgroup by every element of G and keep the least
     P = sylow2(grp).enc_set
-    return min(tuple(sorted(enc_conj(t, q) for q in P)) for t in grp.enc_set)
+    return min(tuple(sorted(map(enc_conjugation(t), P))) for t in grp.enc_set)
 
 
 def test_sylow2_is_the_least_conjugate():
@@ -236,3 +242,92 @@ def test_canonical_form_invariance_rank5_fixture():
     for _ in range(30):
         t = rand_wdn(rng, 5)
         assert canonical_form(grp.conjugate_by(t)) == key
+
+
+def bfs_closure(gens, n):
+    # the reference: plain breadth-first products from the identity
+    seen = {identity_enc(n)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for y in {enc_mul(x, g) for x in frontier for g in gens} if y not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
+
+
+@st.composite
+def wdn_encs(draw, n):
+    img = draw(st.permutations(range(n)))
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flips[0] ^= sum(flips) % 2  # an even number of flips: inside W(D_n)
+    return tuple(2 * i ^ f for i, f in zip(img, flips))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coset_closure_matches_bfs(data):
+    n = data.draw(st.integers(2, 6))
+    gens = data.draw(st.lists(wdn_encs(n), min_size=1, max_size=3))
+    cap = data.draw(st.integers(1, 2000))
+    K = bfs_closure(gens, n)
+    # reject a few elements, drawn from K or from all of W(D_n), or their
+    # cycle types, as guided mode rejects the unclean ones
+    bad = set(data.draw(st.lists(st.sampled_from(sorted(K)) | wdn_encs(n), max_size=2)))
+    if data.draw(st.booleans()):
+        bad = {enc_cycle_type(e) for e in bad}
+        reject = (lambda e: enc_cycle_type(e) in bad) if bad else None
+    else:
+        reject = (lambda e: e in bad) if bad else None
+    expected = None if len(K) > cap or (reject and any(map(reject, K))) else K
+    assert enc_closure(gens, n, cap=cap, reject=reject) == expected
+    H = bfs_closure(gens[:-1], n)
+    if not (reject and any(map(reject, H))):  # the walker's H always passes reject
+        assert enc_closure(gens, n, cap=cap, reject=reject, subgroup=H) == expected
+
+
+def test_closure_extension_work_is_linear(monkeypatch):
+    # K = <H, x> from a known H = <gens>: |H| products per added coset and
+    # k + 1 per coset representative, against |K| (k + 1) for a closure
+    # from scratch
+    counts = {"products": 0}
+
+    def counting_mul(a, b, real=groups.enc_mul):
+        counts["products"] += 1
+        return real(a, b)
+
+    def counting_coset(H, y, real=groups._right_coset):
+        counts["products"] += len(H)
+        return real(H, y)
+
+    monkeypatch.setattr(groups, "enc_mul", counting_mul)
+    monkeypatch.setattr(groups, "_right_coset", counting_coset)
+    cases = [build_group(spec) for cid in (3, 13, 18, 20, 22, 23) for spec in smallest_param_tuples(cid, count=1)]
+    cases += [f7(), closure([SignedPerm.from_enc(5, e) for e in _wdn_generators(5)])]  # W(D_5)
+    extensions = 0
+    for grp in cases:
+        gens = [g.enc for g in grp.generators]
+        k = len(gens) - 1
+        H = enc_closure(gens[:-1], grp.n)
+        counts["products"] = 0
+        K = enc_closure(gens, grp.n, subgroup=H)
+        assert K == grp.enc_set
+        if len(K) == len(H):
+            continue  # the last generator is redundant: nothing to extend
+        extensions += 1
+        assert len(K) - len(H) <= counts["products"] <= len(K) + len(K) // len(H) * (k + 1)
+    assert extensions == 7
+    # the walker extends each H it holds by passing it to enc_closure
+    base = sylow2(closure([SignedPerm.from_enc(4, e) for e in _wdn_generators(4)]))
+    walked = []
+
+    def recording_closure(gens, n, cap, reject=None, subgroup=None, real=groups.enc_closure):
+        counts["products"] = 0
+        K = real(gens, n, cap=cap, reject=reject, subgroup=subgroup)
+        walked.append((len(gens) - 1, subgroup, K, counts["products"]))
+        return K
+
+    monkeypatch.setattr(groups, "enc_closure", recording_closure)
+    walk = subgroup_walk(4, prime_power_cyclic_generators(base.enc_set), cap=base.order)
+    assert len(walked) == walk.closures > 100
+    for k, H, K, products in walked:
+        assert H is not None and K is not None
+        assert products <= len(K) + len(K) // len(H) * (k + 1)
