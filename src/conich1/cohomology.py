@@ -16,6 +16,7 @@ from .groups import (
     FiniteGroup,
     _walk_levels,
     closure,
+    enc_cycle_type,
     enc_mul,
     identity_enc,
     index_orbits,
@@ -227,6 +228,13 @@ def h1_cyclic(g: SignedPerm) -> H1Report:
     return H1Report((2,) * rank, rank, "cyclic_formula")
 
 
+def cyclic_h1_fails(x: Enc) -> bool:
+    """Whether H^1(<x>, Pic) != 0, by the closed form on the encoding:
+    Lambda(x), the number of signed cycles with an odd number of flips,
+    exceeds 2."""
+    return sum(flip for _, flip in enc_cycle_type(x)) > 2
+
+
 def h1_condition_cyclic(g: SignedPerm) -> tuple[bool, int | None]:
     """(H1) for <g>: every power must have Lambda in {0, 2}.
 
@@ -379,6 +387,7 @@ def h1_condition(
     oracle_bound: int = DEFAULT_ORACLE_BOUND,
     samples: int = 64,
     seed: int = 0,
+    memo: dict[frozenset[Enc], bool] | None = None,
 ) -> H1ConditionResult:
     """(H1): H^1(H, Pic) = 0 for every subgroup H.
 
@@ -394,6 +403,16 @@ def h1_condition(
     at the witness: every walk step at least doubles the order, so after
     level d all subgroups of order < 2^(d+1) are known and can be checked
     in that order before the walk goes on.
+
+    A subgroup the walk reached through a single generator x is cyclic and
+    is decided by the closed form (cyclic_h1_fails: Lambda(x) > 2), with no
+    oracle call; that is every cyclic subgroup on the Sylow-2 route, and
+    every one of prime-power order on the direct route.  The others go to
+    h1_oracle.  ``memo``, when given, is owned by the caller
+    and maps the element set of each subgroup the oracle decided to whether
+    it fails; a set found there is not decided again, so one memo can be
+    shared by the calls of one verify_tables or enumerate_wdn run.  The
+    verdicts, the witness and ``subgroups_checked`` do not depend on it.
     """
     if route == "sylow2":
         base = sylow2(G)
@@ -430,9 +449,16 @@ def h1_condition(
             if order == 1:
                 continue
             checked += 1
-            H = FiniteGroup.from_enc_set(base.n, K, gens)
-            if h1_oracle(H, bound=oracle_bound).f2_rank:
-                return H1ConditionResult(False, H, route, checked)
+            if len(gens) == 1:
+                fails = cyclic_h1_fails(gens[0])
+            elif memo is not None and K in memo:
+                fails = memo[K]
+            else:
+                fails = h1_oracle(FiniteGroup.from_enc_set(base.n, K, gens), bound=oracle_bound).f2_rank > 0
+                if memo is not None:
+                    memo[K] = fails
+            if fails:
+                return H1ConditionResult(False, FiniteGroup.from_enc_set(base.n, K, gens), route, checked)
     return H1ConditionResult(True, None, route, checked)
 
 

@@ -96,14 +96,14 @@ class EnumerationResult:
     elapsed: float | None = None
 
 
-def _passes_filters(G: FiniteGroup) -> bool:
+def _passes_filters(G: FiniteGroup, h1_memo: dict[frozenset[Enc], bool]) -> bool:
     if not fiber_pair_condition(G):
         return False
     if not orbit_count_filter(G):
         return False
     if not relative_minimality(G):
         return False
-    cond = h1_condition(G)
+    cond = h1_condition(G, memo=h1_memo)
     if cond.ok is None:
         raise RuntimeError(f"(H1) condition undecidable for order {G.order}")
     return bool(cond.ok)
@@ -244,7 +244,8 @@ def enumerate_wdn(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    passing = [G for G in groups if _passes_filters(G)]
+    h1_memo: dict[frozenset[Enc], bool] = {}
+    passing = [G for G in groups if _passes_filters(G, h1_memo)]
     if with_canonical_keys is None:
         with_canonical_keys = n <= 5
     entries = []
@@ -439,10 +440,11 @@ def verify_tables(n: int) -> TablesReport:
     rows = TABLE_ROWS[n]
     built = []
     reports = []
+    h1_memo: dict[frozenset[Enc], bool] = {}
     for row in rows:
         G = row.build(n)
         built.append(G)
-        cond = h1_condition(G)
+        cond = h1_condition(G, memo=h1_memo)
         reports.append(
             TableRowReport(
                 row_id=row.row_id,

@@ -199,7 +199,9 @@ class FiniteGroup:
     SignedPerm.sort_key, and the fingerprint are built on first access.
     """
 
-    __slots__ = ("n", "generators", "enc_set", "order", "_elements", "_enc_sorted", "_fingerprint")
+    __slots__ = (
+        "n", "generators", "enc_set", "order", "_elements", "_enc_sorted", "_fingerprint", "_pair_size", "_by_type"
+    )
 
     def __init__(self, n: int, generators: Sequence[SignedPerm], elements: Iterable[SignedPerm]):
         self.n = n
@@ -209,6 +211,8 @@ class FiniteGroup:
         self.order = len(self._elements)
         self._enc_sorted: tuple[Enc, ...] | None = None
         self._fingerprint: tuple | None = None
+        self._pair_size: list[int] | None = None
+        self._by_type: dict[tuple, list[Enc]] | None = None
         if len(self.enc_set) != self.order:
             raise ValueError("duplicate elements")
 
@@ -222,6 +226,8 @@ class FiniteGroup:
         G._elements = None
         G._enc_sorted = None
         G._fingerprint = None
+        G._pair_size = None
+        G._by_type = None
         return G
 
     @property
@@ -624,17 +630,28 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def fingerprint(G: FiniteGroup) -> tuple:
-    """Cheap conjugation invariant used to bucket groups before exact tests;
-    computed once per group."""
+    """Cheap conjugation invariant used to bucket groups before exact tests.
+
+    Computed once per group, together with what conjugating_element reads
+    on every test: the size of each symbol's pair orbit (G._pair_size) and
+    the elements bucketed by signed cycle type (G._by_type).
+    """
     if G._fingerprint is None:
-        types: dict[tuple, int] = {}
+        by_type: dict[tuple, list[Enc]] = {}
         for e in G.enc_set:
-            t = enc_cycle_type(e)
-            types[t] = types.get(t, 0) + 1
+            by_type.setdefault(enc_cycle_type(e), []).append(e)
         span = G.spanning_encs
+        porbs = pair_orbits(G.n, span)
+        pair_size = [0] * (2 * G.n)
+        for o in porbs:
+            for s in o:
+                pair_size[s] = len(o)
         idx_profile = tuple(sorted((len(o) for o in index_orbits(G.n, span)), reverse=True))
-        pair_profile = tuple(sorted((len(o) for o in pair_orbits(G.n, span)), reverse=True))
-        G._fingerprint = (G.n, G.order, idx_profile, pair_profile, tuple(sorted(types.items())))
+        pair_profile = tuple(sorted((len(o) for o in porbs), reverse=True))
+        types = tuple(sorted((t, len(v)) for t, v in by_type.items()))
+        G._fingerprint = (G.n, G.order, idx_profile, pair_profile, types)
+        G._pair_size = pair_size
+        G._by_type = by_type
     return G._fingerprint
 
 
@@ -642,29 +659,20 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
     """Some t in W(D_n) with t H1 t^{-1} = H2, or None.
 
     Backtracking over the images of 1^+..n^+, pruning with per-generator
-    candidate sets in H2 and pair-orbit size compatibility.
+    candidate sets in H2 and pair-orbit size compatibility.  The pruning
+    reads H1's stored generators (every constructor stores generators that
+    generate), and an accepted t is checked on all of H1.
     """
     if H1.n != H2.n or H1.order != H2.order:
         return None
     if fingerprint(H1) != fingerprint(H2):
         return None
     n = H1.n
-    gens = [g.enc for g in H1.generating_sequence()]
-    if not gens:
+    if H1.order == 1:
         return SignedPerm.identity(n)
-    h2_elems = H2.enc_sorted
-    h2_types = {e: enc_cycle_type(e) for e in h2_elems}
-
-    orb1 = pair_orbits(n, H1.spanning_encs)
-    orb2 = pair_orbits(n, H2.spanning_encs)
-    size1 = {}
-    for o in orb1:
-        for s in o:
-            size1[s] = len(o)
-    size2 = {}
-    for o in orb2:
-        for s in o:
-            size2[s] = len(o)
+    gens = H1.spanning_encs
+    size1, size2 = H1._pair_size, H2._pair_size
+    h2_by_type = H2._by_type
 
     # assign indices in an order that activates generator constraints early
     order_idx: list[int] = []
@@ -685,9 +693,9 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
 
     timage: dict[int, int] = {}  # symbol -> symbol, closed under pairing
     assigned: list[int] = []  # indices j (0-based) already placed
-    cands = [{e for e in h2_elems if h2_types[e] == t} for t in map(enc_cycle_type, gens)]
+    cands = [h2_by_type.get(t, []) for t in map(enc_cycle_type, gens)]
 
-    def filter_cands(cand: set[Enc], g: Enc) -> set[Enc]:
+    def filter_cands(cand: list[Enc], g: Enc) -> list[Enc]:
         # keep h with h(t(j^+)) = t(g(j^+)) wherever both sides are known
         checks = []
         for j in assigned:
@@ -696,20 +704,20 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
                 checks.append((timage[2 * j], timage[s & ~1] ^ (s & 1)))
         if not checks:
             return cand
-        return {h for h in cand if all(h[y >> 1] ^ (y & 1) == tgt for y, tgt in checks)}
+        return [h for h in cand if all(h[y >> 1] ^ (y & 1) == tgt for y, tgt in checks)]
 
     used_targets: set[int] = set()
     result: list[SignedPerm | None] = [None]
 
-    def assign(depth: int, cands_now: list[set[Enc]]) -> bool:
+    def assign(depth: int, cands_now: list[list[Enc]]) -> bool:
         if depth == len(order_idx):
             enc_t = tuple(timage[2 * j] for j in range(n))
             if sum(s & 1 for s in enc_t) % 2:
                 return False  # odd conjugator lies outside W(D_n)
+            # t H1 t^-1 lies in H2, a group of the same order, so equals it
             conj = enc_conjugation(enc_t)
-            for g in gens:
-                if conj(g) not in H2.enc_set:
-                    return False
+            if not all(conj(h) in H2.enc_set for h in H1.enc_set):
+                return False
             result[0] = SignedPerm.from_enc(n, enc_t)
             return True
         j = order_idx[depth]

@@ -104,7 +104,8 @@ def test_invariant_checks_survive_python_O(capsys):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv, code in [
         (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK),
-        (["check", "-n", "4", "c1 c2 c3 c4"], EXIT_FAILED),
+        (["check", "-n", "4", "c1 c2 c3 c4"], EXIT_FAILED),  # decided by the cyclic closed form
+        (["check", "-n", "4", "c1 c2", "c3 c4 (1,2)"], EXIT_FAILED),  # a Klein four-group, by the oracle
     ]:
         assert main(argv) == code
         in_process = capsys.readouterr().out

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from conich1 import cohomology
+from conich1.classes import build_group, smallest_param_tuples
 from conich1.cohomology import (
     TorsionError,
     coboundary_columns,
+    cyclic_h1_fails,
     h1_condition,
     h1_condition_cyclic,
     h1_cross_check,
@@ -12,9 +15,9 @@ from conich1.cohomology import (
     h1_halfsum,
     h1_oracle,
 )
-from conich1.enumeration import _enumerate_full
-from conich1.groups import all_subgroups, closure, random_subgroup, sylow2
-from conich1.signedperm import SignedPerm, lambda_count, parse_element
+from conich1.enumeration import TABLE_ROWS, _enumerate_full
+from conich1.groups import all_subgroups, closure, enc_cycle_type, enc_order, random_subgroup, sylow2
+from conich1.signedperm import SignedPerm, iter_wdn, lambda_count, parse_element
 
 Gcache = {}
 
@@ -82,6 +85,47 @@ def test_oracle_matches_cyclic_formula():
         n = rng.choice([4, 5, 6, 7, 8])
         g = rand_wdn(rng, n)
         assert h1_oracle(closure([g])).f2_rank == max(lambda_count(g) - 2, 0)
+
+
+def _signed_cycle_types(n, largest=None):
+    # every multiset of (cycle length, flip parity) covering n indices,
+    # as a non-increasing tuple
+    if n == 0:
+        yield ()
+        return
+    for part in sorted(((w, f) for w in range(1, n + 1) for f in (0, 1)), reverse=True):
+        if largest is None or part <= largest:
+            for rest in _signed_cycle_types(n - part[0], part):
+                yield (part,) + rest
+
+
+def _element_of_type(n, ctype):
+    # the encoding of consecutive cycles (a, a+1, ..., a+w-1), each carrying
+    # its flip parity on the step back to a
+    enc, start = [0] * n, 0
+    for w, f in ctype:
+        for k in range(w - 1):
+            enc[start + k] = 2 * (start + k + 1)
+        enc[start + w - 1] = 2 * start ^ f
+        start += w
+    return tuple(enc)
+
+
+def test_cyclic_closed_form_on_every_signed_cycle_type():
+    # the verdict h1_condition takes for a cyclic subgroup <x>, from the
+    # encoding alone, against the oracle on one element of every signed
+    # cycle type of W(D_2) .. W(D_7)
+    for n in range(2, 8):
+        types = [t for t in _signed_cycle_types(n) if sum(f for _, f in t) % 2 == 0]
+        if n <= 5:
+            assert {tuple(sorted(t)) for t in types} == {enc_cycle_type(g.enc) for g in iter_wdn(n)}
+        for ctype in types:
+            e = _element_of_type(n, ctype)
+            assert enc_cycle_type(e) == tuple(sorted(ctype))
+            g = SignedPerm.from_enc(n, e)
+            rank = h1_oracle(closure([g])).f2_rank
+            assert rank == max(lambda_count(g) - 2, 0), (n, ctype)
+            assert cyclic_h1_fails(e) == (rank > 0), (n, ctype)
 
 
 def test_condition_cyclic_examples():
@@ -213,41 +257,103 @@ def test_h1_condition_routes_agree():
             checked += 1
 
 
+_subgroup_lists = {}
+_full_scans = {}
+
+
+def _checked_in_order(base):
+    # the nontrivial subgroups of the base in all_subgroups order, which is
+    # the order h1_condition checks them in
+    if base.enc_set not in _subgroup_lists:
+        _subgroup_lists[base.enc_set] = [H for H in all_subgroups(base).subgroups if H.order > 1]
+    return _subgroup_lists[base.enc_set]
+
+
 def _full_scan(base):
-    # the whole subgroup list of the base, in all_subgroups order, checked
-    # with the oracle up to the first failure
-    checked = 0
-    for H in all_subgroups(base).subgroups:
-        if H.order == 1:
-            continue
-        checked += 1
-        if h1_oracle(H).f2_rank:
-            return False, H.enc_set, checked
-    return True, None, checked
+    # the whole subgroup list of the base checked with the oracle up to the
+    # first failure; it depends only on the element set of the base
+    if base.enc_set not in _full_scans:
+        result = None
+        for checked, H in enumerate(_checked_in_order(base), start=1):
+            if h1_oracle(H).f2_rank:
+                result = (False, H.enc_set, checked)
+                break
+        _full_scans[base.enc_set] = result or (True, None, len(_checked_in_order(base)))
+    return _full_scans[base.enc_set]
+
+
+def _matches_full_scan(grp, route="sylow2", memo=None):
+    base = sylow2(grp) if route == "sylow2" else grp
+    res = h1_condition(grp, route=route, memo=memo)
+    witness = res.witness.enc_set if res.witness is not None else None
+    assert (res.ok, witness, res.subgroups_checked) == _full_scan(base), (grp, route)
+    return res
 
 
 def test_h1_condition_matches_full_scan_wdn4_classes():
-    # one representative of each of the 98 subgroup classes of W(D_4)
+    # one representative of each of the 98 subgroup classes of W(D_4),
+    # without a memo and with one memo shared by all calls
     reps, _ = _enumerate_full(4)
     assert len(reps) == 98
-    scans = {}  # a full scan depends only on the element set of its base
-    compared = noncyclic_witnesses = 0
-    for grp in reps:
-        for route in ("sylow2", "direct"):
-            if route == "direct" and grp.order > 64:
-                continue
-            base = sylow2(grp) if route == "sylow2" else grp
-            if base.enc_set not in scans:
-                scans[base.enc_set] = _full_scan(base)
-            res = h1_condition(grp, route=route)
-            witness = res.witness.enc_set if res.witness is not None else None
-            assert (res.ok, witness, res.subgroups_checked) == scans[base.enc_set], (grp, route)
-            compared += 1
-            if res.witness is not None and res.witness.order == 4:
-                noncyclic_witnesses += all(h1_cyclic(g).f2_rank == 0 for g in res.witness.elements)
-    assert compared > 98
-    # witnesses of order 4 with no failing cyclic subgroup: the Klein four-groups
-    assert noncyclic_witnesses > 0
+    for memo in (None, {}):
+        compared = noncyclic_witnesses = 0
+        for grp in reps:
+            for route in ("sylow2", "direct"):
+                if route == "direct" and grp.order > 64:
+                    continue
+                res = _matches_full_scan(grp, route, memo)
+                compared += 1
+                if res.witness is not None and res.witness.order == 4:
+                    noncyclic_witnesses += all(h1_cyclic(g).f2_rank == 0 for g in res.witness.elements)
+        assert compared > 98
+        # witnesses of order 4 with no failing cyclic subgroup: the Klein four-groups
+        assert noncyclic_witnesses > 0
+        assert memo is None or False in memo.values() and True in memo.values()
+
+
+def _catalog_and_table_groups():
+    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=2)]
+    tables = [row.build(n) for n in range(4, 10) for row in TABLE_ROWS[n]]
+    assert len(families) == 48 and len(tables) == 46
+    return families + tables
+
+
+def test_h1_condition_matches_full_scan_catalog_and_tables():
+    # the 48 smallest family instances and every reference-table row, all of
+    # which pass, so every subgroup of their Sylow 2-subgroups is checked
+    groups = _catalog_and_table_groups()
+    for memo in (None, {}):
+        for grp in groups:
+            assert _matches_full_scan(grp, memo=memo).ok is True
+
+
+def _is_cyclic(H):
+    return any(enc_order(e) == H.order for e in H.enc_set)
+
+
+def test_h1_condition_oracle_calls_are_the_undecided_noncyclic_subgroups(monkeypatch):
+    # the oracle runs on exactly the checked non-cyclic subgroups whose
+    # element set is not in the memo yet, in check order; cyclic ones are
+    # decided by the closed form
+    calls = []
+    oracle = cohomology.h1_oracle
+    monkeypatch.setattr(cohomology, "h1_oracle", lambda H, **kw: calls.append(H.enc_set) or oracle(H, **kw))
+    reps, _ = _enumerate_full(4)
+    groups = reps + _catalog_and_table_groups()
+    for memo in (None, {}):
+        decided = set()
+        total_checked = total_calls = 0
+        for grp in groups:
+            calls.clear()
+            res = h1_condition(grp, memo=memo)
+            checked = _checked_in_order(sylow2(grp))[: res.subgroups_checked]
+            noncyclic = [H.enc_set for H in checked if not _is_cyclic(H)]
+            assert calls == (noncyclic if memo is None else [K for K in noncyclic if K not in decided]), grp
+            decided.update(noncyclic)
+            total_checked += res.subgroups_checked
+            total_calls += len(calls)
+        assert memo is None or set(memo) == decided
+        assert total_calls < total_checked / 2
 
 
 def test_h1_condition_unknown_on_bound():

@@ -9,6 +9,7 @@ from conich1.classes import build_group, smallest_param_tuples
 from conich1.enumeration import _enumerate_full, _wdn_generators
 from conich1.groups import (
     ClassStore,
+    FiniteGroup,
     _walk_levels,
     abelian_invariants,
     all_subgroups,
@@ -183,6 +184,43 @@ def test_conjugating_element_roundtrip():
         assert s is not None
         assert grp.conjugate_by(s).enc_set == other.enc_set
     assert not are_conjugate(G(4, "c1 c2"), G(4, "c1 c2 (1,2)"))
+
+
+def test_conjugating_element_checks_the_whole_group():
+    # the search prunes with the stored generators, and an accepted
+    # conjugator is still checked on every element: stored generators that
+    # generate only a subgroup cannot make it report a false conjugacy
+    A, B = G(4, "(3,4)", "(1,2)"), G(4, "(3,4)", "c1 c2 (1,2)")
+    assert not are_conjugate(A, B)
+    first_only = [FiniteGroup.from_enc_set(4, H.enc_set, [H.generators[0].enc]) for H in (A, B)]
+    assert fingerprint(first_only[0]) == fingerprint(first_only[1])
+    assert conjugating_element(*first_only) is None
+
+
+def test_constructors_store_generators_that_generate():
+    # fingerprint, the orbit computations and conjugating_element read the
+    # stored generators as a generating set of the group
+    from conich1.conditions import orbits, project
+
+    wdn4 = closure(list(iter_wdn(4)), n=4)
+    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=2)]
+    small = [grp for grp in families if grp.order <= 400]
+    wdn4_cands = prime_power_cyclic_generators(wdn4.enc_set)
+    made_by = {
+        "closure": [closure([], n=3), d41(), f7(), wdn4],
+        "walker": list(all_subgroups(sylow2(wdn4)).subgroups)
+        + list(subgroup_walk(4, wdn4_cands, cap=wdn4.order, store=ClassStore()).subgroups),
+        "build_group": families,
+        "sylow2": [sylow2(grp) for grp in families + [d41(), f7(), wdn4]],
+        "project": [project(grp, orb).group for grp in small for orb in orbits(grp).orbits],
+        "full mode": _enumerate_full(4)[0],
+        "conjugate_by": [grp.conjugate_by(rand_wdn(random.Random(6), grp.n)) for grp in small],
+    }
+    for how, made in made_by.items():
+        assert made, how
+        for grp in made:
+            gens = [g.enc for g in grp.generators]
+            assert enc_closure(gens, grp.n, cap=grp.order) == grp.enc_set, (how, grp)
 
 
 def test_fingerprint_is_conjugation_invariant():
