@@ -10,8 +10,11 @@ Two modes:
 * generator_guided (n <= 7): groups.subgroup_walk, the walker behind
   groups.all_subgroups, over the prime-power cyclic generators of the
   "clean" elements (those whose cyclic group has trivial H^1), rejecting
-  every closure that meets an unclean element.  Any group passing the
-  filters is clean, so the search is complete for the target set.
+  every closure that meets an unclean element.  It keeps one subgroup
+  per W(D_n)-class in a ClassStore and extends it once per orbit of its
+  normalizer on the candidate cyclic subgroups; the clean set is closed
+  under conjugation, so every class is still reached.  Any group passing
+  the filters is clean, so the search is complete for the target set.
   Partial groups are never pruned by orbit counts: that would lose D4(1),
   both of whose one-generator partials already have four symbol orbits.
 """
@@ -38,8 +41,9 @@ from .groups import (
     index_orbits,
     prime_power_cyclic_generators,
     subgroup_walk,
+    wdn_generators,
 )
-from .signedperm import SignedPerm, format_element, iter_wdn, wdn_order
+from .signedperm import format_element, iter_wdn, wdn_order
 
 FULL_MODE_MAX_RANK = 5
 GUIDED_MODE_MAX_RANK = 7
@@ -64,13 +68,6 @@ def clean_elements(n: int) -> frozenset[Enc]:
         if verdicts[t]:
             out.append(e)
     return frozenset(out)
-
-
-def _wdn_generators(n: int) -> list[Enc]:
-    gens = [SignedPerm.from_cycles(n, [[1, 2]]).enc, SignedPerm(n, range(1, n + 1), (1, 2)).enc]
-    if n > 2:
-        gens.append(SignedPerm.from_cycles(n, [list(range(1, n + 1))]).enc)
-    return gens
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ class _IntGroup:
 
     def __init__(self, n: int):
         self.n = n
-        wdn_gens = _wdn_generators(n)
+        wdn_gens = wdn_generators(n)
         all_encs = enc_closure(wdn_gens, n, cap=wdn_order(n) + 1)
         if all_encs is None or len(all_encs) != wdn_order(n):
             raise RuntimeError(f"the generators of W(D_{n}) do not close to {wdn_order(n)} elements")
@@ -223,6 +220,7 @@ def _enumerate_guided(n: int, cap: int = CLEAN_SUBGROUP_CAP) -> tuple[list[Finit
         "closures": walk.closures,
         "aborted_closures": walk.aborted,
         "conjugacy_tests": store.tests,
+        "orbit_points": store.orbit_points,
     }
     return list(walk.subgroups), stats
 

@@ -1,4 +1,5 @@
-"""Finite subgroups of W(D_n): closure, subgroup lattice, Sylow-2, conjugacy.
+"""Finite subgroups of W(D_n): closure, subgroup lattice, Sylow-2, conjugacy,
+and the conjugacy orbit of a subgroup (its normalizer and canonical form).
 
 Hot paths run on the integer encoding of elements (tuple of images of the
 symbols 1^+..n^+, see SignedPerm.enc); SignedPerm objects are the public
@@ -8,7 +9,7 @@ value type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .signedperm import SignedPerm, sigma, wdn_order
@@ -22,6 +23,14 @@ DEFAULT_CANONICAL_BOUND = 512
 
 def identity_enc(n: int) -> Enc:
     return tuple(2 * j for j in range(n))
+
+
+def wdn_generators(n: int) -> list[Enc]:
+    """Generators of W(D_n): (1,2), c1 c2 (1,2) and, for n > 2, (1,2,...,n)."""
+    gens = [SignedPerm.from_cycles(n, [[1, 2]]).enc, SignedPerm(n, range(1, n + 1), (1, 2)).enc]
+    if n > 2:
+        gens.append(SignedPerm.from_cycles(n, [list(range(1, n + 1))]).enc)
+    return gens
 
 
 def enc_mul(a: Enc, b: Enc) -> Enc:
@@ -372,12 +381,19 @@ def _cyclic_encs(e: Enc) -> list[Enc]:
 
 
 class ClassStore:
-    """Conjugacy-class dedup via fingerprint buckets + exact backtracking."""
+    """Conjugacy-class dedup via fingerprint buckets + exact backtracking.
+
+    ``count`` is the number of classes stored and ``tests`` the number of
+    conjugacy tests made.  A walker given a store extends each stored class
+    once per orbit of its normalizer, and adds the size of each conjugacy
+    orbit it traced for those normalizers to ``orbit_points``.
+    """
 
     def __init__(self) -> None:
         self.buckets: dict[tuple, list[FiniteGroup]] = {}
         self.count = 0
         self.tests = 0
+        self.orbit_points = 0
 
     def add(self, G: FiniteGroup) -> bool:
         """Store G and return True unless it is W(D_n)-conjugate to a stored group."""
@@ -412,13 +428,24 @@ def subgroup_walk(
 ) -> SubgroupWalk:
     """Breadth-first cyclic-extension walk of a subgroup lattice.
 
-    Starting from the trivial group, each kept subgroup H = <gens> is
-    extended to <gens, x> for one candidate x per H-conjugation orbit, the
-    least h x h^-1 over h in H (every element of the orbit gives the same
-    <H, x>; the orbit is traced by conjugating with gens), closed by
-    enc_closure under ``cap`` and ``reject``.  Literal element sets are
-    kept once; given a ClassStore, only the first subgroup of each
-    W(D_n)-class is kept and extended (the trivial group is not stored).
+    ``candidates`` holds one generator per cyclic subgroup, the least one
+    when they come from prime_power_cyclic_generators.  Starting from the
+    trivial group, each kept subgroup H = <gens> is extended to
+    <gens, x>, closed by enc_closure under ``cap`` and ``reject``, for one
+    candidate x per orbit of candidate cyclic subgroups, the least
+    candidate of the orbit.  The orbits are traced by conjugating with
+    gens: if <h x h^-1> = <y> for h in H, then <H, x> = <H, y>.  Literal
+    element sets are kept once.
+
+    Given a ClassStore, only the first subgroup of each W(D_n)-class is
+    kept and extended (the trivial group is not stored), and the orbits
+    are traced under generators of the normalizer N_W(H) instead: for t
+    in N_W(H), <H, t x t^-1> = t <H, x> t^-1 lies in the class of <H, x>.
+    A conjugate that generates no candidate's cyclic subgroup is not
+    followed, which can only split orbits.  ``cap`` and ``reject`` must
+    then be invariant under W(D_n)-conjugation, as guided enumeration's
+    are.
+
     The walk reaches every subgroup, or class, generated by candidates
     whose intermediate closures pass ``cap`` and ``reject``.  This is the
     cyclic extension method (Holt, Eick and O'Brien, Handbook of
@@ -451,27 +478,38 @@ def _walk_levels(
     level: list[_LevelEntry] = [(trivial, [], None)]
     seen = {trivial}
     closures = aborted = 0
+    cyclic_rep: dict[Enc, Enc] = {}  # each generator of a candidate's cyclic group -> the candidate
+    for x in candidates:
+        powers = _cyclic_encs(x)
+        for k in range(1, len(powers)):
+            if gcd(k, len(powers)) == 1:
+                cyclic_rep[powers[k]] = x
     yield level, closures, aborted
     while level:
         nxt: list[_LevelEntry] = []
         for H, gens, _ in level:
-            conjugations = [enc_conjugation(g) for g in gens]
-            rep_of: dict[Enc, Enc] = {}
+            if store is None:
+                conjugators = gens
+            else:
+                orbit = conjugacy_orbit(n, H)
+                store.orbit_points += len(orbit)
+                conjugators = normalizer_generators(n, H, gens, orbit)
+            conjugations = [enc_conjugation(g) for g in conjugators]
+            traced: set[Enc] = set()
+            reps = []
             for x in candidates:
-                if x in H or x in rep_of:
+                if x in H or x in traced:
                     continue
-                rep_of[x] = x
-                orbit = [x]
-                for y in orbit:  # orbit grows while it is read
+                traced.add(x)
+                cyclics = [x]
+                for y in cyclics:  # cyclics grows while it is read
                     for conj in conjugations:
-                        z = conj(y)
-                        if z not in rep_of:
-                            rep_of[z] = z
-                            orbit.append(z)
-                least = min(orbit)
-                for y in orbit:
-                    rep_of[y] = least
-            for x in sorted(set(rep_of.values())):
+                        z = cyclic_rep.get(conj(y))
+                        if z is not None and z not in traced:
+                            traced.add(z)
+                            cyclics.append(z)
+                reps.append(min(cyclics))
+            for x in sorted(reps):
                 closures += 1
                 K = enc_closure(gens + [x], n, cap=cap, reject=reject, subgroup=H)
                 if K is None:
@@ -529,26 +567,9 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
             raise RuntimeError(f"Sylow climb outgrew the 2-part {two_part}")
         P = closed
     # deterministic representative: least conjugate under the element ordering
-    best = tuple(sorted(P))
-    best_gens = list(gens)
-    seen = {P}
-    frontier = [(P, gens)]
-    conjugations = [enc_conjugation(g.enc) for g in G.generators]
-    while frontier:
-        nxt = []
-        for Q, Q_gens in frontier:
-            for conj in conjugations:
-                img = frozenset(map(conj, Q))
-                if img not in seen:
-                    seen.add(img)
-                    img_gens = list(map(conj, Q_gens))
-                    nxt.append((img, img_gens))
-                    key = tuple(sorted(img))
-                    if key < best:
-                        best = key
-                        best_gens = img_gens
-        frontier = nxt
-    return FiniteGroup.from_enc_set(n, best, best_gens)
+    orbit = conjugacy_orbit(n, P, [g.enc for g in G.generators])
+    best = min(orbit, key=lambda Q: tuple(sorted(Q)))
+    return FiniteGroup.from_enc_set(n, best, list(map(enc_conjugation(orbit[best]), gens)))
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -748,6 +769,72 @@ def are_conjugate(H1: FiniteGroup, H2: FiniteGroup) -> bool:
     return conjugating_element(H1, H2) is not None
 
 
+def conjugacy_orbit(
+    n: int, encs: Iterable[Enc], by: Sequence[Enc] | None = None
+) -> dict[frozenset[Enc], Enc]:
+    """The conjugates of an element set under <by>, W(D_n) by default,
+    with a transversal.
+
+    Maps each conjugate P of S = set(encs) to some u with u S u^-1 = P,
+    the start S to the identity.  A breadth-first search under
+    conjugation by ``by`` (default wdn_generators(n)), so the points come
+    in discovery order, and u is the product of the generators along the
+    search tree.  For W(D_n) its length is |W(D_n)| / |N_W(S)|
+    (orbit-stabilizer; Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, section 4.1).
+    """
+    start = frozenset(encs)
+    ws = wdn_generators(n) if by is None else by
+    conjugations = [enc_conjugation(w) for w in ws]
+    transversal = {start: identity_enc(n)}
+    queue = [start]
+    for P in queue:  # queue grows while it is read
+        u = transversal[P]
+        for w, conj in zip(ws, conjugations):
+            Q = frozenset(map(conj, P))
+            if Q not in transversal:
+                transversal[Q] = enc_mul(w, u)
+                queue.append(Q)
+    return transversal
+
+
+def normalizer_generators(
+    n: int, H: frozenset[Enc], gens: Sequence[Enc], orbit: dict[frozenset[Enc], Enc]
+) -> list[Enc]:
+    """Generators of N_W(H), the stabilizer of H in its conjugacy orbit.
+
+    ``H`` is a group generated by ``gens`` and ``orbit`` is
+    conjugacy_orbit(n, H).  N starts as H and takes the Schreier
+    generators u_Q^-1 w u_P (w a generator of W(D_n), Q = w P w^-1, u the
+    transversal), each of which maps H to itself, in orbit order; one
+    already in N is skipped, and the others extend N by enc_closure.  By
+    Schreier's lemma they generate the stabilizer, so the search stops
+    when |N| = |W(D_n)| / |orbit|.  An orbit of one point gives the
+    generators of W(D_n) itself, with no closure.
+    """
+    ws = wdn_generators(n)
+    if len(orbit) == 1:
+        return ws
+    target = wdn_order(n) // len(orbit)
+    N_gens = list(gens)
+    N = H
+    if len(N) == target:
+        return N_gens
+    conjugations = [enc_conjugation(w) for w in ws]
+    for P, u in orbit.items():
+        for w, conj in zip(ws, conjugations):
+            s = enc_mul(enc_inv(orbit[frozenset(map(conj, P))]), enc_mul(w, u))
+            if s in N:
+                continue
+            N_gens.append(s)
+            N = enc_closure(N_gens, n, cap=target, subgroup=N)
+            if N is None:
+                raise RuntimeError(f"a Schreier generator outgrew |W(D_{n})| / |orbit| = {target}")
+            if len(N) == target:
+                return N_gens
+    raise RuntimeError(f"the Schreier generators close to order {len(N)}, short of {target}")
+
+
 def canonical_form(
     G: FiniteGroup,
     bound: int = DEFAULT_CANONICAL_BOUND,
@@ -755,8 +842,10 @@ def canonical_form(
 ) -> tuple:
     """Minimal image of the sorted element-set encoding over W(D_n)-conjugation.
 
-    Exact but exhaustive: |W(D_n)| conjugators are scanned, so this is for
-    small rank (n <= 5 routinely; 6..7 only when max_conjugators allows).
+    The least tuple(sorted(P)) over the conjugacy orbit of G's element
+    set, which takes |W(D_n)| / |N_W(G)| conjugates rather than one per
+    element of W(D_n).  ``bound`` caps |G| and ``max_conjugators`` caps
+    |W(D_n)|; both raise ValueError when exceeded.
     """
     if G.order > bound:
         raise ValueError(f"group order {G.order} exceeds canonical_form bound {bound}")
@@ -766,36 +855,7 @@ def canonical_form(
         raise ValueError(
             f"|W(D_{n})| = {total} conjugators exceed max_conjugators={max_conjugators}"
         )
-    elems = G.enc_sorted
-    best: tuple | None = None
-    indices = list(range(1, n + 1))
-    even_subsets = [c for k in range(0, n + 1, 2) for c in combinations(range(n), k)]
-    for img in permutations(indices):
-        base = [2 * (img[j] - 1) for j in range(n)]
-        for minus in even_subsets:
-            tvec = list(base)
-            for j in minus:
-                # flip the sign at the *target* index img[j]
-                tvec[j] ^= 1
-            T = [0] * (2 * n)
-            Tinv = [0] * (2 * n)
-            for j in range(n):
-                s = tvec[j]
-                T[2 * j] = s
-                T[2 * j + 1] = s ^ 1
-                Tinv[s] = 2 * j
-                Tinv[s ^ 1] = 2 * j + 1
-            key = tuple(
-                sorted(
-                    tuple(T[h[Tinv[2 * j] >> 1] ^ (Tinv[2 * j] & 1)] for j in range(n))
-                    for h in elems
-                )
-            )
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise RuntimeError("no conjugator was scanned")
-    return (n, best)
+    return (n, min(tuple(sorted(P)) for P in conjugacy_orbit(n, G.enc_set)))
 
 
 def random_element(G: FiniteGroup, rng) -> SignedPerm:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conich1 import enumeration
 from conich1.classes import smallest_param_tuples, verify_class
 from conich1.cohomology import h1_condition, h1_halfsum, h1_oracle
 from conich1.conditions import orbits, project, relative_minimality
@@ -82,7 +83,8 @@ def test_criterion_4_all_24_classes():
     print(f"\nPASS criterion 4: 24 classes x 2 parameter tuples all verified in {elapsed:.1f}s")
 
 
-def test_criterion_5_tables():
+def test_criterion_5_tables(full_lattice, monkeypatch):
+    monkeypatch.setattr(enumeration, "_enumerate_full", full_lattice)
     t0 = time.monotonic()
     full4 = enumerate_wdn(4, "full")
     guided4 = enumerate_wdn(4, "generator_guided")

@@ -2,8 +2,10 @@ import pytest
 
 from conich1.cohomology import h1_condition_cyclic
 from conich1.enumeration import (
+    CLEAN_SUBGROUP_CAP,
     D6_FIXTURES,
     TABLE_ROWS,
+    _enumerate_guided,
     clean_elements,
     enumerate_wdn,
     match_table_row,
@@ -82,7 +84,27 @@ def test_enumerate_5_guided_matches_table(guided_enumeration):
     assert {e.canonical_key for e in res.entries} == {canonical_form(row.build(5)) for row in rows}
     # the walk's work is deterministic; a change here is a change of the search
     stats = {k: res.stats[k] for k in ("closures", "aborted_closures", "conjugacy_tests", "clean_subgroup_classes")}
-    assert stats == {"closures": 8893, "aborted_closures": 6747, "conjugacy_tests": 783, "clean_subgroup_classes": 60}
+    assert stats == {"closures": 3131, "aborted_closures": 2502, "conjugacy_tests": 81, "clean_subgroup_classes": 60}
+
+
+@pytest.mark.parametrize("n, count", [(4, 41), (5, 60)])
+def test_guided_classes_are_the_clean_classes_of_full_mode(n, count, full_lattice):
+    # guided mode extends each class once per normalizer orbit; full mode,
+    # which dedups by literal conjugation orbits, is the completeness
+    # reference: its clean classes are those of clean elements only, within
+    # guided mode's order cap
+    clean = clean_elements(n)
+    reference, _ = full_lattice(n)
+    expected = {
+        canonical_form(H, bound=H.order)
+        for H in reference
+        if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean
+    }
+    groups, stats = _enumerate_guided(n)
+    keys = [canonical_form(H, bound=H.order) for H in groups]
+    assert stats["clean_subgroup_classes"] == count
+    assert len(keys) == len(set(keys)) == count + 1  # the trivial group is walked, not stored
+    assert set(keys) == expected
 
 
 @pytest.mark.heavy

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conich1 import groups
 from conich1.classes import build_group, smallest_param_tuples
-from conich1.enumeration import _enumerate_full, _wdn_generators
+from conich1.enumeration import CLEAN_SUBGROUP_CAP, TABLE_ROWS, _enumerate_full, clean_elements
 from conich1.groups import (
     ClassStore,
     FiniteGroup,
@@ -16,19 +17,23 @@ from conich1.groups import (
     are_conjugate,
     canonical_form,
     closure,
+    conjugacy_orbit,
     conjugating_element,
     enc_closure,
     enc_conjugation,
     enc_cycle_type,
+    enc_inv,
     enc_mul,
     enc_order,
     fingerprint,
+    normalizer_generators,
     prime_power_cyclic_generators,
     subgroup_walk,
     identity_enc,
     sylow2,
+    wdn_generators,
 )
-from conich1.signedperm import SignedPerm, iter_wdn, parse_element
+from conich1.signedperm import SignedPerm, iter_wdn, parse_element, wdn_order
 
 
 def G(n, *texts):
@@ -50,6 +55,14 @@ def rand_wdn(rng, n):
         minus = [j for j in range(1, n + 1) if rng.random() < 0.4]
         if len(minus) % 2 == 0:
             return SignedPerm(n, img, minus)
+
+
+@st.composite
+def wdn_encs(draw, n):
+    img = draw(st.permutations(range(n)))
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flips[0] ^= sum(flips) % 2  # an even number of flips: inside W(D_n)
+    return tuple(2 * i ^ f for i, f in zip(img, flips))
 
 
 def test_closure_examples():
@@ -174,6 +187,84 @@ def test_canonical_form_bounds():
         canonical_form(f7(), max_conjugators=10)
 
 
+def canonical_form_by_scan(grp):
+    # the reference: the least sorted image of the element set over all
+    # |W(D_n)| conjugators, each built from an image of 1..n and an even
+    # set of sign flips at the target indices
+    n = grp.n
+    best = None
+    even_subsets = [c for k in range(0, n + 1, 2) for c in combinations(range(n), k)]
+    for img in permutations(range(1, n + 1)):
+        base = [2 * (img[j] - 1) for j in range(n)]
+        for minus in even_subsets:
+            tvec = list(base)
+            for j in minus:
+                tvec[j] ^= 1
+            T = [0] * (2 * n)
+            Tinv = [0] * (2 * n)
+            for j in range(n):
+                s = tvec[j]
+                T[2 * j] = s
+                T[2 * j + 1] = s ^ 1
+                Tinv[s] = 2 * j
+                Tinv[s ^ 1] = 2 * j + 1
+            key = tuple(
+                sorted(
+                    tuple(T[h[Tinv[2 * j] >> 1] ^ (Tinv[2 * j] & 1)] for j in range(n))
+                    for h in grp.enc_sorted
+                )
+            )
+            if best is None or key < best:
+                best = key
+    return (n, best)
+
+
+def test_canonical_form_is_the_scan_minimum(full_lattice):
+    reps, _ = full_lattice(4)
+    assert len(reps) == 98
+    cases = reps + [row.build(5) for row in TABLE_ROWS[5]]
+    for grp in cases:
+        assert canonical_form(grp, bound=grp.order) == canonical_form_by_scan(grp), grp
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(wdn_encs(5), min_size=1, max_size=3))
+def test_canonical_form_is_the_scan_minimum_on_drawn_subgroups(gens):
+    # the scan costs |W(D_5)| |K|, so generators are dropped from the end
+    # until the closure is small; one element always closes within the cap
+    while (K := enc_closure(gens, 5, cap=64)) is None:
+        gens.pop()
+    grp = FiniteGroup.from_enc_set(5, K, gens)
+    assert canonical_form(grp) == canonical_form_by_scan(grp)
+
+
+def normalizer_by_brute_force(grp):
+    gens = grp.spanning_encs
+    return frozenset(
+        t for t in (g.enc for g in iter_wdn(grp.n))
+        if all(enc_mul(enc_mul(t, g), enc_inv(t)) in grp.enc_set for g in gens)
+    )
+
+
+@pytest.mark.parametrize("n, count", [(4, 98), (5, 61)])
+def test_normalizer_matches_brute_force(n, count, full_lattice):
+    # every class of W(D_4), and the clean classes of W(D_5) that guided
+    # mode walks (60 and the trivial group)
+    reps, _ = full_lattice(n)
+    if n == 5:
+        clean = clean_elements(5)
+        reps = [H for H in reps if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean]
+    assert len(reps) == count
+    for H in reps:
+        orbit = conjugacy_orbit(n, H.enc_set)
+        for P, u in orbit.items():
+            assert frozenset(map(enc_conjugation(u), H.enc_set)) == P
+        gens = normalizer_generators(n, H.enc_set, [g.enc for g in H.generators], orbit)
+        N = enc_closure(gens, n)
+        assert N == normalizer_by_brute_force(H), H
+        assert len(N) * len(orbit) == wdn_order(n)
+
+
 def test_conjugating_element_roundtrip():
     rng = random.Random(4)
     grp = G(5, "c1 c2 c3 c4 (2,3) (4,5)", "(1,2,3)")
@@ -292,14 +383,6 @@ def bfs_closure(gens, n):
     return frozenset(seen)
 
 
-@st.composite
-def wdn_encs(draw, n):
-    img = draw(st.permutations(range(n)))
-    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    flips[0] ^= sum(flips) % 2  # an even number of flips: inside W(D_n)
-    return tuple(2 * i ^ f for i, f in zip(img, flips))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_coset_closure_matches_bfs(data):
@@ -339,7 +422,7 @@ def test_closure_extension_work_is_linear(monkeypatch):
     monkeypatch.setattr(groups, "enc_mul", counting_mul)
     monkeypatch.setattr(groups, "_right_coset", counting_coset)
     cases = [build_group(spec) for cid in (3, 13, 18, 20, 22, 23) for spec in smallest_param_tuples(cid, count=1)]
-    cases += [f7(), closure([SignedPerm.from_enc(5, e) for e in _wdn_generators(5)])]  # W(D_5)
+    cases += [f7(), closure([SignedPerm.from_enc(5, e) for e in wdn_generators(5)])]  # W(D_5)
     extensions = 0
     for grp in cases:
         gens = [g.enc for g in grp.generators]
@@ -354,7 +437,7 @@ def test_closure_extension_work_is_linear(monkeypatch):
         assert len(K) - len(H) <= counts["products"] <= len(K) + len(K) // len(H) * (k + 1)
     assert extensions == 7
     # the walker extends each H it holds by passing it to enc_closure
-    base = sylow2(closure([SignedPerm.from_enc(4, e) for e in _wdn_generators(4)]))
+    base = sylow2(closure([SignedPerm.from_enc(4, e) for e in wdn_generators(4)]))
     walked = []
 
     def recording_closure(gens, n, cap, reject=None, subgroup=None, real=groups.enc_closure):
