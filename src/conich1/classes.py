@@ -488,12 +488,12 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
     raise AssertionError(f"unhandled class id {cid}")
 
 
-def build_group(spec: ClassSpec, cap: int = 100000) -> FiniteGroup:
+def build_group(spec: ClassSpec) -> FiniteGroup:
     gens, N, _ = class_generators(spec)
     for g in gens:
         if sigma(g) != 1:
             raise RuntimeError(f"class {spec.id} generator left W(D_n)")
-    return closure(gens, n=N, cap=cap)
+    return closure(gens, n=N)
 
 
 @dataclass(frozen=True)
@@ -513,10 +513,10 @@ class ClassReport:
         return bool(self.h1_ok) and self.relmin_ok and self.orbit_profile_ok
 
 
-def verify_class(spec: ClassSpec, cap: int = 100000) -> ClassReport:
+def verify_class(spec: ClassSpec) -> ClassReport:
     """Build the family instance and run the full condition panel on it."""
     gens, N, expected = class_generators(spec)
-    G = closure(gens, n=N, cap=cap)
+    G = closure(gens, n=N)
     profile = tuple(sorted((len(o) for o in index_orbits(N, G.spanning_encs)), reverse=True))
     cond = h1_condition(G)
     return ClassReport(

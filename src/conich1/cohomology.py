@@ -28,6 +28,7 @@ from .picard import phi
 from .signedperm import SignedPerm, lambda_count, sigma, signed_cycles
 
 DEFAULT_ORACLE_BOUND = 512
+SAMPLED_PAIRS = 64  # random 2-generated subgroups h1_condition tries past its bound
 
 
 class TorsionError(RuntimeError):
@@ -77,20 +78,16 @@ def _finite_quotient(lattice: LatticeBasis, sub: LatticeBasis) -> tuple[int, ...
 
 
 def _generating_set(G: FiniteGroup, generators, use_all_elements: bool) -> list[SignedPerm]:
+    """S: every element, the caller's ``generators`` (checked to generate
+    G), or G's stored generators, which generate it by construction."""
     if use_all_elements:
         return list(G.elements)
     if generators is not None:
         gens = list(generators)
-        closed = closure(gens, n=G.n) if gens else closure([], n=G.n)
-        if closed.enc_set != G.enc_set:
+        if closure(gens, n=G.n).enc_set != G.enc_set:
             raise ValueError("supplied generators do not generate the group")
         return gens
-    gens = [g for g in G.generators if not g.is_identity()]
-    if gens:
-        closed = closure(gens, n=G.n)
-        if closed.enc_set == G.enc_set:
-            return gens
-    return G.generating_sequence()
+    return [g for g in G.generators if not g.is_identity()]
 
 
 def coboundary_columns(gens: list[SignedPerm], n: int | None = None) -> CoboundaryColumns:
@@ -384,17 +381,16 @@ def h1_condition(
     G: FiniteGroup,
     route: str = "sylow2",
     subgroup_bound: int = 2000,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-    samples: int = 64,
-    seed: int = 0,
     memo: dict[frozenset[Enc], bool] | None = None,
 ) -> H1ConditionResult:
     """(H1): H^1(H, Pic) = 0 for every subgroup H.
 
     The default route checks the subgroups of one Sylow 2-subgroup, which
     is equivalent; route='direct' enumerates all subgroups of G itself.
-    Past the enumeration bound only sampling runs: a failure is definitive,
-    anything else is reported as undecided, never as a clean verdict.
+    Past the enumeration bound only sampling runs, over the cyclic
+    subgroups and then SAMPLED_PAIRS seeded random 2-generated ones: a
+    failure is definitive, anything else is reported as undecided, never
+    as a clean verdict.
 
     Within the bound the subgroups are checked in (order, sorted element
     encodings) order, and the witness of a failure is the least failing
@@ -423,19 +419,19 @@ def h1_condition(
     if base.order > subgroup_bound:
         import random
 
-        rng = random.Random(seed)
+        rng = random.Random(0)
         for g in base.elements:
             if not g.is_identity() and h1_cyclic(g).f2_rank:
                 return H1ConditionResult(False, closure([g], n=G.n), route, 0, "found by cyclic scan")
-        for i in range(samples):
+        for i in range(SAMPLED_PAIRS):
             gens = [base.elements[rng.randrange(base.order)] for _ in range(2)]
             try:
-                H = closure(gens, n=G.n, cap=oracle_bound)
+                H = closure(gens, n=G.n, cap=DEFAULT_ORACLE_BOUND)
             except ValueError:
                 continue
-            if h1_oracle(H, bound=oracle_bound).f2_rank:
+            if h1_oracle(H).f2_rank:
                 return H1ConditionResult(False, H, route, i + 1, "found by sampling")
-        return H1ConditionResult(None, None, route, samples, "subgroup enumeration bound exceeded")
+        return H1ConditionResult(None, None, route, SAMPLED_PAIRS, "subgroup enumeration bound exceeded")
     pending: list[tuple[int, tuple[Enc, ...], frozenset[Enc], list[Enc]]] = []
     checked = 0
     levels = _walk_levels(base.n, prime_power_cyclic_generators(base.enc_set), cap=base.order)
@@ -454,21 +450,10 @@ def h1_condition(
             elif memo is not None and K in memo:
                 fails = memo[K]
             else:
-                fails = h1_oracle(FiniteGroup.from_enc_set(base.n, K, gens), bound=oracle_bound).f2_rank > 0
+                fails = h1_oracle(FiniteGroup.from_enc_set(base.n, K, gens)).f2_rank > 0
                 if memo is not None:
                     memo[K] = fails
             if fails:
                 return H1ConditionResult(False, FiniteGroup.from_enc_set(base.n, K, gens), route, checked)
     return H1ConditionResult(True, None, route, checked)
 
-
-def h1_cross_check(G: FiniteGroup) -> H1Report:
-    """Oracle and half-sum must agree; returns the oracle report."""
-    oracle = h1_oracle(G)
-    halfsum = h1_halfsum(G)
-    if oracle.f2_rank != halfsum.f2_rank:
-        raise RuntimeError(
-            f"oracle/half-sum disagreement: {oracle.f2_rank} vs {halfsum.f2_rank} "
-            f"for group of order {G.order} at rank {G.n}"
-        )
-    return oracle

@@ -52,8 +52,7 @@ def fiber_pair_condition(G: FiniteGroup) -> bool:
 
 def relative_minimality(G: FiniteGroup) -> bool:
     """True iff the fixed sublattice of Pic is exactly Z l_0 + Z K_X."""
-    gens = list(G.generators) or list(G.elements)
-    fixed = fixed_sublattice_of(G.n, [g for g in gens if not g.is_identity()])
+    fixed = fixed_sublattice_of(G.n, [g for g in G.generators if not g.is_identity()])
     return lattice_equal(fixed, minimal_lattice(G.n))
 
 
@@ -105,16 +104,16 @@ def project(G: FiniteGroup, orbit: tuple[int, ...] | frozenset[int]) -> Projecte
     the restriction has sigma = -1 so the image stays inside a W(D_*).
 
     Always verified: P_O(a*s) = P_O(a) P_O(s) for every a in G and every
-    generator s (every element when G has none), which gives the identity
-    on all pairs by induction on word length, so the check costs |G| |S|
-    products; and the generator images must close to exactly the image set.
+    generator s, which gives the identity on all pairs by induction on
+    word length, so the check costs |G| |S| products; and the generator
+    images must close to exactly the image set.
     """
     O = tuple(sorted(orbit))
     if O not in index_orbits(G.n, G.spanning_encs):
         raise ValueError(f"{list(O)} is not an orbit of the index action")
     images, appended = _orbit_images(G, O)
     rank = len(O) + 1 if appended else len(O)
-    gens = [g.enc for g in (G.generators or G.elements)]
+    gens = G.spanning_encs
     _check_homomorphism(images, gens)
     image_set = frozenset(images.values())
     gen_images = list(dict.fromkeys(images[g] for g in gens))

@@ -48,6 +48,7 @@ from .signedperm import format_element, iter_wdn, wdn_order
 FULL_MODE_MAX_RANK = 5
 GUIDED_MODE_MAX_RANK = 7
 CLEAN_SUBGROUP_CAP = 1024
+CANONICAL_KEY_MAX_RANK = 5
 
 
 def clean_elements(n: int) -> frozenset[Enc]:
@@ -225,12 +226,9 @@ def _enumerate_guided(n: int, cap: int = CLEAN_SUBGROUP_CAP) -> tuple[list[Finit
     return list(walk.subgroups), stats
 
 
-def enumerate_wdn(
-    n: int,
-    mode: str = "full",
-    with_canonical_keys: bool | None = None,
-) -> EnumerationResult:
-    """Conjugacy classes of subgroups passing all three filters."""
+def enumerate_wdn(n: int, mode: str = "full") -> EnumerationResult:
+    """Conjugacy classes of subgroups passing all three filters, with
+    canonical keys up to rank CANONICAL_KEY_MAX_RANK."""
     if mode == "full":
         if not 2 <= n <= FULL_MODE_MAX_RANK:
             raise ValueError(f"full mode supports n <= {FULL_MODE_MAX_RANK}")
@@ -244,13 +242,10 @@ def enumerate_wdn(
 
     h1_memo: dict[frozenset[Enc], bool] = {}
     passing = [G for G in groups if _passes_filters(G, h1_memo)]
-    if with_canonical_keys is None:
-        with_canonical_keys = n <= 5
     entries = []
     for G in passing:
         name, cls_id, cls_params = match_table_row(G)
-        key = canonical_form(G, max_conjugators=10**7) if with_canonical_keys else None
-        gens = G.generators or G.generating_sequence()
+        key = canonical_form(G, max_conjugators=10**7) if n <= CANONICAL_KEY_MAX_RANK else None
         entries.append(
             EnumEntry(
                 order=G.order,
@@ -259,7 +254,7 @@ def enumerate_wdn(
                 name=name,
                 class_id=cls_id,
                 class_params=cls_params,
-                generators=tuple(format_element(g) for g in gens),
+                generators=tuple(format_element(g) for g in G.generators),
                 canonical_key=key,
             )
         )
@@ -454,9 +449,5 @@ def verify_tables(n: int) -> TablesReport:
                 orbit_count_ok=orbit_count_filter(G),
             )
         )
-    distinct = True
-    for i in range(len(built)):
-        for j in range(i + 1, len(built)):
-            if built[i].order == built[j].order and are_conjugate(built[i], built[j]):
-                distinct = False
-    return TablesReport(n=n, rows=reports, pairwise_distinct=distinct)
+    store = ClassStore()
+    return TablesReport(n=n, rows=reports, pairwise_distinct=all(map(store.add, built)))

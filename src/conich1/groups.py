@@ -202,31 +202,23 @@ def pair_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
 
 
 class FiniteGroup:
-    """Closed set of W(D_n) elements with a distinguished generator list.
+    """Closed set of W(D_n) elements with generators that generate it.
 
-    ``enc_set`` is the group; ``elements``, the SignedPerm tuple sorted by
-    SignedPerm.sort_key, and the fingerprint are built on first access.
+    ``enc_set`` is the group and ``generators`` generate it.  The one
+    constructor, from_enc_set, is called only with an element set closed
+    from (or conjugated along with) the generators it gets, so nothing
+    re-derives or re-checks them.  The trivial group may have none.
+    ``elements``, the SignedPerm tuple sorted by SignedPerm.sort_key, and
+    the fingerprint are built on first access.
     """
 
     __slots__ = (
         "n", "generators", "enc_set", "order", "_elements", "_enc_sorted", "_fingerprint", "_pair_size", "_by_type"
     )
 
-    def __init__(self, n: int, generators: Sequence[SignedPerm], elements: Iterable[SignedPerm]):
-        self.n = n
-        self.generators = tuple(generators)
-        self._elements: tuple[SignedPerm, ...] | None = tuple(sorted(set(elements), key=SignedPerm.sort_key))
-        self.enc_set = frozenset(e.enc for e in self._elements)
-        self.order = len(self._elements)
-        self._enc_sorted: tuple[Enc, ...] | None = None
-        self._fingerprint: tuple | None = None
-        self._pair_size: list[int] | None = None
-        self._by_type: dict[tuple, list[Enc]] | None = None
-        if len(self.enc_set) != self.order:
-            raise ValueError("duplicate elements")
-
     @classmethod
-    def from_enc_set(cls, n: int, encs: Iterable[Enc], gens_enc: Sequence[Enc] = ()) -> "FiniteGroup":
+    def from_enc_set(cls, n: int, encs: Iterable[Enc], gens_enc: Sequence[Enc]) -> "FiniteGroup":
+        """The group with element set ``encs``, generated by ``gens_enc``."""
         G = cls.__new__(cls)
         G.n = n
         G.generators = tuple(SignedPerm.from_enc(n, e) for e in gens_enc)
@@ -254,9 +246,9 @@ class FiniteGroup:
 
     @property
     def spanning_encs(self) -> list[Enc]:
-        """Encodings generating the group: the generators', or every
-        element's when it has none.  Its index and symbol orbits are G's."""
-        return [g.enc for g in self.generators] or list(self.enc_sorted)
+        """The generators' encodings; they generate the group, so its index
+        and symbol orbits are G's (singletons for the trivial group)."""
+        return [g.enc for g in self.generators]
 
     def __contains__(self, g: SignedPerm) -> bool:
         return g.enc in self.enc_set
@@ -277,39 +269,21 @@ class FiniteGroup:
         return SignedPerm.identity(self.n)
 
     def conjugate_by(self, t: SignedPerm) -> "FiniteGroup":
-        tinv = t.inverse()
-        gens = [t * g * tinv for g in self.generators]
-        elems = [t * g * tinv for g in self.elements]
-        return FiniteGroup(self.n, gens, elems)
-
-    def generating_sequence(self) -> list[SignedPerm]:
-        """Small generating list: the stored generators if they generate, else greedy."""
-        if self.generators:
-            closed = enc_closure([g.enc for g in self.generators], self.n, cap=self.order + 1)
-            if closed is not None and len(closed) == self.order:
-                return list(self.generators)
-        gens_enc: list[Enc] = []
-        span: frozenset[Enc] = frozenset({identity_enc(self.n)})
-        for e in self.enc_sorted:
-            if e not in span:
-                gens_enc.append(e)
-                span = enc_closure(gens_enc, self.n, cap=self.order + 1)  # type: ignore[assignment]
-                if len(span) == self.order:
-                    break
-        return [SignedPerm.from_enc(self.n, e) for e in gens_enc]
+        conj = enc_conjugation(t.enc)
+        return FiniteGroup.from_enc_set(self.n, map(conj, self.enc_set), [conj(e) for e in self.spanning_encs])
 
     def is_abelian(self) -> bool:
-        gens = [g.enc for g in self.generating_sequence()]
+        gens = self.spanning_encs
         return all(enc_mul(a, b) == enc_mul(b, a) for a in gens for b in gens)
 
     def center_encs(self) -> frozenset[Enc]:
-        gens = [g.enc for g in self.generating_sequence()]
+        gens = self.spanning_encs
         return frozenset(
             e for e in self.enc_set if all(enc_mul(e, g) == enc_mul(g, e) for g in gens)
         )
 
     def derived_subgroup_encs(self) -> frozenset[Enc]:
-        gens = [g.enc for g in self.generating_sequence()]
+        gens = self.spanning_encs
         elems = self.enc_sorted
         comms = set()
         for a in elems:
@@ -327,7 +301,7 @@ def closure(gens: Sequence[SignedPerm], n: int | None = None, cap: int = DEFAULT
     if not gens:
         if n is None:
             raise ValueError("empty generator list needs an explicit rank n")
-        return FiniteGroup(n, (), [SignedPerm.identity(n)])
+        return FiniteGroup.from_enc_set(n, [identity_enc(n)], [])
     n0 = gens[0].n
     if n is not None and n != n0:
         raise ValueError("rank mismatch")
@@ -567,7 +541,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
             raise RuntimeError(f"Sylow climb outgrew the 2-part {two_part}")
         P = closed
     # deterministic representative: least conjugate under the element ordering
-    orbit = conjugacy_orbit(n, P, [g.enc for g in G.generators])
+    orbit = conjugacy_orbit(n, P, G.spanning_encs)
     best = min(orbit, key=lambda Q: tuple(sorted(Q)))
     return FiniteGroup.from_enc_set(n, best, list(map(enc_conjugation(orbit[best]), gens)))
 

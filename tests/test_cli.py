@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import jsonschema
 
 import conich1
+from conich1 import enumeration
 from conich1.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, REPORT_SCHEMA, main
 
 
@@ -142,3 +144,26 @@ def test_enumerate_determinism(capsys):
         assert main(["enumerate", "-n", "4", "--mode", "generator_guided"]) == EXIT_OK
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+# sha256 of the stdout of each CLI command in the README; a change to any
+# report of these commands must come with new digests here
+README_REPORTS = [
+    (["eval", "-n", "4", "(1,2) c1"], "932c2789a54137ab4a8ae3cc8a41ac7ce607fc3687dc34785b0e82cf80c5a439"),
+    (["h1", "-n", "6", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6"], "40c6b681e1b73c07483c6066d88ec3c36988c172a72b48aa97bcb55b5ba59930"),
+    (["h1", "-n", "4", "--method", "cyclic", "c1 c2 c3 c4"], "12dc387a845244d49e1f33bb37d370e4e95c0324f2f3232eb3f58d65e113fe8a"),
+    (["check", "-n", "4", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], "8d0474ade8973e55ac53407bc868a117dd89209d05e2a49d78267d596a6b5beb"),
+    (["class", "--id", "2", "--p", "5", "--r", "1"], "04a575d308083449ec00d3898fd813d1096ae2a08d74f1b4ba2c06384b577d14"),
+    (["project", "-n", "4", "--orbit", "1", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], "67e2518cdef2f03c3d6f3c097e3dd7832229e37b5d7ba6d63816b220de8ae9fc"),
+    (["enumerate", "-n", "5"], "3121abf263aa9108978cbe162c32702adf0ade45e5ad1d13d750753aae1c7139"),
+    (["verify-tables", "-n", "9"], "7663a265046c6f40ebc2faaa1c48bf2fbc2e47f748226028e84e5ebceddde836"),
+]
+
+
+def test_readme_reports_are_frozen(capsys, monkeypatch, full_lattice):
+    # enumerate -n 5 reads the memoized rank-5 lattice instead of building it again
+    monkeypatch.setattr(enumeration, "_enumerate_full", full_lattice)
+    for argv, digest in README_REPORTS:
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -5,12 +5,12 @@ import pytest
 from conich1 import cohomology
 from conich1.classes import build_group, smallest_param_tuples
 from conich1.cohomology import (
+    DEFAULT_ORACLE_BOUND,
     TorsionError,
     coboundary_columns,
     cyclic_h1_fails,
     h1_condition,
     h1_condition_cyclic,
-    h1_cross_check,
     h1_cyclic,
     h1_halfsum,
     h1_oracle,
@@ -195,7 +195,7 @@ def test_witnesses_are_orbit_unions_without_minus_one():
 def test_oracle_halfsum_agree_on_fixtures_and_random_subgroups():
     fixtures = [example1(), example2(), example3(), G(4, "c1 c2 c3 c4 (2,3)", "(1,2,3)")]
     for grp in fixtures:
-        h1_cross_check(grp)
+        assert h1_oracle(grp).f2_rank == h1_halfsum(grp).f2_rank
     rng = random.Random(2)
     checked = 0
     while checked < 200:
@@ -205,8 +205,38 @@ def test_oracle_halfsum_agree_on_fixtures_and_random_subgroups():
             grp = closure(gens, n=n, cap=384)
         except ValueError:
             continue
-        h1_cross_check(grp)
+        assert h1_oracle(grp).f2_rank == h1_halfsum(grp).f2_rank
         checked += 1
+
+
+@pytest.mark.parametrize("n, count, cyclic", [(4, 98, 13), (5, 195, 18)])
+def test_oracle_halfsum_cyclic_agree_on_every_class(n, count, cyclic, full_lattice):
+    # every subgroup class of W(D_4), and every class of W(D_5) within the
+    # oracle bound (195 of 197); on cyclic classes the closed form of a
+    # generator gives the same rank
+    reps, _ = full_lattice(n)
+    reps = [H for H in reps if H.order <= DEFAULT_ORACLE_BOUND]
+    assert len(reps) == count
+    cyclic_seen = 0
+    for H in reps:
+        rank = h1_oracle(H).f2_rank
+        assert h1_halfsum(H).f2_rank == rank, H
+        gen = next((e for e in H.enc_set if enc_order(e) == H.order), None)
+        if gen is not None:
+            assert h1_cyclic(SignedPerm.from_enc(n, gen)).f2_rank == rank, H
+            cyclic_seen += 1
+    assert cyclic_seen == cyclic
+
+
+def test_supplied_generators_must_generate():
+    # caller-supplied generators are checked; a proper subgroup's are refused
+    grp = example1()
+    sub = grp.generators[:1]
+    assert closure(list(sub), n=grp.n).order < grp.order
+    for method in (h1_oracle, h1_halfsum):
+        with pytest.raises(ValueError, match="do not generate"):
+            method(grp, generators=list(sub))
+        assert method(grp, generators=list(grp.generators)).f2_rank == h1_oracle(grp).f2_rank
 
 
 def test_generating_set_independence():
