@@ -102,12 +102,12 @@ def cmd_h1(args) -> int:
             raise ValueError("--method cyclic needs exactly one generator")
         result = _h1_report_dict(h1_cyclic(gens[0]))
     elif args.method == "oracle":
-        result = _h1_report_dict(h1_oracle(G, generators=gens))
+        result = _h1_report_dict(h1_oracle(G))
     elif args.method == "halfsum":
-        result = _h1_report_dict(h1_halfsum(G, generators=gens))
+        result = _h1_report_dict(h1_halfsum(G))
     else:  # cross
-        oracle = h1_oracle(G, generators=gens)
-        halfsum = h1_halfsum(G, generators=gens)
+        oracle = h1_oracle(G)
+        halfsum = h1_halfsum(G)
         agree = oracle.f2_rank == halfsum.f2_rank
         result = {
             "oracle": _h1_report_dict(oracle),
@@ -230,24 +230,32 @@ def cmd_verify_tables(args) -> int:
     return EXIT_OK if rep.all_ok else EXIT_FAILED
 
 
+def rank(text: str) -> int:
+    """The -n argument: an integer rank n >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"rank n must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="conich1", description=__doc__)
     ap.add_argument("--timing", action="store_true", help="include elapsed milliseconds in stats")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("eval", help="parse an element, print its normal form and matrix")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=rank, required=True)
     p.add_argument("element")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("h1", help="H^1 of the group generated by the given elements")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=rank, required=True)
     p.add_argument("generators", nargs="+")
     p.add_argument("--method", choices=["oracle", "halfsum", "cyclic", "cross"], default="cross")
     p.set_defaults(func=cmd_h1)
 
     p = sub.add_parser("check", help="(H1) condition, minimality and orbit panel")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=rank, required=True)
     p.add_argument("generators", nargs="+")
     p.set_defaults(func=cmd_check)
 
@@ -258,18 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_class)
 
     p = sub.add_parser("project", help="project the group onto the orbit containing an index")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=rank, required=True)
     p.add_argument("--orbit", type=int, required=True, help="any index inside the orbit")
     p.add_argument("generators", nargs="+")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("enumerate", help="filtered subgroup classes of W(D_n)")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=rank, required=True)
     p.add_argument("--mode", choices=["full", "generator_guided"])
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-tables", help="re-verify the bundled table rows for W(D_n)")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=rank, required=True)
     p.set_defaults(func=cmd_verify_tables)
     return ap
 

@@ -24,7 +24,7 @@ from .groups import (
     sylow2,
 )
 from .intlinalg import LatticeBasis, kernel_of_rows, quotient_invariants
-from .picard import phi
+from .picard import phi, phi_of_enc
 from .signedperm import SignedPerm, lambda_count, sigma, signed_cycles
 
 DEFAULT_ORACLE_BOUND = 512
@@ -140,10 +140,7 @@ def h1_oracle(
     if m == 0:
         return H1Report((), 0, "oracle", None, 0, True)
 
-    phi_rows_of = {}
-    for g in G.elements:
-        M = phi(g)
-        phi_rows_of[g.enc] = [list(M.row(r)) for r in range(dim)]
+    phi_rows_of = {e: phi_of_enc(e).to_rows() for e in G.enc_set}
 
     s_encs = [s.enc for s in S]
     ident = identity_enc(n)
@@ -185,18 +182,13 @@ def h1_oracle(
     kernel = kernel_of_rows(sorted(relation_rows), D)
     Z = LatticeBasis.from_vectors(D, kernel)
 
-    cob: dict[int, tuple[int, ...]] = {}
-    for i in range(-1, n + 1):
-        pos = i + 1
-        vec: list[int] = []
-        for s in S:
-            M = phi_rows_of[s.enc]
-            vec.extend(M[r][pos] - (1 if r == pos else 0) for r in range(dim))
-        cob[i] = tuple(vec)
-    B = LatticeBasis.from_vectors(D, [cob[i] for i in range(-1, n + 1)])
-    F = LatticeBasis.from_vectors(D, [cob[i] for i in range(1, n + 1)])
+    # f_0 = 0 because phi fixes l_0, so B^1 is spanned by f_-1 and f_1..f_n
+    cob = coboundary_columns(S, n).columns
+    f = [cob[i] for i in range(1, n + 1)]
+    B = LatticeBasis.from_vectors(D, [cob[-1]] + f)
+    F = LatticeBasis.from_vectors(D, f)
 
-    for i in (-1, 0, 1):
+    for i in (-1, 1):
         if not Z.member(cob[i]):
             raise RuntimeError("coboundary is not a cocycle; oracle is inconsistent")
 

@@ -231,11 +231,11 @@ def enumerate_wdn(n: int, mode: str = "full") -> EnumerationResult:
     canonical keys up to rank CANONICAL_KEY_MAX_RANK."""
     if mode == "full":
         if not 2 <= n <= FULL_MODE_MAX_RANK:
-            raise ValueError(f"full mode supports n <= {FULL_MODE_MAX_RANK}")
+            raise ValueError(f"full mode supports 2 <= n <= {FULL_MODE_MAX_RANK}")
         groups, stats = _enumerate_full(n)
     elif mode == "generator_guided":
         if not 2 <= n <= GUIDED_MODE_MAX_RANK:
-            raise ValueError(f"generator_guided mode supports n <= {GUIDED_MODE_MAX_RANK}")
+            raise ValueError(f"generator_guided mode supports 2 <= n <= {GUIDED_MODE_MAX_RANK}")
         groups, stats = _enumerate_guided(n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -245,7 +245,7 @@ def enumerate_wdn(n: int, mode: str = "full") -> EnumerationResult:
     entries = []
     for G in passing:
         name, cls_id, cls_params = match_table_row(G)
-        key = canonical_form(G, max_conjugators=10**7) if n <= CANONICAL_KEY_MAX_RANK else None
+        key = canonical_form(G) if n <= CANONICAL_KEY_MAX_RANK else None
         entries.append(
             EnumEntry(
                 order=G.order,

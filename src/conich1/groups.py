@@ -204,16 +204,17 @@ def pair_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
 class FiniteGroup:
     """Closed set of W(D_n) elements with generators that generate it.
 
-    ``enc_set`` is the group and ``generators`` generate it.  The one
-    constructor, from_enc_set, is called only with an element set closed
-    from (or conjugated along with) the generators it gets, so nothing
-    re-derives or re-checks them.  The trivial group may have none.
-    ``elements``, the SignedPerm tuple sorted by SignedPerm.sort_key, and
-    the fingerprint are built on first access.
+    ``enc_set`` is the group and the encodings ``spanning_encs`` generate
+    it.  The one constructor, from_enc_set, is called only with an element
+    set closed from (or conjugated along with) the generators it gets, so
+    nothing re-derives or re-checks them; the trivial group may have none.
+    The SignedPerm tuples ``generators`` and ``elements`` (sorted by
+    SignedPerm.sort_key) and the fingerprint are built on first access.
     """
 
     __slots__ = (
-        "n", "generators", "enc_set", "order", "_elements", "_enc_sorted", "_fingerprint", "_pair_size", "_by_type"
+        "n", "spanning_encs", "enc_set", "order", "_generators", "_elements", "_enc_sorted", "_fingerprint",
+        "_pair_size", "_by_type",
     )
 
     @classmethod
@@ -221,15 +222,22 @@ class FiniteGroup:
         """The group with element set ``encs``, generated by ``gens_enc``."""
         G = cls.__new__(cls)
         G.n = n
-        G.generators = tuple(SignedPerm.from_enc(n, e) for e in gens_enc)
+        G.spanning_encs = tuple(gens_enc)
         G.enc_set = frozenset(encs)
         G.order = len(G.enc_set)
+        G._generators = None
         G._elements = None
         G._enc_sorted = None
         G._fingerprint = None
         G._pair_size = None
         G._by_type = None
         return G
+
+    @property
+    def generators(self) -> tuple[SignedPerm, ...]:
+        if self._generators is None:
+            self._generators = tuple(SignedPerm.from_enc(self.n, e) for e in self.spanning_encs)
+        return self._generators
 
     @property
     def elements(self) -> tuple[SignedPerm, ...]:
@@ -244,12 +252,6 @@ class FiniteGroup:
             self._enc_sorted = tuple(sorted(self.enc_set))
         return self._enc_sorted
 
-    @property
-    def spanning_encs(self) -> list[Enc]:
-        """The generators' encodings; they generate the group, so its index
-        and symbol orbits are G's (singletons for the trivial group)."""
-        return [g.enc for g in self.generators]
-
     def __contains__(self, g: SignedPerm) -> bool:
         return g.enc in self.enc_set
 
@@ -263,7 +265,7 @@ class FiniteGroup:
         return hash((self.n, self.enc_set))
 
     def __repr__(self) -> str:
-        return f"FiniteGroup(n={self.n}, order={self.order}, gens={len(self.generators)})"
+        return f"FiniteGroup(n={self.n}, order={self.order}, gens={len(self.spanning_encs)})"
 
     def identity(self) -> SignedPerm:
         return SignedPerm.identity(self.n)
@@ -515,7 +517,14 @@ def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> Subgro
 
 
 def sylow2(G: FiniteGroup) -> FiniteGroup:
-    """A Sylow 2-subgroup; deterministically the lex-least one as an element set."""
+    """A Sylow 2-subgroup of G, with the generators it was climbed with.
+
+    Each step adds the first 2-element of G.enc_sorted that normalizes P
+    without lying in it, so the result depends only on G's element set.
+    Which conjugate comes back is otherwise unspecified: callers may rely
+    only on conjugation-invariant facts, such as the order and H^1 verdicts
+    (phi(t) maps the H-module Pic to the tHt^-1-module).
+    """
     two_part = G.order & -G.order
     n = G.n
     P: frozenset[Enc] = frozenset({identity_enc(n)})
@@ -540,10 +549,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
         if closed is None:
             raise RuntimeError(f"Sylow climb outgrew the 2-part {two_part}")
         P = closed
-    # deterministic representative: least conjugate under the element ordering
-    orbit = conjugacy_orbit(n, P, G.spanning_encs)
-    best = min(orbit, key=lambda Q: tuple(sorted(Q)))
-    return FiniteGroup.from_enc_set(n, best, list(map(enc_conjugation(orbit[best]), gens)))
+    return FiniteGroup.from_enc_set(n, P, gens)
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -743,22 +749,18 @@ def are_conjugate(H1: FiniteGroup, H2: FiniteGroup) -> bool:
     return conjugating_element(H1, H2) is not None
 
 
-def conjugacy_orbit(
-    n: int, encs: Iterable[Enc], by: Sequence[Enc] | None = None
-) -> dict[frozenset[Enc], Enc]:
-    """The conjugates of an element set under <by>, W(D_n) by default,
-    with a transversal.
+def conjugacy_orbit(n: int, encs: Iterable[Enc]) -> dict[frozenset[Enc], Enc]:
+    """The W(D_n)-conjugates of an element set, with a transversal.
 
     Maps each conjugate P of S = set(encs) to some u with u S u^-1 = P,
     the start S to the identity.  A breadth-first search under
-    conjugation by ``by`` (default wdn_generators(n)), so the points come
-    in discovery order, and u is the product of the generators along the
-    search tree.  For W(D_n) its length is |W(D_n)| / |N_W(S)|
-    (orbit-stabilizer; Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, section 4.1).
+    conjugation by wdn_generators(n), so the points come in discovery
+    order, and u is the product of the generators along the search tree.
+    Its length is |W(D_n)| / |N_W(S)| (orbit-stabilizer; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
     """
     start = frozenset(encs)
-    ws = wdn_generators(n) if by is None else by
+    ws = wdn_generators(n)
     conjugations = [enc_conjugation(w) for w in ws]
     transversal = {start: identity_enc(n)}
     queue = [start]

@@ -12,8 +12,6 @@ accepts n >= 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .intlinalg import IntMatrix, LatticeBasis, integer_kernel
 from .signedperm import SignedPerm, sigma
 
@@ -63,7 +61,6 @@ def psi(a: SignedPerm) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-@lru_cache(maxsize=200000)
 def phi(a: SignedPerm) -> IntMatrix:
     """The (n+2)x(n+2) action on Pic, defined for elements of W(D_n) only.
 
@@ -72,23 +69,24 @@ def phi(a: SignedPerm) -> IntMatrix:
     """
     if sigma(a) != 1:
         raise ValueError("element is not in W(D_n) (odd number of sign flips)")
-    n = a.n
-    dim = n + 2
-    rows = [[0] * dim for _ in range(dim)]
-    rows[0][0] = 1
-    rows[1][1] = 1
-    t = len(a.minus)
-    rows[1][0] = t // 2
-    for j in range(1, n + 1):
-        tj = a.image[j - 1]
-        if tj in a.minus:
-            rows[1][j + 1] = 1           # b'(j)
-            rows[tj + 1][j + 1] = -1
+    return phi_of_enc(a.enc)
+
+
+def phi_of_enc(a: tuple[int, ...]) -> IntMatrix:
+    """phi of the W(D_n) element with encoding ``a`` (SignedPerm.enc), unchecked."""
+    dim = len(a) + 2
+    m = [0] * (dim * dim)
+    m[0] = m[dim + 1] = 1
+    m[dim] = sum(s & 1 for s in a) // 2
+    for j, s in enumerate(a):
+        row = ((s >> 1) + 2) * dim  # the row of l_{tau(j)}
+        if s & 1:
+            m[dim + j + 2] = 1           # b'(j)
+            m[row + j + 2] = -1
+            m[row] = -1                  # c'(tau(j))
         else:
-            rows[tj + 1][j + 1] = 1
-    for i in a.minus:
-        rows[i + 1][0] = -1              # c'(i)
-    return IntMatrix.from_rows(rows)
+            m[row + j + 2] = 1
+    return IntMatrix(dim, dim, m)
 
 
 def verify_aut0(M: IntMatrix) -> bool:

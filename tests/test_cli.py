@@ -146,24 +146,58 @@ def test_enumerate_determinism(capsys):
     assert outs[0] == outs[1]
 
 
-# sha256 of the stdout of each CLI command in the README; a change to any
-# report of these commands must come with new digests here
-README_REPORTS = [
-    (["eval", "-n", "4", "(1,2) c1"], "932c2789a54137ab4a8ae3cc8a41ac7ce607fc3687dc34785b0e82cf80c5a439"),
-    (["h1", "-n", "6", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6"], "40c6b681e1b73c07483c6066d88ec3c36988c172a72b48aa97bcb55b5ba59930"),
-    (["h1", "-n", "4", "--method", "cyclic", "c1 c2 c3 c4"], "12dc387a845244d49e1f33bb37d370e4e95c0324f2f3232eb3f58d65e113fe8a"),
-    (["check", "-n", "4", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], "8d0474ade8973e55ac53407bc868a117dd89209d05e2a49d78267d596a6b5beb"),
-    (["class", "--id", "2", "--p", "5", "--r", "1"], "04a575d308083449ec00d3898fd813d1096ae2a08d74f1b4ba2c06384b577d14"),
-    (["project", "-n", "4", "--orbit", "1", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], "67e2518cdef2f03c3d6f3c097e3dd7832229e37b5d7ba6d63816b220de8ae9fc"),
-    (["enumerate", "-n", "5"], "3121abf263aa9108978cbe162c32702adf0ade45e5ad1d13d750753aae1c7139"),
-    (["verify-tables", "-n", "9"], "7663a265046c6f40ebc2faaa1c48bf2fbc2e47f748226028e84e5ebceddde836"),
+# exit code and sha256 of the stdout of each CLI command in the README, of
+# enumerate -n 4/5 in both modes, of verify-tables -n 4..9 and of two failing
+# checks; a change to any of these reports must come with new digests here
+FROZEN_REPORTS = [
+    (["eval", "-n", "4", "(1,2) c1"], EXIT_OK, "932c2789a54137ab4a8ae3cc8a41ac7ce607fc3687dc34785b0e82cf80c5a439"),
+    (["h1", "-n", "6", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6"], EXIT_OK, "40c6b681e1b73c07483c6066d88ec3c36988c172a72b48aa97bcb55b5ba59930"),
+    (["h1", "-n", "4", "--method", "cyclic", "c1 c2 c3 c4"], EXIT_OK, "12dc387a845244d49e1f33bb37d370e4e95c0324f2f3232eb3f58d65e113fe8a"),
+    (["check", "-n", "4", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], EXIT_OK, "8d0474ade8973e55ac53407bc868a117dd89209d05e2a49d78267d596a6b5beb"),
+    (["class", "--id", "2", "--p", "5", "--r", "1"], EXIT_OK, "04a575d308083449ec00d3898fd813d1096ae2a08d74f1b4ba2c06384b577d14"),
+    (["project", "-n", "4", "--orbit", "1", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], EXIT_OK, "67e2518cdef2f03c3d6f3c097e3dd7832229e37b5d7ba6d63816b220de8ae9fc"),
+    (["enumerate", "-n", "5"], EXIT_OK, "3121abf263aa9108978cbe162c32702adf0ade45e5ad1d13d750753aae1c7139"),
+    (["verify-tables", "-n", "9"], EXIT_OK, "7663a265046c6f40ebc2faaa1c48bf2fbc2e47f748226028e84e5ebceddde836"),
+    (["enumerate", "-n", "4", "--mode", "full"], EXIT_OK, "d2220fda7afbb2edad816a52249473a111a3be1723f7416be62911a06b21406a"),
+    (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK, "87abae26d363e8decaa5d88cf0fc51b52525997d25070ff847ff006e520e1b54"),
+    (["enumerate", "-n", "5", "--mode", "generator_guided"], EXIT_OK, "cfe0e2a36c913a0c118a6117657c2db7e27582d26e74afb60a0b29c44459c38e"),
+    (["verify-tables", "-n", "4"], EXIT_OK, "e3a95bb212526acf911cb83b7a5bfea31bfb78638caa5baed40160e3924f2be5"),
+    (["verify-tables", "-n", "5"], EXIT_OK, "c66b2b34169d73be115ce3cc4f548099161dc5095fad87d10fe0b14f2230121b"),
+    (["verify-tables", "-n", "6"], EXIT_OK, "7b88f36b382940bf6863cffe6534a802508902647bf4e659e743a77e48b5a68f"),
+    (["verify-tables", "-n", "7"], EXIT_OK, "49977ac158d78ca98263de9c8ee1944277dbee5b53afe4ff7990a27ca52d4759"),
+    (["verify-tables", "-n", "8"], EXIT_OK, "63035f6d37b37978edeb33b30ce6eba4c0c1609b12083b0490f77f72626d18fe"),
+    (["check", "-n", "4", "c1 c2 c3 c4"], EXIT_FAILED, "4de642e0b49f7559fe94ef30ecc235a1fb60192a87cb6e5b93084811b7a8c4b6"),
+    (["check", "-n", "4", "c1 c2", "c3 c4 (1,2)"], EXIT_FAILED, "ca670484f241f0f6b28b8241c830a9e8023d88d39c0fab2894c8f99c0ad91492"),
+    # an identity generator, which the group's stored generators still hold
+    (["h1", "-n", "6", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6", "(1,2)(1,2)"], EXIT_OK, "9aaf68b7fec52f82ed558998fdef3e5d86a190127729f0dc4ab15b1e07451a34"),
 ]
 
 
 def test_readme_reports_are_frozen(capsys, monkeypatch, full_lattice):
-    # enumerate -n 5 reads the memoized rank-5 lattice instead of building it again
+    # enumerate -n 4/5 --mode full read the memoized lattices instead of building them again
     monkeypatch.setattr(enumeration, "_enumerate_full", full_lattice)
-    for argv, digest in README_REPORTS:
-        assert main(argv) == EXIT_OK
+    for argv, code, digest in FROZEN_REPORTS:
+        assert main(argv) == code, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_rank_below_1_exit_2(capsys):
+    # every -n refuses n < 1 at parse time: exit 2, nothing on stdout
+    for n in ("0", "-1"):
+        for argv in (
+            ["eval", "-n", n, ""],
+            ["h1", "-n", n, ""],
+            ["check", "-n", n, ""],
+            ["project", "-n", n, "--orbit", "1", ""],
+            ["enumerate", "-n", n],
+            ["verify-tables", "-n", n],
+        ):
+            assert main(argv) == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert f"rank n must be at least 1, got {n}" in captured.err, argv
+    # ranks the enumeration modes do not support name the supported range
+    for mode, supported in (("full", "2 <= n <= 5"), ("generator_guided", "2 <= n <= 7")):
+        assert main(["enumerate", "-n", "1", "--mode", mode]) == EXIT_USAGE
+        assert f"{mode} mode supports {supported}" in capsys.readouterr().err

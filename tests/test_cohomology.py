@@ -16,7 +16,16 @@ from conich1.cohomology import (
     h1_oracle,
 )
 from conich1.enumeration import TABLE_ROWS, _enumerate_full
-from conich1.groups import all_subgroups, closure, enc_cycle_type, enc_order, random_subgroup, sylow2
+from conich1.groups import (
+    FiniteGroup,
+    all_subgroups,
+    closure,
+    enc_conjugation,
+    enc_cycle_type,
+    enc_order,
+    random_subgroup,
+    sylow2,
+)
 from conich1.signedperm import SignedPerm, iter_wdn, lambda_count, parse_element
 
 Gcache = {}
@@ -285,6 +294,31 @@ def test_h1_condition_routes_agree():
             H = random_subgroup(grp, rng, max_gens=2)
             assert h1_condition(H, route="sylow2").ok == h1_condition(H, route="direct").ok
             checked += 1
+
+
+def test_h1_verdict_is_the_same_on_every_sylow2_conjugate(full_lattice):
+    # sylow2 may return any Sylow 2-subgroup; the Sylow-2 route relies on
+    # every G-conjugate Q of it giving the same verdict and witness order
+    reps, _ = full_lattice(4)
+    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=2)]
+    groups = reps + [grp for grp in families if grp.order <= 400]
+    assert len(reps) == 98 and len(groups) > 130
+    several = 0
+    for grp in groups:
+        P = sylow2(grp)
+        conjugates = {}
+        for t in grp.enc_set:
+            conj = enc_conjugation(t)
+            Q = frozenset(map(conj, P.enc_set))
+            if Q not in conjugates:
+                conjugates[Q] = FiniteGroup.from_enc_set(grp.n, Q, [conj(e) for e in P.spanning_encs])
+        verdicts = set()
+        for Q in conjugates.values():
+            res = h1_condition(Q, route="direct")
+            verdicts.add((res.ok, res.witness.order if res.witness is not None else None))
+        assert len(verdicts) == 1, grp
+        several += len(conjugates) > 1
+    assert several > 50
 
 
 _subgroup_lists = {}
