@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from functools import cache
 
 from . import __version__
 from .classes import ClassSpec, PARAM_KINDS, verify_class
@@ -25,6 +26,7 @@ from .signedperm import format_element, lambda_count, parse_element, sigma, sign
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+MAX_RANK = 64  # well above every rank the tables (<= 9) and the families' smallest instances (<= 15) use
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -231,14 +233,18 @@ def cmd_verify_tables(args) -> int:
 
 
 def rank(text: str) -> int:
-    """The -n argument: an integer rank n >= 1."""
+    """The -n argument: an integer rank 1 <= n <= MAX_RANK."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"rank n must be at least 1, got {n}")
+    if n > MAX_RANK:
+        raise argparse.ArgumentTypeError(f"rank n must be at most {MAX_RANK}, got {n}")
     return n
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones."""
     ap = argparse.ArgumentParser(prog="conich1", description=__doc__)
     ap.add_argument("--timing", action="store_true", help="include elapsed milliseconds in stats")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -46,9 +46,6 @@ class H1Report:
     z1_mod_f_rank: int | None = None
     f_minus1_in_span: bool | None = None
 
-    def is_trivial(self) -> bool:
-        return self.f2_rank == 0
-
 
 @dataclass(frozen=True)
 class CoboundaryColumns:

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Enc, FiniteGroup, enc_closure, enc_mul, index_orbits, pair_orbits
-from .intlinalg import lattice_equal
-from .picard import fixed_sublattice_of, minimal_lattice
+from .groups import Enc, FiniteGroup, enc_closure, enc_mul, identity_enc, index_orbits, pair_orbits
+from .intlinalg import LatticeBasis, lattice_equal
+from .picard import fixed_sublattice, minimal_lattice, phi_of_enc
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,9 @@ def fiber_pair_condition(G: FiniteGroup) -> bool:
 
 def relative_minimality(G: FiniteGroup) -> bool:
     """True iff the fixed sublattice of Pic is exactly Z l_0 + Z K_X."""
-    fixed = fixed_sublattice_of(G.n, [g for g in G.generators if not g.is_identity()])
+    ident = identity_enc(G.n)
+    mats = [phi_of_enc(e) for e in G.spanning_encs if e != ident]
+    fixed = fixed_sublattice(mats) if mats else LatticeBasis.full(G.n + 2)
     return lattice_equal(fixed, minimal_lattice(G.n))
 
 

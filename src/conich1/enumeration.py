@@ -4,9 +4,10 @@ verification of the bundled per-rank reference tables.
 Two modes:
 
 * full (n <= 5): the complete subgroup lattice up to W(D_n)-conjugacy,
-  grown by prime-power cyclic extensions over an integer multiplication
-  table of W(D_n), with conjugation-orbit dedup, then filtered.  It is
-  the independent reference that guided mode is tested against.
+  grown by prime-power cyclic extensions, one coset step each, over the
+  right-regular table of W(D_n), with conjugation-orbit dedup, then
+  filtered.  It is the independent reference that guided mode is tested
+  against.
 * generator_guided (n <= 7): groups.subgroup_walk, the walker behind
   groups.all_subgroups, over the prime-power cyclic generators of the
   "clean" elements (those whose cyclic group has trivial H^1), rejecting
@@ -22,6 +23,8 @@ Two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from operator import itemgetter
 
 from .classes import ClassSpec, build_group
 from .cohomology import h1_condition, h1_condition_cyclic
@@ -33,9 +36,7 @@ from .groups import (
     abelian_invariants,
     are_conjugate,
     canonical_form,
-    enc_closure,
     enc_cycle_type,
-    enc_inv,
     enc_mul,
     identity_enc,
     index_orbits,
@@ -107,90 +108,104 @@ def _passes_filters(G: FiniteGroup, h1_memo: dict[frozenset[Enc], bool]) -> bool
     return bool(cond.ok)
 
 
-class _IntGroup:
-    """W(D_n) with elements renumbered 0..N-1 and a full multiplication table."""
+def right_regular_table(n: int) -> tuple[list[Enc], dict[Enc, int], list[tuple[int, ...]]]:
+    """W(D_n) as its sorted encodings, their index, and right[y], the tuple
+    h -> index(h*y) of the right-regular representation.
 
-    def __init__(self, n: int):
-        self.n = n
-        wdn_gens = wdn_generators(n)
-        all_encs = enc_closure(wdn_gens, n, cap=wdn_order(n) + 1)
-        if all_encs is None or len(all_encs) != wdn_order(n):
-            raise RuntimeError(f"the generators of W(D_{n}) do not close to {wdn_order(n)} elements")
-        self.encs = sorted(all_encs)
-        self.index = {e: i for i, e in enumerate(self.encs)}
-        idx = self.index
-        self.mul = [
-            [idx[enc_mul(a, b)] for b in self.encs] for a in self.encs
-        ]
-        self.inv = [idx[enc_inv(a)] for a in self.encs]
-        self.identity = idx[identity_enc(n)]
-        self.gen_ids = [idx[g] for g in wdn_gens]
-
-    def closure_int(self, gens: list[int]) -> frozenset[int]:
-        mul = self.mul
-        seen = {self.identity}
-        seen.update(gens)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row = mul[x]
-                for g in gens:
-                    y = row[g]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
-    def conj_class_of_set(self, K: frozenset[int]) -> set[frozenset[int]]:
-        mul, inv = self.mul, self.inv
-        seen = {K}
-        frontier = [K]
-        while frontier:
-            nxt = []
-            for Q in frontier:
-                for t in self.gen_ids:
-                    ti = inv[t]
-                    img = frozenset(mul[mul[t][q]][ti] for q in Q)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return seen
+    A breadth-first search of the Cayley graph of wdn_generators(n) makes
+    the 3|W| products p*w.  Along its spanning tree, right[p*w] is right[p]
+    gathered through right_w, the tuple h -> index(h*w).
+    """
+    gens = wdn_generators(n)
+    order = [identity_enc(n)]
+    tree: dict[Enc, tuple[Enc, int] | None] = {order[0]: None}
+    products: dict[Enc, list[Enc]] = {}
+    for p in order:  # order grows while it is read
+        products[p] = [enc_mul(p, w) for w in gens]
+        for k, c in enumerate(products[p]):
+            if c not in tree:
+                tree[c] = (p, k)
+                order.append(c)
+    if len(order) != wdn_order(n):
+        raise RuntimeError(f"the generators of W(D_{n}) do not close to {wdn_order(n)} elements")
+    encs = sorted(order)
+    index = {e: i for i, e in enumerate(encs)}
+    right_w = [tuple(index[products[e][k]] for e in encs) for k in range(len(gens))]
+    right = [tuple(range(len(encs)))] * len(encs)  # the identity's row; the loop sets the others
+    for c in order[1:]:
+        p, k = tree[c]
+        right[index[c]] = itemgetter(*right[index[p]])(right_w[k])
+    return encs, index, right
 
 
 def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
-    W = _IntGroup(n)
-    mul = W.mul
+    """Classes of subgroups of W(D_n), grown by prime-power cyclic
+    extensions over the right-regular table, with W(D_n)-orbit dedup."""
+    encs, index, right = right_regular_table(n)
+    ident = index[identity_enc(n)]
 
-    ppow = [W.index[e] for e in prime_power_cyclic_generators(W.encs)]
-    trivial = frozenset({W.identity})
+    @cache
+    def conjugation(g: int) -> tuple[int, ...]:
+        left_g = tuple(map(itemgetter(g), right))  # z -> g*z, column g of the table
+        return itemgetter(*right[right[g].index(ident)])(left_g)  # q -> g*(q*g^-1)
+
+    w_conjugations = [conjugation(index[w]) for w in wdn_generators(n)]
+    ppow = [index[e] for e in prime_power_cyclic_generators(encs)]
+    trivial = frozenset({ident})
     seen: set[frozenset[int]] = {trivial}
     class_reps: list[tuple[frozenset[int], list[int]]] = [(trivial, [])]
     queue = [0]
     closures = 0
-    inv = W.inv
     while queue:
         cid = queue.pop()
         H, gens = class_reps[cid]
-        # H-conjugate candidates give the same extension <H, x>; keep one per orbit
-        orbit_reps: set[int] = set()
+        # H-conjugate candidates give the same extension <H, x>; keep the
+        # least element of each H-conjugation orbit
+        h_conjugations = [conjugation(g) for g in gens]
+        traced: set[int] = set()
+        orbit_reps = []
         for x in ppow:
-            if x in H:
+            if x in H or x in traced:
                 continue
-            orbit_reps.add(min(mul[mul[h][x]][inv[h]] for h in H))
+            traced.add(x)
+            orbit = [x]
+            for y in orbit:  # orbit grows while it is read
+                for c in h_conjugations:
+                    z = c[y]
+                    if z not in traced:
+                        traced.add(z)
+                        orbit.append(z)
+            orbit_reps.append(min(orbit))
+        coset_of = itemgetter(ident, *H)  # ident is in H; repeating it keeps a tuple when H is trivial
         for x in sorted(orbit_reps):
-            K = W.closure_int(gens + [x])
+            # one coset step from H to <H, x>, as enc_closure(..., subgroup=H)
+            S = gens + [x]
             closures += 1
+            K = set(H)
+            reps = [ident]
+            right_S = [right[s] for s in S]
+            for r in reps:  # reps grows while it is read
+                for right_s in right_S:
+                    y = right_s[r]
+                    if y not in K:
+                        K.update(coset_of(right[y]))
+                        reps.append(y)
+            K = frozenset(K)
             if K in seen:
                 continue
-            class_reps.append((K, gens + [x]))
-            seen.update(W.conj_class_of_set(K))
+            class_reps.append((K, S))
             queue.append(len(class_reps) - 1)
+            # the literal W(D_n)-orbit of K, so conjugates are never extended
+            seen.add(K)
+            orbit_sets = [K]
+            for Q in orbit_sets:  # orbit_sets grows while it is read
+                take = itemgetter(*Q)  # |Q| = |K| >= 2, so take returns a tuple
+                images = {frozenset(take(c)) for c in w_conjugations} - seen
+                seen |= images
+                orbit_sets += images
 
     groups = [
-        FiniteGroup.from_enc_set(n, (W.encs[i] for i in H), [W.encs[i] for i in gens])
+        FiniteGroup.from_enc_set(n, (encs[i] for i in H), [encs[i] for i in gens])
         for H, gens in class_reps
     ]
     stats = {

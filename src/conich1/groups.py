@@ -267,9 +267,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup(n={self.n}, order={self.order}, gens={len(self.spanning_encs)})"
 
-    def identity(self) -> SignedPerm:
-        return SignedPerm.identity(self.n)
-
     def conjugate_by(self, t: SignedPerm) -> "FiniteGroup":
         conj = enc_conjugation(t.enc)
         return FiniteGroup.from_enc_set(self.n, map(conj, self.enc_set), [conj(e) for e in self.spanning_encs])
@@ -834,11 +831,7 @@ def canonical_form(
     return (n, min(tuple(sorted(P)) for P in conjugacy_orbit(n, G.enc_set)))
 
 
-def random_element(G: FiniteGroup, rng) -> SignedPerm:
-    return G.elements[rng.randrange(G.order)]
-
-
 def random_subgroup(G: FiniteGroup, rng, max_gens: int = 2, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     k = rng.randint(1, max_gens)
-    gens = [random_element(G, rng) for _ in range(k)]
+    gens = [G.elements[rng.randrange(G.order)] for _ in range(k)]
     return closure(gens, n=G.n, cap=cap)

@@ -22,7 +22,7 @@ def guided_enumeration():
 @pytest.fixture(scope="session")
 def full_lattice():
     """Memoized full-mode lattice, a stand-in for enumeration._enumerate_full:
-    rank 5 takes about 20 s, so criterion 5 and the tests that compare
+    rank 5 takes a few seconds, so criterion 5 and the tests that compare
     against the complete lattice share one run per rank.  Each call returns
     fresh containers, as enumerate_wdn adds to the stats it gets."""
 

@@ -8,7 +8,7 @@ import jsonschema
 
 import conich1
 from conich1 import enumeration
-from conich1.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, REPORT_SCHEMA, main
+from conich1.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_RANK, REPORT_SCHEMA, main
 
 
 def run(capsys, *argv):
@@ -201,3 +201,20 @@ def test_rank_below_1_exit_2(capsys):
     for mode, supported in (("full", "2 <= n <= 5"), ("generator_guided", "2 <= n <= 7")):
         assert main(["enumerate", "-n", "1", "--mode", mode]) == EXIT_USAGE
         assert f"{mode} mode supports {supported}" in capsys.readouterr().err
+
+
+def test_rank_above_max_exit_2(capsys):
+    # every -n refuses n > MAX_RANK at parse time, naming the bound; MAX_RANK itself runs
+    for argv in (
+        ["eval", "-n", "65", ""],
+        ["h1", "-n", "65", ""],
+        ["check", "-n", "65", ""],
+        ["project", "-n", "65", "--orbit", "1", ""],
+        ["enumerate", "-n", "65"],
+        ["verify-tables", "-n", "65"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"rank n must be at most {MAX_RANK}, got 65" in captured.err, argv
+    assert MAX_RANK == 64 and main(["eval", "-n", "64", "(1,2)"]) == EXIT_OK

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conich1.cohomology import h1_condition_cyclic
@@ -5,13 +7,15 @@ from conich1.enumeration import (
     CLEAN_SUBGROUP_CAP,
     D6_FIXTURES,
     TABLE_ROWS,
+    _enumerate_full,
     _enumerate_guided,
     clean_elements,
     enumerate_wdn,
     match_table_row,
+    right_regular_table,
     verify_tables,
 )
-from conich1.groups import are_conjugate, canonical_form, closure
+from conich1.groups import are_conjugate, canonical_form, closure, enc_mul
 from conich1.signedperm import iter_wdn, parse_element
 
 
@@ -57,6 +61,31 @@ def test_enumerate_4_both_modes():
     assert len(full.entries) == len(guided.entries) == 1
     assert full.entries[0].class_id == 1 and full.entries[0].name == "S_3"
     assert {e.canonical_key for e in full.entries} == {e.canonical_key for e in guided.entries}
+
+
+FULL_SEARCH_STATS = {
+    4: {"subgroup_classes": 98, "subgroups_total": 605, "closures": 3695, "prime_power_cyclics": 101},
+    5: {"subgroup_classes": 197, "subgroups_total": 6697, "closures": 27052, "prime_power_cyclics": 601},
+}
+
+
+def test_full_search_is_pinned(full_lattice):
+    # the full-mode search is deterministic; a change here is a change of the search
+    reps, stats = _enumerate_full(4)
+    assert stats == FULL_SEARCH_STATS[4]
+    classes = [(sorted(G.enc_set), list(G.spanning_encs)) for G in reps]
+    digest = hashlib.sha256(repr(classes).encode()).hexdigest()
+    assert digest == "7decb22f234c348757a2ccfae9b2e1c5ac8234bb19cc1214e4261b1bccfe60ce"
+    assert full_lattice(5)[1] == FULL_SEARCH_STATS[5]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_right_regular_table(n):
+    # right[y][h] is the index of h*y, for every pair
+    encs, index, right = right_regular_table(n)
+    assert encs == sorted(index) and len(right) == len(encs)
+    for y, row in enumerate(right):
+        assert row == tuple(index[enc_mul(h, encs[y])] for h in encs)
 
 
 def test_enumerate_rejects_bad_modes():
