@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .groups import (
     Enc,
     FiniteGroup,
+    _cyclic_encs,
     _walk_levels,
     closure,
     enc_cycle_type,
@@ -24,8 +25,8 @@ from .groups import (
     sylow2,
 )
 from .intlinalg import LatticeBasis, kernel_of_rows, quotient_invariants
-from .picard import phi, phi_of_enc
-from .signedperm import SignedPerm, lambda_count, sigma, signed_cycles
+from .picard import phi_of_enc
+from .signedperm import SignedPerm, sigma
 
 DEFAULT_ORACLE_BOUND = 512
 SAMPLED_PAIRS = 64  # random 2-generated subgroups h1_condition tries past its bound
@@ -47,19 +48,6 @@ class H1Report:
     f_minus1_in_span: bool | None = None
 
 
-@dataclass(frozen=True)
-class CoboundaryColumns:
-    """Stacked columns f_i = ((g_1 - I)e_i, ..., (g_m - I)e_i), i in {-1, 1..n}."""
-
-    n: int
-    generators: tuple[SignedPerm, ...]
-    columns: dict[int, tuple[int, ...]]
-
-    @property
-    def length(self) -> int:
-        return len(self.generators) * (self.n + 2)
-
-
 def _check_torsion(factors: tuple[int, ...]) -> None:
     if any(d != 2 for d in factors):
         raise TorsionError(f"H^1 invariant factors {factors} are not all 2")
@@ -74,32 +62,26 @@ def _finite_quotient(lattice: LatticeBasis, sub: LatticeBasis) -> tuple[int, ...
     return factors
 
 
-def _generating_set(G: FiniteGroup, generators, use_all_elements: bool) -> list[SignedPerm]:
-    """S: every element, the caller's ``generators`` (checked to generate
-    G), or G's stored generators, which generate it by construction."""
-    if use_all_elements:
-        return list(G.elements)
+def _generating_set(G: FiniteGroup, generators: list[SignedPerm] | None) -> list[Enc]:
+    """S, as encodings: the caller's ``generators`` (checked to generate G),
+    or G's stored non-identity generators, which generate it by construction."""
     if generators is not None:
         gens = list(generators)
         if closure(gens, n=G.n).enc_set != G.enc_set:
             raise ValueError("supplied generators do not generate the group")
-        return gens
-    return [g for g in G.generators if not g.is_identity()]
+        return [g.enc for g in gens]
+    ident = identity_enc(G.n)
+    return [e for e in G.spanning_encs if e != ident]
 
 
-def coboundary_columns(gens: list[SignedPerm], n: int | None = None) -> CoboundaryColumns:
-    """The f_i vectors over a generator list, with the half-sum identity checked."""
-    if gens:
-        n = gens[0].n
-    elif n is None:
-        raise ValueError("empty generator list needs an explicit rank n")
-    for g in gens:
-        if sigma(g) != 1:
-            raise ValueError("generator outside W(D_n)")
+def coboundary_columns(gens: list[Enc], n: int) -> dict[int, tuple[int, ...]]:
+    """The stacked columns f_i = ((phi(s_1) - I)e_i, ..., (phi(s_m) - I)e_i),
+    i in {-1, 1..n}, over the W(D_n) encodings ``gens``, with the half-sum
+    identity f_-1 = (1/2) sum f_i checked."""
     dim = n + 2
     cols: dict[int, list[int]] = {i: [] for i in [-1] + list(range(1, n + 1))}
-    for g in gens:
-        M = phi(g)
+    for e in gens:
+        M = phi_of_enc(e)
         for i in cols:
             pos = i + 1
             col = [M[r, pos] - (1 if r == pos else 0) for r in range(dim)]
@@ -110,13 +92,12 @@ def coboundary_columns(gens: list[SignedPerm], n: int | None = None) -> Cobounda
             total[k] += x
     if any(x % 2 for x in total) or [x // 2 for x in total] != cols[-1]:
         raise RuntimeError("half-sum identity f_-1 = (1/2) sum f_i failed")
-    return CoboundaryColumns(n, tuple(gens), {i: tuple(v) for i, v in cols.items()})
+    return {i: tuple(v) for i, v in cols.items()}
 
 
 def h1_oracle(
     G: FiniteGroup,
     generators: list[SignedPerm] | None = None,
-    use_all_elements: bool = False,
     bound: int = DEFAULT_ORACLE_BOUND,
 ) -> H1Report:
     """Z^1/B^1 from the full multiplication table.
@@ -125,13 +106,14 @@ def h1_oracle(
     x in G contributes the cocycle constraint f(xs) = f(x) + phi(x) f(s),
     consumed either as the definition of f(xs) (spanning-tree edge of the
     Cayley graph) or as a relation row.  With S = the full element list
-    (use_all_elements=True) this is literally the |G|^2 constraint system.
+    (generators=list(G.elements)) this is literally the |G|^2 constraint
+    system.
     """
     if G.order > bound:
         raise ValueError(f"group order {G.order} exceeds oracle bound {bound}")
     n = G.n
     dim = n + 2
-    S = _generating_set(G, generators, use_all_elements)
+    S = _generating_set(G, generators)
     m = len(S)
     D = m * dim
     if m == 0:
@@ -139,7 +121,6 @@ def h1_oracle(
 
     phi_rows_of = {e: phi_of_enc(e).to_rows() for e in G.enc_set}
 
-    s_encs = [s.enc for s in S]
     ident = identity_enc(n)
     E: dict[tuple, list[list[int]]] = {ident: [[0] * D for _ in range(dim)]}
     queue = [ident]
@@ -150,7 +131,7 @@ def h1_oracle(
         qi += 1
         Ex = E[x]
         Px = phi_rows_of[x]
-        for idx, s in enumerate(s_encs):
+        for idx, s in enumerate(S):
             y = enc_mul(x, s)
             off = idx * dim
             if y not in E:
@@ -180,7 +161,7 @@ def h1_oracle(
     Z = LatticeBasis.from_vectors(D, kernel)
 
     # f_0 = 0 because phi fixes l_0, so B^1 is spanned by f_-1 and f_1..f_n
-    cob = coboundary_columns(S, n).columns
+    cob = coboundary_columns(S, n)
     f = [cob[i] for i in range(1, n + 1)]
     B = LatticeBasis.from_vectors(D, [cob[-1]] + f)
     F = LatticeBasis.from_vectors(D, f)
@@ -205,20 +186,23 @@ def h1_oracle(
     )
 
 
+def _cyclic_rank(x: Enc) -> int:
+    """The F_2-rank of H^1(<x>, Pic) by the closed form max(Lambda - 2, 0),
+    Lambda(x) the number of signed cycles with an odd number of flips."""
+    return max(sum(odd for _, odd in enc_cycle_type(x)) - 2, 0)
+
+
 def h1_cyclic(g: SignedPerm) -> H1Report:
     """Closed form for the cyclic group <g>: rank max(Lambda - 2, 0)."""
     if sigma(g) != 1:
         raise ValueError("element outside W(D_n)")
-    lam = lambda_count(g)
-    rank = max(lam - 2, 0)
+    rank = _cyclic_rank(g.enc)
     return H1Report((2,) * rank, rank, "cyclic_formula")
 
 
 def cyclic_h1_fails(x: Enc) -> bool:
-    """Whether H^1(<x>, Pic) != 0, by the closed form on the encoding:
-    Lambda(x), the number of signed cycles with an odd number of flips,
-    exceeds 2."""
-    return sum(flip for _, flip in enc_cycle_type(x)) > 2
+    """Whether H^1(<x>, Pic) != 0, by the closed form on the encoding."""
+    return _cyclic_rank(x) > 0
 
 
 def h1_condition_cyclic(g: SignedPerm) -> tuple[bool, int | None]:
@@ -230,15 +214,10 @@ def h1_condition_cyclic(g: SignedPerm) -> tuple[bool, int | None]:
     """
     if sigma(g) != 1:
         raise ValueError("element outside W(D_n)")
-    x = g
-    ident = SignedPerm.identity(g.n)
-    while True:
-        if lambda_count(x) not in (0, 2):
-            return False, None
-        if x == ident:
-            break
-        x = x * g
-    odd_lens = sorted(len(c.support) for c in signed_cycles(g) if len(c.minus_indices) % 2)
+    # Lambda is even on W(D_n), so Lambda in {0, 2} means a closed-form rank of 0
+    if any(map(_cyclic_rank, _cyclic_encs(g.enc))):
+        return False, None
+    odd_lens = [w for w, odd in enc_cycle_type(g.enc) if odd]
     if not odd_lens:
         return True, 3
     if odd_lens == [1, 1]:
@@ -257,19 +236,19 @@ def h1_halfsum(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1
     """
     n = G.n
     dim = n + 2
-    S = _generating_set(G, generators, use_all_elements=False)
+    S = _generating_set(G, generators)
     if not S:
         return H1Report((), 0, "halfsum", (), 0, True)
-    cc = coboundary_columns(S, n)
-    D = cc.length
-    orbits = index_orbits(n, [s.enc for s in S])
+    cols = coboundary_columns(S, n)
+    D = len(S) * dim
+    orbits = index_orbits(n, S)
     k = len(orbits)
 
     orbit_sums: list[list[int]] = []
     for orb in orbits:
         v = [0] * D
         for i in orb:
-            for c, x in enumerate(cc.columns[i]):
+            for c, x in enumerate(cols[i]):
                 v[c] += x
         orbit_sums.append(v)
 
@@ -296,7 +275,7 @@ def h1_halfsum(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1
         else:
             basis.append((cur, combo))
 
-    F = LatticeBasis.from_vectors(D, [cc.columns[i] for i in range(1, n + 1)])
+    F = LatticeBasis.from_vectors(D, [cols[i] for i in range(1, n + 1)])
 
     def xi_of(combo: int) -> tuple[int, ...]:
         v = [0] * D
@@ -312,7 +291,7 @@ def h1_halfsum(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1
     W = F.sum_with(xis)
     dim_span = len(_finite_quotient(W, F))
 
-    f_minus1 = cc.columns[-1]
+    f_minus1 = cols[-1]
     in_f = F.member(f_minus1)
     rank = dim_span - (0 if in_f else 1)
     if rank < 0:

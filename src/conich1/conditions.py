@@ -138,12 +138,12 @@ class ConditionReport:
     at_most_three_orbits: bool
 
 
-def check_conditions(G: FiniteGroup, route: str = "sylow2") -> ConditionReport:
+def check_conditions(G: FiniteGroup) -> ConditionReport:
     """The full obstruction panel for one group."""
     from .cohomology import h1_condition
 
     dec = orbits(G)
-    cond = h1_condition(G, route=route)
+    cond = h1_condition(G)
     return ConditionReport(
         order=G.order,
         degree=8 - G.n,

@@ -36,6 +36,7 @@ from .groups import (
     abelian_invariants,
     are_conjugate,
     canonical_form,
+    enc_closure,
     enc_cycle_type,
     enc_mul,
     identity_enc,
@@ -44,7 +45,7 @@ from .groups import (
     subgroup_walk,
     wdn_generators,
 )
-from .signedperm import format_element, iter_wdn, wdn_order
+from .signedperm import SignedPerm, format_element, wdn_order
 
 FULL_MODE_MAX_RANK = 5
 GUIDED_MODE_MAX_RANK = 7
@@ -58,15 +59,15 @@ def clean_elements(n: int) -> frozenset[Enc]:
 
     Whether <g> passes depends only on the Lambda counts of the powers of
     g, which depend only on its signed cycle type, so the condition is
-    evaluated once per cycle type.
+    evaluated once per cycle type, over the encodings of W(D_n) closed
+    from its generators.
     """
     verdicts: dict[tuple, bool] = {}
     out = []
-    for g in iter_wdn(n):
-        e = g.enc
+    for e in enc_closure(wdn_generators(n), n, cap=wdn_order(n)):
         t = enc_cycle_type(e)
         if t not in verdicts:
-            verdicts[t] = h1_condition_cyclic(g)[0]
+            verdicts[t] = h1_condition_cyclic(SignedPerm.from_enc(n, e))[0]
         if verdicts[t]:
             out.append(e)
     return frozenset(out)

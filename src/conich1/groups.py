@@ -1,9 +1,10 @@
 """Finite subgroups of W(D_n): closure, subgroup lattice, Sylow-2, conjugacy,
 and the conjugacy orbit of a subgroup (its normalizer and canonical form).
 
-Hot paths run on the integer encoding of elements (tuple of images of the
-symbols 1^+..n^+, see SignedPerm.enc); SignedPerm objects are the public
-value type.
+Everything here runs on element encodings (SignedPerm.enc) with the
+primitives of signedperm (enc_mul, enc_inv, enc_order, enc_cycle_type),
+which this module re-exports; SignedPerm objects are the public value
+type and are built only on request (FiniteGroup.generators, .elements).
 """
 
 from __future__ import annotations
@@ -12,37 +13,32 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .signedperm import SignedPerm, sigma, wdn_order
-
-Enc = tuple[int, ...]
+from .signedperm import (
+    Enc,
+    SignedPerm,
+    enc_cycle_type,
+    enc_inv,
+    enc_mul,
+    enc_order,
+    identity_enc,
+    sigma,
+    wdn_order,
+)
 
 DEFAULT_CLOSURE_CAP = 100000
 DEFAULT_SUBGROUP_BOUND = 2000
 DEFAULT_CANONICAL_BOUND = 512
 
 
-def identity_enc(n: int) -> Enc:
-    return tuple(2 * j for j in range(n))
-
-
 def wdn_generators(n: int) -> list[Enc]:
-    """Generators of W(D_n): (1,2), c1 c2 (1,2) and, for n > 2, (1,2,...,n)."""
-    gens = [SignedPerm.from_cycles(n, [[1, 2]]).enc, SignedPerm(n, range(1, n + 1), (1, 2)).enc]
+    """Generators of W(D_n), n >= 2: (1,2), c1 c2 and, for n > 2, (1,2,...,n)."""
+    if n < 2:
+        raise ValueError(f"W(D_n) generators need n >= 2, got {n}")
+    rest = identity_enc(n)[2:]
+    gens = [(2, 0) + rest, (1, 3) + rest]
     if n > 2:
-        gens.append(SignedPerm.from_cycles(n, [list(range(1, n + 1))]).enc)
+        gens.append(tuple(2 * ((j + 1) % n) for j in range(n)))
     return gens
-
-
-def enc_mul(a: Enc, b: Enc) -> Enc:
-    """Product with b applied first (matches SignedPerm.__mul__)."""
-    return tuple([a[s >> 1] ^ (s & 1) for s in b])
-
-
-def enc_inv(a: Enc) -> Enc:
-    out = [0] * len(a)
-    for j, s in enumerate(a):
-        out[s >> 1] = 2 * j ^ (s & 1)
-    return tuple(out)
 
 
 def enc_conjugation(t: Enc) -> Callable[[Enc], Enc]:
@@ -51,49 +47,6 @@ def enc_conjugation(t: Enc) -> Callable[[Enc], Enc]:
     T = [t[x >> 1] ^ (x & 1) for x in range(2 * len(t))]
     ti = [(s >> 1, s & 1) for s in enc_inv(t)]
     return lambda q: tuple([T[q[k]] ^ f for k, f in ti])
-
-
-def enc_order(a: Enc) -> int:
-    from math import lcm
-
-    n = len(a)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        w = 0
-        flips = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            s = a[j]
-            flips += s & 1
-            j = s >> 1
-            w += 1
-        order = lcm(order, 2 * w if flips % 2 else w)
-    return order
-
-
-def enc_cycle_type(a: Enc) -> tuple[tuple[int, int], ...]:
-    """Conjugation invariant: sorted (length, flip parity) over signed cycles."""
-    n = len(a)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        w = 0
-        flips = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            s = a[j]
-            flips += s & 1
-            j = s >> 1
-            w += 1
-        out.append((w, flips % 2))
-    return tuple(sorted(out))
 
 
 def enc_closure(
@@ -270,16 +223,6 @@ class FiniteGroup:
     def conjugate_by(self, t: SignedPerm) -> "FiniteGroup":
         conj = enc_conjugation(t.enc)
         return FiniteGroup.from_enc_set(self.n, map(conj, self.enc_set), [conj(e) for e in self.spanning_encs])
-
-    def is_abelian(self) -> bool:
-        gens = self.spanning_encs
-        return all(enc_mul(a, b) == enc_mul(b, a) for a in gens for b in gens)
-
-    def center_encs(self) -> frozenset[Enc]:
-        gens = self.spanning_encs
-        return frozenset(
-            e for e in self.enc_set if all(enc_mul(e, g) == enc_mul(g, e) for g in gens)
-        )
 
     def derived_subgroup_encs(self) -> frozenset[Enc]:
         gens = self.spanning_encs
@@ -829,9 +772,3 @@ def canonical_form(
             f"|W(D_{n})| = {total} conjugators exceed max_conjugators={max_conjugators}"
         )
     return (n, min(tuple(sorted(P)) for P in conjugacy_orbit(n, G.enc_set)))
-
-
-def random_subgroup(G: FiniteGroup, rng, max_gens: int = 2, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    k = rng.randint(1, max_gens)
-    gens = [G.elements[rng.randrange(G.order)] for _ in range(k)]
-    return closure(gens, n=G.n, cap=cap)

@@ -53,11 +53,9 @@ class PicLattice:
 
 def psi(a: SignedPerm) -> IntMatrix:
     """Signed permutation matrix: column j is s(tau(j)) e_{tau(j)}."""
-    n = a.n
-    rows = [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        t = a.image[j - 1]
-        rows[t - 1][j - 1] = -1 if t in a.minus else 1
+    rows = [[0] * a.n for _ in range(a.n)]
+    for j, s in enumerate(a.enc):
+        rows[s >> 1][j] = -1 if s & 1 else 1
     return IntMatrix.from_rows(rows)
 
 

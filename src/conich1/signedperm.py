@@ -6,6 +6,9 @@ left: (a * b) means b acts first, so matrix representations satisfy
 Phi(a*b) = Phi(a) Phi(b) on column vectors.
 
 Symbols are the 2n objects j^+ / j^-, encoded as pairs (j, +1) / (j, -1).
+A SignedPerm stores its encoding (Enc).  Product, inverse, order and
+signed cycle type are the Enc functions below, which groups, cohomology
+and enumeration call directly on their hot paths.
 """
 
 from __future__ import annotations
@@ -14,29 +17,79 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Symbol = tuple[int, int]
 
+# An element's encoding: entry j-1 is the image of the symbol j^+, where
+# symbol k^+ is 2(k-1) and k^- is 2(k-1)+1, so pairing is XOR 1.
+Enc = tuple[int, ...]
+
+
+def identity_enc(n: int) -> Enc:
+    return tuple(range(0, 2 * n, 2))
+
+
+def enc_mul(a: Enc, b: Enc) -> Enc:
+    """Product with b applied first."""
+    return tuple([a[s >> 1] ^ (s & 1) for s in b])
+
+
+def enc_inv(a: Enc) -> Enc:
+    out = [0] * len(a)
+    for j, s in enumerate(a):
+        out[s >> 1] = 2 * j ^ (s & 1)
+    return tuple(out)
+
+
+def enc_cycle_type(a: Enc) -> tuple[tuple[int, int], ...]:
+    """Conjugation invariant: sorted (length, flip parity) over signed cycles."""
+    n = len(a)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        w = 0
+        flips = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            s = a[j]
+            flips += s & 1
+            j = s >> 1
+            w += 1
+        out.append((w, flips % 2))
+    return tuple(sorted(out))
+
+
+def enc_order(a: Enc) -> int:
+    """A signed cycle of length w has order 2w with an odd number of flips, else w."""
+    order = 1
+    for w, odd in enc_cycle_type(a):
+        order = lcm(order, 2 * w if odd else w)
+    return order
+
 
 class SignedPerm:
-    """Element of W(B_n): a permutation of {1..n} plus a set of sign flips."""
+    """Element of W(B_n): a permutation of {1..n} plus a set of sign flips,
+    stored as its encoding ``enc``."""
 
-    __slots__ = ("n", "image", "minus", "_hash")
+    __slots__ = ("n", "enc")
 
     def __init__(self, n: int, image: Sequence[int], minus: Iterable[int]):
-        self.n = n
-        self.image = tuple(image)
-        self.minus = frozenset(minus)
-        if sorted(self.image) != list(range(1, n + 1)):
+        image = tuple(image)
+        minus = frozenset(minus)
+        if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"image is not a bijection of 1..{n}")
-        if not all(1 <= j <= n for j in self.minus):
+        if not all(1 <= j <= n for j in minus):
             raise ValueError("sign index out of range")
-        self._hash = hash((n, self.image, self.minus))
+        self.n = n
+        self.enc = tuple(2 * (t - 1) + (t in minus) for t in image)
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
-        return cls(n, range(1, n + 1), ())
+        return cls.from_enc(n, identity_enc(n))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]], minus: Iterable[int] = ()) -> "SignedPerm":
@@ -56,45 +109,34 @@ class SignedPerm:
 
     @classmethod
     def from_enc(cls, n: int, enc: Sequence[int]) -> "SignedPerm":
-        image = [0] * n
-        minus = []
-        for j, s in enumerate(enc, start=1):
-            image[j - 1] = (s >> 1) + 1
-            if s & 1:
-                minus.append((s >> 1) + 1)
-        return cls(n, image, minus)
+        enc = tuple(enc)
+        if len(enc) != n or sorted(s >> 1 for s in enc) != list(range(n)):
+            raise ValueError(f"not the encoding of an element of W(B_{n})")
+        g = cls.__new__(cls)
+        g.n, g.enc = n, enc
+        return g
 
     @property
-    def enc(self) -> tuple[int, ...]:
-        """Action on the symbols 1^+..n^+: entry j-1 encodes the image of j^+.
+    def image(self) -> tuple[int, ...]:
+        return tuple((s >> 1) + 1 for s in self.enc)
 
-        Symbol k^+ is 2(k-1), symbol k^- is 2(k-1)+1; pairing is XOR 1.
-        """
-        img = self.image
-        minus = self.minus
-        return tuple(
-            2 * (img[j] - 1) + (1 if img[j] in minus else 0) for j in range(self.n)
-        )
+    @property
+    def minus(self) -> frozenset[int]:
+        """The flipped indices: the targets of the odd entries of ``enc``."""
+        return frozenset((s >> 1) + 1 for s in self.enc if s & 1)
 
     def sort_key(self) -> tuple:
-        signs = tuple(-1 if j in self.minus else 1 for j in range(1, self.n + 1))
-        return (signs, self.image)
+        minus = self.minus
+        return (tuple(-1 if j in minus else 1 for j in range(1, self.n + 1)), self.image)
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         """Composition with ``other`` applied first."""
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        a_img = self.image
-        image = tuple(a_img[j - 1] for j in other.image)
-        minus = self.minus ^ frozenset(a_img[j - 1] for j in other.minus)
-        return SignedPerm(self.n, image, minus)
+        return SignedPerm.from_enc(self.n, enc_mul(self.enc, other.enc))
 
     def inverse(self) -> "SignedPerm":
-        image = [0] * self.n
-        for j, t in enumerate(self.image, start=1):
-            image[t - 1] = j
-        minus = frozenset(image[j - 1] for j in self.minus)
-        return SignedPerm(self.n, image, minus)
+        return SignedPerm.from_enc(self.n, enc_inv(self.enc))
 
     def __pow__(self, k: int) -> "SignedPerm":
         base = self if k >= 0 else self.inverse()
@@ -108,33 +150,24 @@ class SignedPerm:
         return out
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SignedPerm)
-            and self.n == other.n
-            and self.image == other.image
-            and self.minus == other.minus
-        )
+        return isinstance(other, SignedPerm) and self.enc == other.enc
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.enc)
 
     def __lt__(self, other: "SignedPerm") -> bool:
         return self.sort_key() < other.sort_key()
 
     def is_identity(self) -> bool:
-        return not self.minus and self.image == tuple(range(1, self.n + 1))
+        return self.enc == identity_enc(self.n)
 
     def order(self) -> int:
-        k = 1
-        for cyc in signed_cycles(self):
-            w = len(cyc.support)
-            k = lcm(k, 2 * w if len(cyc.minus_indices) % 2 else w)
-        return k
+        return enc_order(self.enc)
 
     def act_index(self, j: int) -> int:
         if not 1 <= j <= self.n:
             raise ValueError(f"index {j} out of range 1..{self.n}")
-        return self.image[j - 1]
+        return (self.enc[j - 1] >> 1) + 1
 
     def act_symbol(self, symbol: Symbol) -> Symbol:
         """Image of j^+ or j^- under the group action on 2n symbols."""
@@ -142,7 +175,7 @@ class SignedPerm:
         if sign not in (1, -1):
             raise ValueError("symbol sign must be +1 or -1")
         t = self.act_index(j)
-        return (t, -sign if t in self.minus else sign)
+        return (t, -sign if self.enc[j - 1] & 1 else sign)
 
     def __repr__(self) -> str:
         return f"SignedPerm({self.n}, {format_element(self)!r})"
@@ -160,7 +193,7 @@ def conjugate(a: SignedPerm, t: SignedPerm) -> SignedPerm:
 
 def sigma(a: SignedPerm) -> int:
     """The character (-1)^(number of sign flips); W(D_n) is its kernel."""
-    return -1 if len(a.minus) % 2 else 1
+    return -1 if sum(s & 1 for s in a.enc) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -174,41 +207,29 @@ class SignedCycle:
     def trivial(self) -> bool:
         return len(self.support) == 1 and not self.minus_indices
 
-    @property
-    def sigma(self) -> int:
-        return -1 if len(self.minus_indices) % 2 else 1
-
-    def as_perm(self, n: int) -> SignedPerm:
-        cycles = [self.support] if len(self.support) > 1 else []
-        return SignedPerm.from_cycles(n, cycles, self.minus_indices)
-
 
 def signed_cycles(a: SignedPerm) -> list[SignedCycle]:
     """Disjoint signed cycles covering {1..n}, sorted by smallest support."""
+    enc = a.enc
     seen: set[int] = set()
     out: list[SignedCycle] = []
-    for start in range(1, a.n + 1):
+    for start in range(a.n):
         if start in seen:
             continue
-        cyc = [start]
-        seen.add(start)
-        j = a.image[start - 1]
-        while j != start:
-            cyc.append(j)
+        cyc = []
+        j = start
+        while j not in seen:
             seen.add(j)
-            j = a.image[j - 1]
-        out.append(SignedCycle(tuple(cyc), frozenset(cyc) & a.minus))
+            cyc.append(j)
+            j = enc[j] >> 1
+        flipped = frozenset((enc[k] >> 1) + 1 for k in cyc if enc[k] & 1)
+        out.append(SignedCycle(tuple(k + 1 for k in cyc), flipped))
     return out
 
 
 def lambda_count(a: SignedPerm) -> int:
     """Number of signed cycles with an odd number of flips (always even on W(D_n))."""
-    return sum(1 for cyc in signed_cycles(a) if len(cyc.minus_indices) % 2)
-
-
-def reassemble(n: int, cycles: Iterable[SignedCycle]) -> SignedPerm:
-    """Product of disjoint signed cycles; inverse of signed_cycles."""
-    return reduce(multiply, (c.as_perm(n) for c in cycles), SignedPerm.identity(n))
+    return sum(odd for _, odd in enc_cycle_type(a.enc))
 
 
 _TOKEN = re.compile(r"\s*(c\s*(\d+)|\(\s*\d+\s*(?:,\s*\d+\s*)+\))")
@@ -250,17 +271,6 @@ def format_element(a: SignedPerm) -> str:
         if len(cyc.support) > 1:
             parts.append("(" + ",".join(str(j) for j in cyc.support) + ")")
     return " ".join(parts)
-
-
-def iter_wdn(n: int) -> Iterator[SignedPerm]:
-    """All elements of W(D_n), lazily (2^(n-1) n! of them)."""
-    from itertools import combinations, permutations
-
-    indices = list(range(1, n + 1))
-    evens = [c for k in range(0, n + 1, 2) for c in combinations(indices, k)]
-    for img in permutations(indices):
-        for minus in evens:
-            yield SignedPerm(n, img, minus)
 
 
 def wdn_order(n: int) -> int:

@@ -14,9 +14,10 @@ from conich1.classes import smallest_param_tuples, verify_class
 from conich1.cohomology import h1_condition, h1_halfsum, h1_oracle
 from conich1.conditions import orbits, project, relative_minimality
 from conich1.enumeration import TABLE_ROWS, enumerate_wdn, verify_tables
-from conich1.groups import closure, random_subgroup
+from conich1.groups import closure
 from conich1.picard import phi, verify_aut0
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
+from helpers import random_subgroup
 
 TORSION_LEDGER: list[tuple[int, ...]] = []
 

@@ -22,11 +22,12 @@ from conich1.groups import (
     closure,
     enc_conjugation,
     enc_cycle_type,
+    enc_mul,
     enc_order,
-    random_subgroup,
     sylow2,
 )
-from conich1.signedperm import SignedPerm, iter_wdn, lambda_count, parse_element
+from conich1.signedperm import SignedPerm, lambda_count, parse_element
+from helpers import iter_wdn, random_subgroup
 
 Gcache = {}
 
@@ -149,22 +150,22 @@ def test_condition_cyclic_examples():
 
 
 def test_coboundary_columns_identity_and_display():
-    cc = coboundary_columns([SignedPerm.identity(4)], 4)
-    assert all(not any(v) for v in cc.columns.values())
+    cols = coboundary_columns([SignedPerm.identity(4).enc], 4)
+    assert all(not any(v) for v in cols.values())
     # the one-generator display for c1c2: f_1 has entries 1 at l_0 and -2 at l_1
-    cc = coboundary_columns([parse_element("c1 c2", 4)])
-    assert cc.columns[1] == (0, 1, -2, 0, 0, 0)
-    assert cc.columns[2] == (0, 1, 0, -2, 0, 0)
-    assert cc.columns[3] == cc.columns[4] == (0, 0, 0, 0, 0, 0)
-    assert cc.columns[-1] == (0, 1, -1, -1, 0, 0)
+    cols = coboundary_columns([parse_element("c1 c2", 4).enc], 4)
+    assert cols[1] == (0, 1, -2, 0, 0, 0)
+    assert cols[2] == (0, 1, 0, -2, 0, 0)
+    assert cols[3] == cols[4] == (0, 0, 0, 0, 0, 0)
+    assert cols[-1] == (0, 1, -1, -1, 0, 0)
 
 
 def test_halfsum_identity_holds_for_random_generators():
     rng = random.Random(1)
     for _ in range(50):
         n = rng.choice([4, 5, 6])
-        gens = [rand_wdn(rng, n) for _ in range(rng.randint(1, 3))]
-        coboundary_columns(gens)  # asserts f_-1 = half the column sum internally
+        gens = [rand_wdn(rng, n).enc for _ in range(rng.randint(1, 3))]
+        coboundary_columns(gens, n)  # asserts f_-1 = half the column sum internally
 
 
 def test_halfsum_worked_example_1():
@@ -252,7 +253,7 @@ def test_generating_set_independence():
     for build in (example1, example3):
         grp = build()
         by_gens = h1_oracle(grp)
-        by_all = h1_oracle(grp, use_all_elements=True)
+        by_all = h1_oracle(grp, generators=list(grp.elements))
         assert by_gens.invariant_factors == by_all.invariant_factors
         hs_gens = h1_halfsum(grp)
         hs_all = h1_halfsum(grp, generators=list(grp.elements))
@@ -434,7 +435,8 @@ def test_abelian_shortcut():
     for build in (example1, example2):
         P = sylow2(build())
         for H in all_subgroups(P).subgroups:
-            if H.order == 1 or not H.is_abelian():
+            gens = H.spanning_encs
+            if H.order == 1 or any(enc_mul(a, b) != enc_mul(b, a) for a in gens for b in gens):
                 continue
             if all(lambda_count(g) in (0, 2) for g in H.elements):
                 assert h1_condition(H).ok is True

@@ -16,7 +16,8 @@ from conich1.enumeration import (
     verify_tables,
 )
 from conich1.groups import are_conjugate, canonical_form, closure, enc_mul
-from conich1.signedperm import iter_wdn, parse_element
+from conich1.signedperm import parse_element
+from helpers import iter_wdn
 
 
 def test_table_row_counts():

@@ -33,7 +33,8 @@ from conich1.groups import (
     sylow2,
     wdn_generators,
 )
-from conich1.signedperm import SignedPerm, iter_wdn, parse_element, wdn_order
+from conich1.signedperm import SignedPerm, parse_element, wdn_order
+from helpers import iter_wdn
 
 
 def G(n, *texts):
@@ -63,6 +64,21 @@ def wdn_encs(draw, n):
     flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     flips[0] ^= sum(flips) % 2  # an even number of flips: inside W(D_n)
     return tuple(2 * i ^ f for i, f in zip(img, flips))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wdn_generators(n):
+    # (1,2), c1 c2 and, for n > 2, the n-cycle, closing to all of W(D_n)
+    want = [parse_element(t, n).enc for t in ("(1,2)", "c1 c2")]
+    if n > 2:
+        want.append(parse_element("(" + ",".join(map(str, range(1, n + 1))) + ")", n).enc)
+    assert wdn_generators(n) == want
+    assert len(enc_closure(wdn_generators(n), n, cap=wdn_order(n))) == wdn_order(n)
+
+
+def test_wdn_generators_need_rank_2():
+    with pytest.raises(ValueError):
+        wdn_generators(1)
 
 
 def test_closure_examples():

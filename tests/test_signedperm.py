@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,15 @@ from conich1.signedperm import (
     lambda_count,
     multiply,
     parse_element,
-    reassemble,
     sigma,
     signed_cycles,
 )
+
+
+def reassemble(n, cycles):
+    # product of disjoint signed cycles; inverse of signed_cycles
+    factors = (SignedPerm.from_cycles(n, [c.support] if len(c.support) > 1 else [], c.minus_indices) for c in cycles)
+    return reduce(multiply, factors, SignedPerm.identity(n))
 
 
 def rand_elem(rng, n, even=False):
@@ -170,7 +176,35 @@ def test_enc_roundtrip():
     for _ in range(300):
         n = rng.randint(1, 9)
         g = rand_elem(rng, n)
-        assert SignedPerm.from_enc(n, g.enc) == g
+        h = SignedPerm.from_enc(n, g.enc)
+        assert h == g and hash(h) == hash(g)
+        assert SignedPerm(n, g.image, g.minus) == g
+
+
+@pytest.mark.parametrize(
+    "enc",
+    [
+        (0, 2, 4), (0, 2, 4, 6, 8),  # wrong length
+        (0, 0, 4, 6), (0, 2, 3, 6),  # a repeated target index
+        (0, 2, 4, 8), (0, 2, 4, -1),  # an index out of range
+    ],
+)
+def test_from_enc_rejects_malformed_input(enc):
+    with pytest.raises(ValueError):
+        SignedPerm.from_enc(4, enc)
+
+
+@pytest.mark.parametrize(
+    "image, minus",
+    [
+        ((1, 2, 3), ()), ((1, 2, 3, 4, 5), ()),  # wrong length
+        ((1, 1, 3, 4), ()),  # a repeated target
+        ((1, 2, 3, 5), ()), ((1, 2, 3, 4), (5,)), ((1, 2, 3, 4), (0,)),  # an index out of range
+    ],
+)
+def test_constructor_rejects_malformed_input(image, minus):
+    with pytest.raises(ValueError):
+        SignedPerm(4, image, minus)
 
 
 def test_order():
