@@ -2,8 +2,11 @@
 
 from itertools import combinations, permutations
 
+from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns
 from conich1.groups import closure
-from conich1.signedperm import SignedPerm
+from conich1.intlinalg import LatticeBasis, kernel_of_rows
+from conich1.picard import phi_of_enc
+from conich1.signedperm import SignedPerm, enc_mul, identity_enc
 
 
 def iter_wdn(n):
@@ -21,3 +24,89 @@ def random_subgroup(G, rng, max_gens=2):
     k = rng.randint(1, max_gens)
     gens = [G.elements[rng.randrange(G.order)] for _ in range(k)]
     return closure(gens, n=G.n)
+
+
+def h1_by_cocycle_system(G, generators=None):
+    """Z^1/B^1 from the full multiplication table: the slow ground truth
+    for cohomology.h1_oracle, which works from the coboundaries alone.
+
+    Unknowns are f(s) for s in the generating set S; every pair (x, s) with
+    x in G contributes the cocycle constraint f(xs) = f(x) + phi(x) f(s),
+    consumed either as the definition of f(xs) (spanning-tree edge of the
+    Cayley graph) or as a relation row.  With S = the full element list
+    (generators=list(G.elements)) this is literally the |G|^2 constraint
+    system.  Returns an H1Report with method "cocycle_system".
+    """
+    n = G.n
+    dim = n + 2
+    S = _generating_set(G, generators)
+    m = len(S)
+    D = m * dim
+    if m == 0:
+        return H1Report((), 0, "cocycle_system", None, 0, True)
+
+    phi_rows_of = {e: phi_of_enc(e).to_rows() for e in G.enc_set}
+
+    ident = identity_enc(n)
+    E = {ident: [[0] * D for _ in range(dim)]}
+    queue = [ident]
+    relation_rows = set()
+    qi = 0
+    while qi < len(queue):
+        x = queue[qi]
+        qi += 1
+        Ex = E[x]
+        Px = phi_rows_of[x]
+        for idx, s in enumerate(S):
+            y = enc_mul(x, s)
+            off = idx * dim
+            if y not in E:
+                Ey = [row[:] for row in Ex]
+                for r in range(dim):
+                    Pr = Px[r]
+                    Eyr = Ey[r]
+                    for c in range(dim):
+                        if Pr[c]:
+                            Eyr[off + c] += Pr[c]
+                E[y] = Ey
+                queue.append(y)
+            else:
+                Ey = E[y]
+                for r in range(dim):
+                    row = [a - b for a, b in zip(Ey[r], Ex[r])]
+                    Pr = Px[r]
+                    for c in range(dim):
+                        if Pr[c]:
+                            row[off + c] -= Pr[c]
+                    if any(row):
+                        relation_rows.add(tuple(row))
+    if len(E) != G.order:
+        raise RuntimeError(f"the Cayley graph reached {len(E)} of {G.order} elements")
+
+    kernel = kernel_of_rows(sorted(relation_rows), D)
+    Z = LatticeBasis.from_vectors(D, kernel)
+
+    # f_0 = 0 because phi fixes l_0, so B^1 is spanned by f_-1 and f_1..f_n
+    cob = coboundary_columns(S, n)
+    f = [cob[i] for i in range(1, n + 1)]
+    B = LatticeBasis.from_vectors(D, [cob[-1]] + f)
+    F = LatticeBasis.from_vectors(D, f)
+
+    for i in (-1, 1):
+        if not Z.member(cob[i]):
+            raise RuntimeError("coboundary is not a cocycle; the cocycle system is inconsistent")
+
+    factors = _finite_quotient(Z, B)
+    f_factors = _finite_quotient(Z, F)
+    f_minus1_in_f = F.member(cob[-1])
+    if len(f_factors) != len(factors) + (0 if f_minus1_in_f else 1):
+        raise RuntimeError("Z^1/F and Z^1/B^1 disagree on whether f_-1 lies in F")
+
+    return H1Report(
+        invariant_factors=factors,
+        f2_rank=len(factors),
+        method="cocycle_system",
+        witnesses=None,
+        z1_mod_f_rank=len(f_factors),
+        f_minus1_in_span=f_minus1_in_f,
+    )

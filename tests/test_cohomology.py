@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -26,8 +27,9 @@ from conich1.groups import (
     enc_order,
     sylow2,
 )
+from conich1.picard import phi_of_enc
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
-from helpers import iter_wdn, random_subgroup
+from helpers import h1_by_cocycle_system, iter_wdn, random_subgroup
 
 Gcache = {}
 
@@ -236,6 +238,77 @@ def test_oracle_halfsum_cyclic_agree_on_every_class(n, count, cyclic, full_latti
             assert h1_cyclic(SignedPerm.from_enc(n, gen)).f2_rank == rank, H
             cyclic_seen += 1
     assert cyclic_seen == cyclic
+
+
+def _h1_data(rep):
+    return rep.invariant_factors, rep.z1_mod_f_rank, rep.f_minus1_in_span
+
+
+@pytest.mark.parametrize("n, count", [(4, 98), (5, 195)])
+def test_oracle_matches_cocycle_system_on_every_class(n, count, full_lattice):
+    # the oracle reads Z^1 as the saturation of B^1; the cocycle system
+    # solves for Z^1 over the whole Cayley graph
+    reps, _ = full_lattice(n)
+    reps = [H for H in reps if H.order <= DEFAULT_ORACLE_BOUND]
+    assert len(reps) == count
+    for H in reps:
+        assert _h1_data(h1_oracle(H)) == _h1_data(h1_by_cocycle_system(H)), H
+
+
+def test_oracle_matches_cocycle_system_on_examples_and_all_elements(full_lattice):
+    # S = every element of G gives the literal |G|^2 constraint system
+    fixtures = [example1(), example2(), example3(), G(4, "c1 c2 c3 c4"), G(4, "c1 c2 c3 c4 (2,3)", "(1,2,3)")]
+    for grp in fixtures:
+        assert _h1_data(h1_oracle(grp)) == _h1_data(h1_by_cocycle_system(grp)), grp
+    reps, _ = full_lattice(4)
+    small = [H for H in reps if H.order <= 16] + [grp for grp in fixtures if grp.order <= 24]
+    assert len(small) == 79
+    for H in small:
+        every = list(H.elements)
+        want = _h1_data(h1_by_cocycle_system(H, generators=every))
+        assert _h1_data(h1_oracle(H, generators=every)) == want == _h1_data(h1_oracle(H)), H
+
+
+def test_oracle_matches_cocycle_system_on_random_subgroups():
+    # 2- and 3-generated subgroups of order <= 192 of the even sign changes
+    # extended by (1,2)(3,4) and (1,3,5)(2,4,6), at ranks 6..9
+    bases = []
+    for n in (6, 7, 8, 9):
+        flips = [f"c{i} c{i + 1}" for i in range(1, n)]
+        bases.append(G(n, *flips, "(1,2)(3,4)", "(1,3,5)(2,4,6)"))
+    rng = random.Random(12)
+    drawn = []
+    while len(drawn) < 100:
+        base = rng.choice(bases)
+        gens = [base.elements[rng.randrange(base.order)] for _ in range(rng.choice([2, 3]))]
+        try:
+            drawn.append((len(gens), closure(gens, n=base.n, cap=192)))
+        except ValueError:
+            continue
+    ranks = set()
+    for k, H in drawn:
+        rep = h1_oracle(H)
+        assert _h1_data(rep) == _h1_data(h1_by_cocycle_system(H)), H
+        ranks.add(rep.f2_rank)
+    assert sum(k == 3 for k, _ in drawn) >= 10
+    assert ranks >= {0, 1, 2}
+
+
+def test_oracle_evaluates_phi_once_per_generator(monkeypatch):
+    # a guard against per-element work in the oracle: phi is evaluated on
+    # the stored generators only, and no element product is formed
+    grp = G(6, "c1 c2 c3 c4", "(1,2)(3,4,5)")
+    assert grp.order == 48 and len(grp.spanning_encs) == 2
+    phi_calls, mul_calls = [], []
+    monkeypatch.setattr(cohomology, "phi_of_enc", lambda e: phi_calls.append(e) or phi_of_enc(e))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conich1") and hasattr(module, "enc_mul"):
+            orig = module.enc_mul
+            monkeypatch.setattr(module, "enc_mul", lambda a, b, orig=orig: mul_calls.append(1) or orig(a, b))
+    rep = h1_oracle(grp)
+    assert phi_calls == list(grp.spanning_encs)
+    assert mul_calls == []
+    assert rep.invariant_factors == (2,) == h1_halfsum(grp).invariant_factors
 
 
 def test_supplied_generators_must_generate():
