@@ -10,12 +10,16 @@ Two modes:
   against.
 * generator_guided (n <= 7): groups.subgroup_walk, the walker behind
   groups.all_subgroups, over the prime-power cyclic generators of the
-  "clean" elements (those whose cyclic group has trivial H^1), rejecting
-  every closure that meets an unclean element.  It keeps one subgroup
-  per W(D_n)-class in a ClassStore and extends it once per orbit of its
-  normalizer on the candidate cyclic subgroups; the clean set is closed
-  under conjugation, so every class is still reached.  Any group passing
-  the filters is clean, so the search is complete for the target set.
+  "clean" elements (those whose cyclic group has trivial H^1), with the
+  clean set as its ``within``: a closure that meets an unclean element
+  aborts, and a candidate x is dropped before its orbit is traced when
+  the coset Hx meets one.  It keeps one subgroup per W(D_n)-class in a
+  ClassStore and extends it once per orbit of its normalizer on the
+  candidate cyclic subgroups, read off a conjugacy orbit labelled over
+  the clean set; that set is closed under conjugation, so every class is
+  still reached.  Any group passing the filters is clean, so the search
+  is complete for the target set up to the order cap (capped_closures
+  counts the closures the cap stopped).
   Partial groups are never pruned by orbit counts: that would lose D4(1),
   both of whose one-generator partials already have four symbol orbits.
 """
@@ -229,13 +233,14 @@ def _enumerate_guided(n: int, cap: int = CLEAN_SUBGROUP_CAP) -> tuple[list[Finit
     clean = clean_elements(n)
     candidates = prime_power_cyclic_generators(clean)
     store = ClassStore()
-    walk = subgroup_walk(n, candidates, cap, reject=lambda e: e not in clean, store=store)
+    walk = subgroup_walk(n, candidates, cap, within=clean, store=store)
     stats = {
         "clean_elements": len(clean),
         "clean_cyclic_candidates": len(candidates),
         "clean_subgroup_classes": store.count,
         "closures": walk.closures,
         "aborted_closures": walk.aborted,
+        "capped_closures": store.capped,
         "conjugacy_tests": store.tests,
         "orbit_points": store.orbit_points,
     }

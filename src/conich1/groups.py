@@ -5,13 +5,16 @@ Everything here runs on element encodings (SignedPerm.enc) with the
 primitives of signedperm (enc_mul, enc_inv, enc_order, enc_cycle_type),
 which this module re-exports; SignedPerm objects are the public value
 type and are built only on request (FiniteGroup.generators, .elements).
+Conjugacy orbits of subgroups run on labels instead, the sort positions
+of a conjugation-closed set of encodings (ConjugationLabels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .signedperm import (
     Enc,
@@ -53,8 +56,9 @@ def enc_closure(
     gens: Iterable[Enc],
     n: int,
     cap: int = DEFAULT_CLOSURE_CAP,
-    reject: Callable[[Enc], bool] | None = None,
+    within: AbstractSet[Enc] | None = None,
     subgroup: Iterable[Enc] | None = None,
+    on_cap: Callable[[], None] | None = None,
 ) -> frozenset[Enc] | None:
     """The group generated by ``gens``, grown as a union of right cosets.
 
@@ -65,22 +69,25 @@ def enc_closure(
     is closed under right multiplication by S, so it is <S>.  Without
     ``subgroup`` the group grows from the trivial group one generator at a
     time (Dimino's algorithm); ``subgroup``, a closed subgroup of <gens>
-    whose elements pass ``reject`` (the walker passes <gens[:-1]>), is the
-    start of a single step.
+    inside ``within`` (the walker passes <gens[:-1]>), is the start of a
+    single step.
 
-    Returns None as soon as the closure exceeds ``cap`` or contains an
-    element matched by ``reject`` (used as an early abort by enumeration);
-    both are checked as each coset is added.
+    Returns None as soon as the closure exceeds ``cap`` or leaves the set
+    ``within`` (used as an early abort by enumeration); both are checked as
+    each coset is added, ``within`` first.  ``on_cap`` is called when the
+    cap stops the closure.
     """
     gens = list(gens)
     ident = identity_enc(n)
     if subgroup is not None:
         K = set(subgroup)
         if len(K) > cap:
+            if on_cap is not None:
+                on_cap()
             return None
         steps = [len(gens)]
     else:
-        if reject is not None and reject(ident):
+        if within is not None and ident not in within:
             return None
         K = {ident}
         steps = range(1, len(gens) + 1)
@@ -96,10 +103,12 @@ def enc_closure(
                 if y in K:
                     continue
                 coset = _right_coset(H, y)
-                if reject is not None and any(map(reject, coset)):
+                if within is not None and not within.issuperset(coset):
                     return None
                 K.update(coset)
                 if len(K) > cap:
+                    if on_cap is not None:
+                        on_cap()
                     return None
                 reps.append(y)
     return frozenset(K)
@@ -301,8 +310,9 @@ class ClassStore:
 
     ``count`` is the number of classes stored and ``tests`` the number of
     conjugacy tests made.  A walker given a store extends each stored class
-    once per orbit of its normalizer, and adds the size of each conjugacy
-    orbit it traced for those normalizers to ``orbit_points``.
+    once per orbit of its normalizer, adds the size of each conjugacy orbit
+    it traced for those normalizers to ``orbit_points``, and counts in
+    ``capped`` the closures its order cap stopped.
     """
 
     def __init__(self) -> None:
@@ -310,6 +320,7 @@ class ClassStore:
         self.count = 0
         self.tests = 0
         self.orbit_points = 0
+        self.capped = 0
 
     def add(self, G: FiniteGroup) -> bool:
         """Store G and return True unless it is W(D_n)-conjugate to a stored group."""
@@ -339,7 +350,7 @@ def subgroup_walk(
     n: int,
     candidates: Sequence[Enc],
     cap: int,
-    reject: Callable[[Enc], bool] | None = None,
+    within: AbstractSet[Enc] | None = None,
     store: ClassStore | None = None,
 ) -> SubgroupWalk:
     """Breadth-first cyclic-extension walk of a subgroup lattice.
@@ -347,29 +358,37 @@ def subgroup_walk(
     ``candidates`` holds one generator per cyclic subgroup, the least one
     when they come from prime_power_cyclic_generators.  Starting from the
     trivial group, each kept subgroup H = <gens> is extended to
-    <gens, x>, closed by enc_closure under ``cap`` and ``reject``, for one
-    candidate x per orbit of candidate cyclic subgroups, the least
+    <gens, x>, closed by enc_closure under ``cap`` and inside ``within``,
+    for one candidate x per orbit of candidate cyclic subgroups, the least
     candidate of the orbit.  The orbits are traced by conjugating with
     gens: if <h x h^-1> = <y> for h in H, then <H, x> = <H, y>.  Literal
     element sets are kept once.
+
+    Given ``within``, a candidate x is dropped before its orbit is traced
+    when the coset Hx leaves ``within``, for then so does <H, x>, and an
+    orbit that reaches a dropped candidate is dropped whole.  Each kept
+    subgroup K = <H, x> inherits H's live candidates, those not dropped and
+    whose orbit's closure did not abort (<H, y> inside <K, y> would stop it
+    too), and tests only the new cosets: k y for k in K outside H.
 
     Given a ClassStore, only the first subgroup of each W(D_n)-class is
     kept and extended (the trivial group is not stored), and the orbits
     are traced under generators of the normalizer N_W(H) instead: for t
     in N_W(H), <H, t x t^-1> = t <H, x> t^-1 lies in the class of <H, x>.
     A conjugate that generates no candidate's cyclic subgroup is not
-    followed, which can only split orbits.  ``cap`` and ``reject`` must
+    followed, which can only split orbits.  ``cap`` and ``within`` must
     then be invariant under W(D_n)-conjugation, as guided enumeration's
-    are.
+    are; the normalizers are read off conjugacy orbits labelled over
+    ``within``, or over all of W(D_n) without it.
 
     The walk reaches every subgroup, or class, generated by candidates
-    whose intermediate closures pass ``cap`` and ``reject``.  This is the
-    cyclic extension method (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005).
+    whose intermediate closures stay under ``cap`` and inside ``within``.
+    This is the cyclic extension method (Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 2005).
     """
     kept: list[FiniteGroup] = []
     closures = aborted = 0
-    for level, closures, aborted in _walk_levels(n, candidates, cap, reject, store):
+    for level, closures, aborted in _walk_levels(n, candidates, cap, within, store):
         kept.extend(G if G is not None else FiniteGroup.from_enc_set(n, K, gens) for K, gens, G in level)
     return SubgroupWalk(tuple(kept), closures, aborted)
 
@@ -378,7 +397,7 @@ def _walk_levels(
     n: int,
     candidates: Sequence[Enc],
     cap: int,
-    reject: Callable[[Enc], bool] | None = None,
+    within: AbstractSet[Enc] | None = None,
     store: ClassStore | None = None,
 ) -> Iterator[tuple[list[_LevelEntry], int, int]]:
     """The loop of subgroup_walk, one breadth-first level at a time.
@@ -400,6 +419,18 @@ def _walk_levels(
         for k in range(1, len(powers)):
             if gcd(k, len(powers)) == 1:
                 cyclic_rep[powers[k]] = x
+    on_cap = None
+    if store is not None:
+        if within is None:
+            labels = ConjugationLabels(n, enc_closure(wdn_generators(n), n, cap=wdn_order(n)))
+        else:
+            labels = ConjugationLabels(n, within)
+
+        def on_cap() -> None:
+            store.capped += 1
+
+    # each subgroup waiting to be extended -> its parent and the parent's live candidates
+    inherited: dict[frozenset[Enc], tuple[frozenset[Enc], list[Enc]]] = {trivial: (trivial, list(candidates))}
     yield level, closures, aborted
     while level:
         nxt: list[_LevelEntry] = []
@@ -407,30 +438,21 @@ def _walk_levels(
             if store is None:
                 conjugators = gens
             else:
-                orbit = conjugacy_orbit(n, H)
+                orbit = conjugacy_orbit(labels, labels.of(H))
                 store.orbit_points += len(orbit)
-                conjugators = normalizer_generators(n, H, gens, orbit)
+                conjugators = normalizer_generators(labels, H, gens, orbit)
+            parent, candidates_left = inherited.pop(H)
             conjugations = [enc_conjugation(g) for g in conjugators]
-            traced: set[Enc] = set()
-            reps = []
-            for x in candidates:
-                if x in H or x in traced:
-                    continue
-                traced.add(x)
-                cyclics = [x]
-                for y in cyclics:  # cyclics grows while it is read
-                    for conj in conjugations:
-                        z = cyclic_rep.get(conj(y))
-                        if z is not None and z not in traced:
-                            traced.add(z)
-                            cyclics.append(z)
-                reps.append(min(cyclics))
-            for x in sorted(reps):
+            orbits = _live_orbits(H, parent, candidates_left, within, conjugations, cyclic_rep)
+            live: list[Enc] = []  # the members of orbits whose closure did not abort
+            children = []
+            for x, orbit in sorted((min(orbit), orbit) for orbit in orbits):
                 closures += 1
-                K = enc_closure(gens + [x], n, cap=cap, reject=reject, subgroup=H)
+                K = enc_closure(gens + [x], n, cap=cap, within=within, subgroup=H, on_cap=on_cap)
                 if K is None:
                     aborted += 1
                     continue
+                live += orbit
                 if K in seen:
                     continue
                 seen.add(K)
@@ -440,8 +462,60 @@ def _walk_levels(
                     if not store.add(G):
                         continue
                 nxt.append((K, gens + [x], G))
+                children.append(K)
+            for K in children:
+                inherited[K] = (H, live)
         level = nxt
         yield level, closures, aborted
+
+
+def _live_orbits(
+    H: frozenset[Enc],
+    parent: frozenset[Enc],
+    inherited: Sequence[Enc],
+    within: AbstractSet[Enc] | None,
+    conjugations: Sequence[Callable[[Enc], Enc]],
+    cyclic_rep: dict[Enc, Enc],
+) -> list[list[Enc]]:
+    """The orbits, under ``conjugations``, of the candidates that may still
+    extend H, each in tracing order.
+
+    ``inherited`` are the live candidates of ``parent``, the subgroup P
+    that H extends (H itself for the trivial group).  A candidate in H
+    drops, and, given ``within``, so does an x with h x outside it for
+    some h in H outside P: P x was tested at P, so H x leaves ``within``.
+    An orbit that reaches a dropped candidate z drops whole, as each of
+    its members y gives a subgroup <H, y> conjugate to <H, z>.
+    """
+    live = {x for x in inherited if x not in H}
+    if within is not None:
+        for h in H:
+            if h not in parent:
+                image = [h[s >> 1] ^ (s & 1) for s in range(2 * len(h))]  # symbol s -> h(s)
+                live = {x for x in live if tuple(map(image.__getitem__, x)) in within}  # h x in within
+    traced: set[Enc] = set()
+    orbits = []
+    for x in inherited:
+        if x in traced or x not in live:
+            continue
+        traced.add(x)
+        orbit = [x]
+        dead = False
+        for y in orbit:  # orbit grows while it is read
+            for conj in conjugations:
+                z = cyclic_rep.get(conj(y))
+                if z is None:
+                    continue
+                if z not in live:
+                    dead = True
+                elif z not in traced:
+                    traced.add(z)
+                    orbit.append(z)
+        if dead:
+            live.difference_update(orbit)  # a later orbit reaching these drops too
+        else:
+            orbits.append(orbit)
+    return orbits
 
 
 def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> SubgroupList:
@@ -689,25 +763,55 @@ def are_conjugate(H1: FiniteGroup, H2: FiniteGroup) -> bool:
     return conjugating_element(H1, H2) is not None
 
 
-def conjugacy_orbit(n: int, encs: Iterable[Enc]) -> dict[frozenset[Enc], Enc]:
-    """The W(D_n)-conjugates of an element set, with a transversal.
+class ConjugationLabels:
+    """The closure of a set of W(D_n) elements under W(D_n)-conjugation,
+    with each element labelled by its position in sorted order.
 
-    Maps each conjugate P of S = set(encs) to some u with u S u^-1 = P,
-    the start S to the identity.  A breadth-first search under
-    conjugation by wdn_generators(n), so the points come in discovery
-    order, and u is the product of the generators along the search tree.
-    Its length is |W(D_n)| / |N_W(S)| (orbit-stabilizer; Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+    ``encs`` is the closure, sorted, so labels order as their elements do,
+    and ``index`` maps an element to its label.  ``perms[k]`` is
+    conjugation by ``generators[k]`` (wdn_generators(n)) on labels: label
+    i goes to the label of g encs[i] g^-1.
     """
-    start = frozenset(encs)
-    ws = wdn_generators(n)
-    conjugations = [enc_conjugation(w) for w in ws]
-    transversal = {start: identity_enc(n)}
+
+    def __init__(self, n: int, encs: Iterable[Enc]) -> None:
+        self.n = n
+        self.generators = wdn_generators(n)
+        conjugations = [enc_conjugation(w) for w in self.generators]
+        found = set(encs)
+        queue = list(found)
+        for e in queue:  # queue grows while it is read
+            for conj in conjugations:
+                f = conj(e)
+                if f not in found:
+                    found.add(f)
+                    queue.append(f)
+        self.encs = tuple(sorted(found))
+        self.index = {e: i for i, e in enumerate(self.encs)}
+        self.perms = [tuple([self.index[conj(e)] for e in self.encs]) for conj in conjugations]
+
+    def of(self, encs: Iterable[Enc]) -> frozenset[int]:
+        """The labels of a set of elements of the closure."""
+        return frozenset(map(self.index.__getitem__, encs))
+
+
+def conjugacy_orbit(labels: ConjugationLabels, start: frozenset[int]) -> dict[frozenset[int], Enc]:
+    """The W(D_n)-conjugates of a labelled element set, with a transversal.
+
+    Maps each conjugate P of the set S labelled ``start`` to some u with
+    u S u^-1 = P, S to the identity, all as label sets of ``labels``.  A
+    breadth-first search under the label permutations of wdn_generators(n),
+    so the points come in discovery order, and u is the product of the
+    generators along the search tree.  Its length is |W(D_n)| / |N_W(S)|
+    (orbit-stabilizer; Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, section 4.1).
+    """
+    transversal = {start: identity_enc(labels.n)}
     queue = [start]
     for P in queue:  # queue grows while it is read
         u = transversal[P]
-        for w, conj in zip(ws, conjugations):
-            Q = frozenset(map(conj, P))
+        take = itemgetter(next(iter(P)), *P)  # a repeated label keeps a tuple when |P| = 1
+        for w, perm in zip(labels.generators, labels.perms):
+            Q = frozenset(take(perm))
             if Q not in transversal:
                 transversal[Q] = enc_mul(w, u)
                 queue.append(Q)
@@ -715,31 +819,32 @@ def conjugacy_orbit(n: int, encs: Iterable[Enc]) -> dict[frozenset[Enc], Enc]:
 
 
 def normalizer_generators(
-    n: int, H: frozenset[Enc], gens: Sequence[Enc], orbit: dict[frozenset[Enc], Enc]
+    labels: ConjugationLabels, H: frozenset[Enc], gens: Sequence[Enc], orbit: dict[frozenset[int], Enc]
 ) -> list[Enc]:
     """Generators of N_W(H), the stabilizer of H in its conjugacy orbit.
 
     ``H`` is a group generated by ``gens`` and ``orbit`` is
-    conjugacy_orbit(n, H).  N starts as H and takes the Schreier
-    generators u_Q^-1 w u_P (w a generator of W(D_n), Q = w P w^-1, u the
-    transversal), each of which maps H to itself, in orbit order; one
-    already in N is skipped, and the others extend N by enc_closure.  By
-    Schreier's lemma they generate the stabilizer, so the search stops
-    when |N| = |W(D_n)| / |orbit|.  An orbit of one point gives the
-    generators of W(D_n) itself, with no closure.
+    conjugacy_orbit(labels, labels.of(H)).  N starts as H and takes the
+    Schreier generators u_Q^-1 w u_P (w a generator of W(D_n), Q = w P
+    w^-1, u the transversal), each of which maps H to itself, in orbit
+    order; one already in N is skipped, and the others extend N by
+    enc_closure.  By Schreier's lemma they generate the stabilizer, so
+    the search stops when |N| = |W(D_n)| / |orbit|.  An orbit of one point
+    gives the generators of W(D_n) itself, with no closure.
     """
-    ws = wdn_generators(n)
+    n = labels.n
+    ws = labels.generators
     if len(orbit) == 1:
-        return ws
+        return list(ws)
     target = wdn_order(n) // len(orbit)
     N_gens = list(gens)
     N = H
     if len(N) == target:
         return N_gens
-    conjugations = [enc_conjugation(w) for w in ws]
     for P, u in orbit.items():
-        for w, conj in zip(ws, conjugations):
-            s = enc_mul(enc_inv(orbit[frozenset(map(conj, P))]), enc_mul(w, u))
+        take = itemgetter(next(iter(P)), *P)
+        for w, perm in zip(ws, labels.perms):
+            s = enc_mul(enc_inv(orbit[frozenset(take(perm))]), enc_mul(w, u))
             if s in N:
                 continue
             N_gens.append(s)
@@ -760,8 +865,11 @@ def canonical_form(
 
     The least tuple(sorted(P)) over the conjugacy orbit of G's element
     set, which takes |W(D_n)| / |N_W(G)| conjugates rather than one per
-    element of W(D_n).  ``bound`` caps |G| and ``max_conjugators`` caps
-    |W(D_n)|; both raise ValueError when exceeded.
+    element of W(D_n).  The orbit is labelled over the conjugation closure
+    of G's elements, and labels order as their elements do, so the least
+    sorted label tuple is the least sorted element tuple.  ``bound`` caps
+    |G| and ``max_conjugators`` caps |W(D_n)|; both raise ValueError when
+    exceeded.
     """
     if G.order > bound:
         raise ValueError(f"group order {G.order} exceeds canonical_form bound {bound}")
@@ -771,4 +879,6 @@ def canonical_form(
         raise ValueError(
             f"|W(D_{n})| = {total} conjugators exceed max_conjugators={max_conjugators}"
         )
-    return (n, min(tuple(sorted(P)) for P in conjugacy_orbit(n, G.enc_set)))
+    labels = ConjugationLabels(n, G.enc_set)
+    least = min(tuple(sorted(P)) for P in conjugacy_orbit(labels, labels.of(G.enc_set)))
+    return (n, tuple(labels.encs[i] for i in least))

@@ -9,7 +9,7 @@ _full_cache = {}
 @pytest.fixture(scope="session")
 def guided_enumeration():
     """Memoized generator-guided enumeration; the rank 6/7 searches take
-    minutes to an hour, so the heavy tests share one run per rank."""
+    about 15 s and 70 s, so the heavy tests share one run per rank."""
 
     def run(n):
         if n not in _guided_cache:

@@ -3,10 +3,10 @@
 from itertools import combinations, permutations
 
 from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns
-from conich1.groups import closure
+from conich1.groups import closure, enc_closure, enc_conjugation, wdn_generators
 from conich1.intlinalg import LatticeBasis, kernel_of_rows
 from conich1.picard import phi_of_enc
-from conich1.signedperm import SignedPerm, enc_mul, identity_enc
+from conich1.signedperm import SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
 
 
 def iter_wdn(n):
@@ -17,6 +17,50 @@ def iter_wdn(n):
     for img in permutations(indices):
         for minus in evens:
             yield SignedPerm(n, img, minus)
+
+
+def conjugacy_orbit_by_bfs(n, encs):
+    """The checker for groups.conjugacy_orbit: the same breadth-first search
+    under conjugation by wdn_generators(n), on element sets instead of
+    labels.  Maps each conjugate P of set(encs) to the product u of the
+    generators along the search tree, with u S u^-1 = P."""
+    start = frozenset(encs)
+    ws = wdn_generators(n)
+    conjugations = [enc_conjugation(w) for w in ws]
+    transversal = {start: identity_enc(n)}
+    queue = [start]
+    for P in queue:  # queue grows while it is read
+        u = transversal[P]
+        for w, conj in zip(ws, conjugations):
+            Q = frozenset(map(conj, P))
+            if Q not in transversal:
+                transversal[Q] = enc_mul(w, u)
+                queue.append(Q)
+    return transversal
+
+
+def normalizer_generators_by_bfs(n, H, gens, orbit):
+    """The checker for groups.normalizer_generators, on an orbit of
+    conjugacy_orbit_by_bfs: the same Schreier generators in the same order,
+    each kept when it is not yet in N, until |N| = |W(D_n)| / |orbit|."""
+    ws = wdn_generators(n)
+    if len(orbit) == 1:
+        return list(ws)
+    target = wdn_order(n) // len(orbit)
+    N_gens = list(gens)
+    N = H
+    conjugations = [enc_conjugation(w) for w in ws]
+    for P, u in orbit.items():
+        if len(N) == target:
+            break
+        for w, conj in zip(ws, conjugations):
+            s = enc_mul(enc_inv(orbit[frozenset(map(conj, P))]), enc_mul(w, u))
+            if s not in N:
+                N_gens.append(s)
+                N = enc_closure(N_gens, n, cap=target)
+            if len(N) == target:
+                break
+    return N_gens
 
 
 def random_subgroup(G, rng, max_gens=2):

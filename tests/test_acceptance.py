@@ -5,6 +5,7 @@ are behind the 'heavy' marker (pytest -m heavy).
 """
 
 import random
+import resource
 import time
 
 import pytest
@@ -105,18 +106,29 @@ def test_criterion_5_tables(full_lattice, monkeypatch):
     print(f"\nPASS criterion 5: enumerate(4)=1, enumerate(5)=3 (both modes, {elapsed:.1f}s); tables n=8,9 verified")
 
 
+def walk_summary(res):
+    # the guided walk's work counters and this process's peak resident set
+    s = res.stats
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    return (
+        f"closures {s['closures']}, aborted {s['aborted_closures']}, capped {s['capped_closures']}, "
+        f"conjugacy tests {s['conjugacy_tests']}, ru_maxrss {rss} KiB"
+    )
+
+
 @pytest.mark.heavy
 def test_criterion_5_heavy_rank_6(guided_enumeration):
     res = guided_enumeration(6)
     assert len(res.entries) == 15
-    print("\nPASS criterion 5 (heavy): enumerate(6) = 15 classes")
+    assert res.stats["capped_closures"] == 0  # below rank 7 every clean subgroup is under the cap
+    print(f"\nPASS criterion 5 (heavy): enumerate(6) = 15 classes; {walk_summary(res)}")
 
 
 @pytest.mark.heavy
 def test_criterion_5_heavy_rank_7(guided_enumeration):
     res = guided_enumeration(7)
     assert len(res.entries) == 10
-    print("\nPASS criterion 5 (heavy): enumerate(7) = 10 classes")
+    print(f"\nPASS criterion 5 (heavy): enumerate(7) = 10 classes; {walk_summary(res)}")
 
 
 def test_criterion_6_projection_lemma():

@@ -113,8 +113,11 @@ def test_enumerate_5_guided_matches_table(guided_enumeration):
     assert sorted(e.name for e in res.entries) == sorted(row.name for row in rows)
     assert {e.canonical_key for e in res.entries} == {canonical_form(row.build(5)) for row in rows}
     # the walk's work is deterministic; a change here is a change of the search
-    stats = {k: res.stats[k] for k in ("closures", "aborted_closures", "conjugacy_tests", "clean_subgroup_classes")}
-    assert stats == {"closures": 3131, "aborted_closures": 2502, "conjugacy_tests": 81, "clean_subgroup_classes": 60}
+    keys = ("closures", "aborted_closures", "capped_closures", "conjugacy_tests", "clean_subgroup_classes")
+    stats = {k: res.stats[k] for k in keys}
+    assert stats == {
+        "closures": 807, "aborted_closures": 178, "capped_closures": 0, "conjugacy_tests": 81, "clean_subgroup_classes": 60,
+    }
 
 
 @pytest.mark.parametrize("n, count", [(4, 41), (5, 60)])

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import combinations, permutations
 from math import gcd
 
@@ -10,6 +11,7 @@ from conich1.classes import build_group, smallest_param_tuples
 from conich1.enumeration import CLEAN_SUBGROUP_CAP, TABLE_ROWS, _enumerate_full, clean_elements
 from conich1.groups import (
     ClassStore,
+    ConjugationLabels,
     FiniteGroup,
     _walk_levels,
     abelian_invariants,
@@ -34,7 +36,7 @@ from conich1.groups import (
     wdn_generators,
 )
 from conich1.signedperm import SignedPerm, parse_element, wdn_order
-from helpers import iter_wdn
+from helpers import conjugacy_orbit_by_bfs, iter_wdn, normalizer_generators_by_bfs
 
 
 def G(n, *texts):
@@ -272,13 +274,82 @@ def test_normalizer_matches_brute_force(n, count, full_lattice):
         reps = [H for H in reps if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean]
     assert len(reps) == count
     for H in reps:
-        orbit = conjugacy_orbit(n, H.enc_set)
+        labels = ConjugationLabels(n, H.enc_set)
+        orbit = conjugacy_orbit(labels, labels.of(H.enc_set))
         for P, u in orbit.items():
-            assert frozenset(map(enc_conjugation(u), H.enc_set)) == P
-        gens = normalizer_generators(n, H.enc_set, [g.enc for g in H.generators], orbit)
+            assert frozenset(map(enc_conjugation(u), H.enc_set)) == {labels.encs[i] for i in P}
+        gens = normalizer_generators(labels, H.enc_set, [g.enc for g in H.generators], orbit)
         N = enc_closure(gens, n)
         assert N == normalizer_by_brute_force(H), H
         assert len(N) * len(orbit) == wdn_order(n)
+
+
+def test_conjugation_labels():
+    # the closure of a set under W(D_n)-conjugation, sorted, with each
+    # generator's conjugation as a permutation of the sort positions
+    wdn = [g.enc for g in iter_wdn(4)]
+    grp = d41()
+    labels = ConjugationLabels(4, grp.enc_set)
+    closure_by_scan = {enc_mul(enc_mul(t, h), enc_inv(t)) for t in wdn for h in grp.enc_set}
+    assert labels.encs == tuple(sorted(closure_by_scan))
+    assert all(labels.index[e] == i for i, e in enumerate(labels.encs))
+    for w, perm in zip(wdn_generators(4), labels.perms):
+        assert perm == tuple(labels.index[enc_conjugation(w)(e)] for e in labels.encs)
+    assert labels.of(grp.enc_set) == frozenset(labels.index[e] for e in grp.enc_set)
+
+
+@pytest.mark.parametrize("n, count", [(4, 98), (5, 61)])
+def test_labelled_orbit_matches_encoding_bfs(n, count, full_lattice):
+    # the labelled orbit against the encoding BFS it replaced: the same
+    # points in the same order, the same transversal and the same normalizer
+    # generators; labelled over each group's own conjugation closure at n = 4,
+    # as canonical_form labels, and over the clean elements at n = 5, as
+    # guided mode does
+    reps, _ = full_lattice(n)
+    if n == 5:
+        clean = clean_elements(5)
+        clean_labels = ConjugationLabels(5, clean)
+        reps = [H for H in reps if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean]
+    assert len(reps) == count
+    for H in reps:
+        labels = ConjugationLabels(n, H.enc_set) if n == 4 else clean_labels
+        orbit = conjugacy_orbit(labels, labels.of(H.enc_set))
+        reference = conjugacy_orbit_by_bfs(n, H.enc_set)
+        assert [frozenset(labels.encs[i] for i in P) for P in orbit] == list(reference)
+        assert list(orbit.values()) == list(reference.values())
+        gens = list(H.spanning_encs)
+        assert normalizer_generators(labels, H.enc_set, gens, orbit) == normalizer_generators_by_bfs(
+            n, H.enc_set, gens, reference
+        )
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dropped_candidates_give_unclean_extensions(n, monkeypatch):
+    # every candidate the guided walk does not extend a kept class by, in
+    # its live orbits, closes with that class to a group that leaves the
+    # clean elements or exceeds the cap
+    clean = clean_elements(n)
+    candidates = prime_power_cyclic_generators(clean)
+    traced = []
+
+    def recording_live_orbits(H, *args, real=groups._live_orbits):
+        orbits = real(H, *args)
+        traced.append((H, {y for orbit in orbits for y in orbit}))
+        return orbits
+
+    monkeypatch.setattr(groups, "_live_orbits", recording_live_orbits)
+    walk = subgroup_walk(n, candidates, CLEAN_SUBGROUP_CAP, within=clean, store=ClassStore())
+    gens_of = {H.enc_set: list(H.spanning_encs) for H in walk.subgroups}
+    assert len(traced) == len(gens_of)  # every kept class, the trivial group too
+    dropped = 0
+    for H, live in traced:
+        for x in candidates:
+            if x in H or x in live:
+                continue
+            dropped += 1
+            K = enc_closure(gens_of[H] + [x], n, cap=CLEAN_SUBGROUP_CAP, within=clean, subgroup=H)
+            assert K is None, (H, x)
+    assert dropped > walk.closures
 
 
 def test_conjugating_element_roundtrip():
@@ -389,6 +460,12 @@ def test_canonical_form_invariance_rank5_fixture():
         assert canonical_form(grp.conjugate_by(t)) == key
 
 
+@cache
+def wdn_cycle_types(n):
+    # every element of W(D_n), with its signed cycle type
+    return {g.enc: enc_cycle_type(g.enc) for g in iter_wdn(n)}
+
+
 def bfs_closure(gens, n):
     # the reference: plain breadth-first products from the identity
     seen = {identity_enc(n)}
@@ -406,19 +483,26 @@ def test_coset_closure_matches_bfs(data):
     gens = data.draw(st.lists(wdn_encs(n), min_size=1, max_size=3))
     cap = data.draw(st.integers(1, 2000))
     K = bfs_closure(gens, n)
-    # reject a few elements, drawn from K or from all of W(D_n), or their
-    # cycle types, as guided mode rejects the unclean ones
+    # keep the closure inside W(D_n) without a few elements, drawn from K or
+    # from all of W(D_n), or without their cycle types, as guided mode keeps
+    # it inside the clean elements
     bad = set(data.draw(st.lists(st.sampled_from(sorted(K)) | wdn_encs(n), max_size=2)))
+    types = wdn_cycle_types(n)
     if data.draw(st.booleans()):
-        bad = {enc_cycle_type(e) for e in bad}
-        reject = (lambda e: enc_cycle_type(e) in bad) if bad else None
+        bad_types = {types[e] for e in bad}
+        within = frozenset(e for e, t in types.items() if t not in bad_types)
     else:
-        reject = (lambda e: e in bad) if bad else None
-    expected = None if len(K) > cap or (reject and any(map(reject, K))) else K
-    assert enc_closure(gens, n, cap=cap, reject=reject) == expected
+        within = frozenset(types).difference(bad)
+    if not bad:
+        within = None
+    expected = None if len(K) > cap or (within is not None and not K <= within) else K
+    capped = []
+    assert enc_closure(gens, n, cap=cap, within=within, on_cap=lambda: capped.append(cap)) == expected
+    if within is None or K <= within or len(K) <= cap:  # otherwise either check may stop it first
+        assert bool(capped) == (len(K) > cap)
     H = bfs_closure(gens[:-1], n)
-    if not (reject and any(map(reject, H))):  # the walker's H always passes reject
-        assert enc_closure(gens, n, cap=cap, reject=reject, subgroup=H) == expected
+    if within is None or H <= within:  # the walker's H always lies inside within
+        assert enc_closure(gens, n, cap=cap, within=within, subgroup=H) == expected
 
 
 def test_closure_extension_work_is_linear(monkeypatch):
@@ -456,9 +540,9 @@ def test_closure_extension_work_is_linear(monkeypatch):
     base = sylow2(closure([SignedPerm.from_enc(4, e) for e in wdn_generators(4)]))
     walked = []
 
-    def recording_closure(gens, n, cap, reject=None, subgroup=None, real=groups.enc_closure):
+    def recording_closure(gens, n, cap, within=None, subgroup=None, on_cap=None, real=groups.enc_closure):
         counts["products"] = 0
-        K = real(gens, n, cap=cap, reject=reject, subgroup=subgroup)
+        K = real(gens, n, cap=cap, within=within, subgroup=subgroup, on_cap=on_cap)
         walked.append((len(gens) - 1, subgroup, K, counts["products"]))
         return K
 
