@@ -189,7 +189,7 @@ def field_labeling(p: int, r: int) -> FieldLabeling:
         g = lab.elem(label)
         if all(lab.pow(g, (q - 1) // pd) != lab.one for pd in prime_divs):
             return FieldLabeling(p, r, modulus, g)
-    raise AssertionError("no multiplicative generator found")
+    raise RuntimeError("no multiplicative generator found")
 
 
 @dataclass(frozen=True)
@@ -485,7 +485,7 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
             ]
         )
         return gens, N, (6 * n + 3,)
-    raise AssertionError(f"unhandled class id {cid}")
+    raise RuntimeError(f"unhandled class id {cid}")
 
 
 def build_group(spec: ClassSpec) -> FiniteGroup:

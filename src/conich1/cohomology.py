@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
+    DEFAULT_SUBGROUP_BOUND,
     Enc,
     FiniteGroup,
     _cyclic_encs,
@@ -317,14 +318,14 @@ class H1ConditionResult:
 def h1_condition(
     G: FiniteGroup,
     route: str = "sylow2",
-    subgroup_bound: int = 2000,
     memo: dict[frozenset[Enc], bool] | None = None,
 ) -> H1ConditionResult:
     """(H1): H^1(H, Pic) = 0 for every subgroup H.
 
     The default route checks the subgroups of one Sylow 2-subgroup, which
     is equivalent; route='direct' enumerates all subgroups of G itself.
-    Past the enumeration bound only sampling runs, over the cyclic
+    When that group has more than groups.DEFAULT_SUBGROUP_BOUND elements,
+    the subgroups are not enumerated and only sampling runs, over the cyclic
     subgroups and then SAMPLED_PAIRS seeded random 2-generated ones: a
     failure is definitive, anything else is reported as undecided, never
     as a clean verdict.
@@ -353,7 +354,7 @@ def h1_condition(
         base = G
     else:
         raise ValueError(f"unknown route {route!r}")
-    if base.order > subgroup_bound:
+    if base.order > DEFAULT_SUBGROUP_BOUND:
         import random
 
         rng = random.Random(0)

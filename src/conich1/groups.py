@@ -16,6 +16,7 @@ from math import gcd
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
+from .intlinalg import IntMatrix, LatticeBasis, invariant_factors
 from .signedperm import (
     Enc,
     SignedPerm,
@@ -566,82 +567,36 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     return FiniteGroup.from_enc_set(n, P, gens)
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of the abelianization G/[G,G]."""
+    """Invariant factors d_1 | d_2 | ... of the abelianization A = G/[G,G].
+
+    A breadth-first search over the cosets of [G,G], along the stored
+    generators s_1..s_k, gives each coset c the word v_c in Z^k of its
+    search-tree path.  Each edge c --s--> cs gives the relation
+    v_c + e_s - v_cs (zero on tree edges); by Schreier's lemma these
+    generate all relations of A on the images of the s_i, so A is Z^k
+    modulo them, and its invariant factors are the Smith factors > 1.
+    """
+    gens = G.spanning_encs
     derived = G.derived_subgroup_encs()
-    rep: dict[Enc, Enc] = {}
-    for e in G.enc_sorted:
-        if e in rep:
-            continue
-        coset = sorted(enc_mul(e, d) for d in derived)
-        for c in coset:
-            rep[c] = coset[0]
-    cosets = sorted(set(rep.values()))
-    order = len(cosets)
-    if order == 1:
-        return ()
-    ident = identity_enc(G.n)
-
-    def cpow(a: Enc, k: int) -> Enc:
-        out = ident
-        base = a
-        while k:
-            if k & 1:
-                out = rep[enc_mul(out, base)]
-            base = rep[enc_mul(base, base)]
-            k >>= 1
-        return out
-
-    def exact_plog(x: int, p: int) -> int:
-        e = 0
-        while x > 1:
-            if x % p:
-                raise RuntimeError(f"{x} is not a power of {p}")
-            x //= p
-            e += 1
-        return e
-
-    ppowers: dict[int, list[int]] = {}
-    for p in _prime_factors(order):
-        # m_k = log_p #{a : a^(p^k) = 1} = sum_i min(k, e_i) over the p-exponents e_i
-        ms = [0]
-        k = 1
-        while True:
-            cnt = sum(1 for c in cosets if cpow(c, p**k) == ident)
-            mk = exact_plog(cnt, p)
-            if mk == ms[-1]:
-                break
-            ms.append(mk)
-            k += 1
-        ge = [ms[i] - ms[i - 1] for i in range(1, len(ms))]  # #factors with exponent >= i
-        exps: list[int] = []
-        for i, cnt in enumerate(ge, start=1):
-            nxt = ge[i] if i < len(ge) else 0
-            exps.extend([i] * (cnt - nxt))
-        ppowers[p] = sorted((p**e for e in exps), reverse=True)
-    width = max(len(v) for v in ppowers.values())
-    factors = []
-    for i in range(width):
-        f = 1
-        for vals in ppowers.values():
-            if i < len(vals):
-                f *= vals[i]
-        factors.append(f)
-    return tuple(sorted(factors))
+    coset_of = dict.fromkeys(derived, 0)
+    reps = [identity_enc(G.n)]
+    words = [[0] * len(gens)]
+    relations = []
+    for c, r in enumerate(reps):  # reps grows while it is read
+        for i, s in enumerate(gens):
+            x = enc_mul(r, s)
+            step = words[c][:]
+            step[i] += 1
+            d = coset_of.get(x)
+            if d is None:
+                coset_of.update(dict.fromkeys([enc_mul(x, y) for y in derived], len(reps)))
+                reps.append(x)
+                words.append(step)
+            else:
+                relations.append([a - b for a, b in zip(step, words[d])])
+    L = LatticeBasis.from_vectors(len(gens), relations)
+    return tuple(d for d in invariant_factors(IntMatrix.from_rows(L.rows)) if d > 1)
 
 
 def fingerprint(G: FiniteGroup) -> tuple:

@@ -39,10 +39,6 @@ class IntMatrix:
     def identity(cls, k: int) -> "IntMatrix":
         return cls(k, k, [1 if i == j else 0 for i in range(k) for j in range(k)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -93,14 +89,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * x for a, x in zip(self.row(i), v)) for i in range(self.rows))
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i * self.cols + j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
     def diagonal(self) -> Vector:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
 
@@ -109,38 +97,11 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}: {body})"
 
 
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _pivot_min_abs(m: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, int] | None:
     """Smallest-magnitude nonzero entry in the trailing submatrix.
 
     Scans column by column, so ties break leftmost-topmost; this fixes the
-    transforms U, V deterministically.
+    order of the elimination deterministically.
     """
     best = None
     best_abs = None
@@ -156,32 +117,20 @@ def _pivot_min_abs(m: list[list[int]], k: int, rows: int, cols: int) -> tuple[in
     return best
 
 
-def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (S, U, V) with U @ A @ V = S diagonal and d_1 | d_2 | ...
-
-    U and V are unimodular.  Total function: the zero and empty matrices
-    are their own Smith forms.
+def smith_normal_form(A: IntMatrix) -> IntMatrix:
+    """The Smith form S = U A V of A: diagonal with d_1 | d_2 | ..., for
+    unimodular U and V that are not built (tests/helpers.py runs the same
+    elimination with them as the checker).  Total function: the zero and
+    empty matrices are their own Smith forms.
     """
     rows, cols = A.rows, A.cols
     m = A.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
 
     def row_op(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j
         mi, mj = m[i], m[j]
         for c in range(cols):
             mi[c] -= q * mj[c]
-        ui, uj = u[i], u[j]
-        for c in range(rows):
-            ui[c] -= q * uj[c]
-
-    def col_op(i: int, j: int, q: int) -> None:
-        # col_i -= q * col_j
-        for r in range(rows):
-            m[r][i] -= q * m[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
 
     k = 0
     limit = min(rows, cols)
@@ -192,17 +141,11 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         i, j = loc
         if i != k:
             m[k], m[i] = m[i], m[k]
-            u[k], u[i] = u[i], u[k]
         if j != k:
-            for r in range(rows):
-                m[r][k], m[r][j] = m[r][j], m[r][k]
-            for r in range(cols):
-                v[r][k], v[r][j] = v[r][j], v[r][k]
+            for r in m:
+                r[k], r[j] = r[j], r[k]
         if m[k][k] < 0:
-            for c in range(cols):
-                m[k][c] = -m[k][c]
-            for c in range(rows):
-                u[k][c] = -u[k][c]
+            m[k] = [-x for x in m[k]]
 
         dirty = False
         for i in range(k + 1, rows):
@@ -216,7 +159,9 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if m[k][j]:
                 q = m[k][j] // m[k][k]
                 if q:
-                    col_op(j, k, q)
+                    # col_j -= q * col_k
+                    for r in m:
+                        r[j] -= q * r[k]
                 if m[k][j]:
                     dirty = True
         if dirty:
@@ -239,16 +184,12 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             continue
         k += 1
 
-    S = IntMatrix.from_rows(m) if rows else IntMatrix(0, cols, [])
-    U = IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, [])
-    V = IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, [])
-    return S, U, V
+    return IntMatrix.from_rows(m) if rows else IntMatrix(0, cols, [])
 
 
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form (including 1s)."""
-    S, _, _ = smith_normal_form(A)
-    return tuple(d for d in S.diagonal() if d != 0)
+    return tuple(d for d in smith_normal_form(A).diagonal() if d != 0)
 
 
 def _hnf_reduce(rows: list[list[int]], dim: int) -> list[Vector]:

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns
 from conich1.groups import closure, enc_closure, enc_conjugation, wdn_generators
-from conich1.intlinalg import LatticeBasis, kernel_of_rows
+from conich1.intlinalg import IntMatrix, LatticeBasis, _pivot_min_abs, kernel_of_rows
 from conich1.picard import phi_of_enc
 from conich1.signedperm import SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
 
@@ -154,3 +154,154 @@ def h1_by_cocycle_system(G, generators=None):
         z1_mod_f_rank=len(f_factors),
         f_minus1_in_span=f_minus1_in_f,
     )
+
+
+def determinant(A):
+    """Exact determinant of a square IntMatrix by fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    m = A.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def is_diagonal(A):
+    return all(A[i, j] == 0 for i in range(A.rows) for j in range(A.cols) if i != j)
+
+
+def smith_normal_form_with_transforms(A):
+    """The checker for intlinalg.smith_normal_form: the same elimination,
+    with the same pivot order, applied to identity matrices alongside A.
+    Returns (S, U, V) after asserting U A V = S, |det U| = |det V| = 1, S
+    diagonal and d_1 | d_2 | ... on its nonzero diagonal."""
+    rows, cols = A.rows, A.cols
+    m = A.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    v = IntMatrix.identity(cols).to_rows()
+
+    def row_op(i, j, q):
+        # row_i -= q * row_j, on m and u
+        for mat, width in ((m, cols), (u, rows)):
+            for c in range(width):
+                mat[i][c] -= q * mat[j][c]
+
+    def col_op(i, j, q):
+        # col_i -= q * col_j, on m and v
+        for mat in (m, v):
+            for r in mat:
+                r[i] -= q * r[j]
+
+    k = 0
+    while k < min(rows, cols):
+        loc = _pivot_min_abs(m, k, rows, cols)
+        if loc is None:
+            break
+        i, j = loc
+        m[k], m[i] = m[i], m[k]
+        u[k], u[i] = u[i], u[k]
+        for mat in (m, v):
+            for r in mat:
+                r[k], r[j] = r[j], r[k]
+        if m[k][k] < 0:
+            m[k] = [-x for x in m[k]]
+            u[k] = [-x for x in u[k]]
+        dirty = False
+        for i in range(k + 1, rows):
+            if m[i][k]:
+                row_op(i, k, m[i][k] // m[k][k])
+                dirty = dirty or m[i][k] != 0
+        for j in range(k + 1, cols):
+            if m[k][j]:
+                col_op(j, k, m[k][j] // m[k][k])
+                dirty = dirty or m[k][j] != 0
+        if dirty:
+            continue
+        fix = next((i for i in range(k + 1, rows) if any(x % m[k][k] for x in m[i][k + 1 :])), None)
+        if fix is not None:
+            row_op(k, fix, -1)
+            continue
+        k += 1
+
+    S = IntMatrix(rows, cols, [x for r in m for x in r])
+    U = IntMatrix(rows, rows, [x for r in u for x in r])
+    V = IntMatrix(cols, cols, [x for r in v for x in r])
+    assert U @ A @ V == S
+    assert abs(determinant(U)) == 1 and abs(determinant(V)) == 1
+    assert is_diagonal(S)
+    diag = [d for d in S.diagonal() if d]
+    assert all(d > 0 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    return S, U, V
+
+
+def abelian_invariants_by_counting(G):
+    """The checker for groups.abelian_invariants: the invariant factors of
+    G/[G,G] from counting, for each prime p, the cosets a with a^(p^k) = 1."""
+    derived = G.derived_subgroup_encs()
+    rep = {}
+    for e in G.enc_sorted:
+        if e not in rep:
+            coset = sorted(enc_mul(e, d) for d in derived)
+            rep.update(dict.fromkeys(coset, coset[0]))
+    cosets = sorted(set(rep.values()))
+    order = len(cosets)
+    ident = identity_enc(G.n)
+
+    def cpow(a, k):
+        out, base = ident, a
+        while k:
+            if k & 1:
+                out = rep[enc_mul(out, base)]
+            base = rep[enc_mul(base, base)]
+            k >>= 1
+        return out
+
+    def exact_plog(x, p):
+        e = 0
+        while x > 1:
+            assert x % p == 0, f"{x} is not a power of {p}"
+            x //= p
+            e += 1
+        return e
+
+    primes = [p for p in range(2, order + 1) if order % p == 0 and all(p % q for q in range(2, p))]
+    ppowers = {}
+    for p in primes:
+        # m_k = log_p #{a : a^(p^k) = 1} = sum_i min(k, e_i) over the p-exponents e_i
+        ms = [0]
+        while True:
+            mk = exact_plog(sum(1 for c in cosets if cpow(c, p ** len(ms)) == ident), p)
+            if mk == ms[-1]:
+                break
+            ms.append(mk)
+        ge = [ms[i] - ms[i - 1] for i in range(1, len(ms))]  # #factors with exponent >= i
+        exps = []
+        for i, cnt in enumerate(ge, start=1):
+            exps.extend([i] * (cnt - (ge[i] if i < len(ge) else 0)))
+        ppowers[p] = sorted((p**e for e in exps), reverse=True)
+    factors = []
+    for i in range(max((len(v) for v in ppowers.values()), default=0)):
+        f = 1
+        for vals in ppowers.values():
+            if i < len(vals):
+                f *= vals[i]
+        factors.append(f)
+    return tuple(sorted(factors))

@@ -7,7 +7,7 @@ import sys
 import jsonschema
 
 import conich1
-from conich1 import enumeration
+from conich1 import classes, enumeration
 from conich1.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_RANK, REPORT_SCHEMA, main
 
 
@@ -82,6 +82,27 @@ def test_class_command_bad_params(capsys):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "class", "--id", "1")
     assert code == EXIT_USAGE
+
+
+def test_class_command_refuses_unknown_id_and_rank_above_max(capsys, monkeypatch):
+    # both are refused with exit 2 before any group is closed
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(classes, "closure", no_closure)
+    for argv in (["--id", "0"], ["--id", "99", "--n", "1"]):
+        assert main(["class", *argv]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "class id must be 1..24" in captured.err, argv
+    for r, rank in (("4", 82), ("6", 730), ("9", 19684)):
+        assert main(["class", "--id", "2", "--p", "3", "--r", r]) == EXIT_USAGE, r
+        captured = capsys.readouterr()
+        assert captured.out == "", r
+        assert f"rank n must be at most {MAX_RANK}, got {rank}" in captured.err, r
+    monkeypatch.undo()
+    code, rep = run(capsys, "class", "--id", "2", "--p", "61", "--r", "1")
+    assert code == EXIT_OK
+    assert rep["result"]["rank"] == 62 and rep["result"]["verified"] is True
 
 
 def test_project_command(capsys):

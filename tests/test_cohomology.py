@@ -494,10 +494,11 @@ def test_h1_condition_oracle_calls_are_the_undecided_noncyclic_subgroups(monkeyp
         assert total_calls < total_checked / 2
 
 
-def test_h1_condition_unknown_on_bound():
+def test_h1_condition_unknown_on_bound(monkeypatch):
     # example 2 fails (H1) on a subgroup; past the bound the sampling scan
     # still finds that witness, so the verdict is a definitive False
-    res = h1_condition(example2(), subgroup_bound=4)
+    monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 4)
+    res = h1_condition(example2())
     assert res.ok is False and res.note
 
 
@@ -528,13 +529,15 @@ def test_two_torsion_enforced():
         _check_torsion((2, 4))
 
 
-def test_h1_condition_sampling_fallback():
+def test_h1_condition_sampling_fallback(monkeypatch):
     # with a tiny bound the Klein-type failure is still found by the scan
     bad = G(4, "c1 c2 c3 c4", "(1,2) (3,4)")
-    res = h1_condition(bad, subgroup_bound=2)
+    monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 2)
+    res = h1_condition(bad)
     assert res.ok is False and res.note
     # a group that does satisfy (H1) stays undecided past the bound,
     # never a clean True
     good = G(4, "c1 c2 c3 c4 (2,3)", "(1,2,3)")
-    res = h1_condition(good, subgroup_bound=1)
+    monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 1)
+    res = h1_condition(good)
     assert res.ok is None and "bound" in res.note

@@ -36,7 +36,7 @@ from conich1.groups import (
     wdn_generators,
 )
 from conich1.signedperm import SignedPerm, parse_element, wdn_order
-from helpers import conjugacy_orbit_by_bfs, iter_wdn, normalizer_generators_by_bfs
+from helpers import abelian_invariants_by_counting, conjugacy_orbit_by_bfs, iter_wdn, normalizer_generators_by_bfs
 
 
 def G(n, *texts):
@@ -414,6 +414,22 @@ def test_abelian_invariants():
     assert abelian_invariants(d41()) == (2,)
     assert abelian_invariants(G(6, "c1 c2 (1,2) (3,4,5)")) == (6,)
     assert abelian_invariants(closure([], n=3)) == ()
+
+
+def test_abelian_invariants_match_counting(full_lattice):
+    # the Smith form of the Schreier relations against p-power counting on
+    # every class of W(D_4) and W(D_5), every table row and the two smallest
+    # instances of each family
+    classes = full_lattice(4)[0] + full_lattice(5)[0]
+    tables = [row.build(n) for n in range(4, 10) for row in TABLE_ROWS[n]]
+    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=2)]
+    assert (len(classes), len(tables), len(families)) == (98 + 197, 46, 48)
+    seen = set()
+    for grp in classes + tables + families:
+        inv = abelian_invariants(grp)
+        assert inv == abelian_invariants_by_counting(grp), grp
+        seen.add(inv)
+    assert {(), (2,), (2, 2), (4,), (6,)} <= seen
 
 
 def test_subgroup_walk_s3():

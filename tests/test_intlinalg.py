@@ -1,8 +1,8 @@
 """Exact integer linear algebra kernel tests.
 
 Expected values marked as derived were computed against independent oracles
-in this file: brute-force kernel scans, coset counting by BFS, and Bareiss
-determinants.
+in this file: brute-force kernel scans and coset counting by BFS; the
+Smith form is checked against tests/helpers.py's elimination with transforms.
 """
 
 import itertools
@@ -11,10 +11,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conich1.cohomology import DEFAULT_ORACLE_BOUND, _generating_set, coboundary_columns
 from conich1.intlinalg import (
     IntMatrix,
     LatticeBasis,
-    determinant,
     integer_kernel,
     kernel_of_rows,
     lattice_equal,
@@ -22,25 +22,53 @@ from conich1.intlinalg import (
     quotient_invariants,
     smith_normal_form,
 )
+from helpers import smith_normal_form_with_transforms
 
 
 def snf_postconditions(A):
-    S, U, V = smith_normal_form(A)
-    assert U @ A @ V == S
-    assert abs(determinant(U)) == 1
-    assert abs(determinant(V)) == 1
-    diag = [d for d in S.diagonal() if d]
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0
-    assert S.is_diagonal()
+    # the checker asserts U A V = S with U, V unimodular, S diagonal and
+    # d_1 | d_2 | ...; production must give the same S without U and V
+    S, _, _ = smith_normal_form_with_transforms(A)
+    assert smith_normal_form(A) == S
     return S
 
 
 def test_snf_zero_1x1():
-    S, U, V = smith_normal_form(IntMatrix.from_rows([[0]]))
-    assert S.to_rows() == [[0]]
-    assert U.to_rows() == [[1]]
-    assert V.to_rows() == [[1]]
+    A = IntMatrix.from_rows([[0]])
+    assert smith_normal_form(A).to_rows() == [[0]]
+    S, U, V = smith_normal_form_with_transforms(A)
+    assert (S.to_rows(), U.to_rows(), V.to_rows()) == ([[0]], [[1]], [[1]])
+
+
+def test_snf_builds_one_intmatrix(monkeypatch):
+    # the transforms are not built: S is the only matrix a call constructs
+    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    W = IntMatrix(3, 12, [(5 * i + 7 * j) % 11 - 5 for i in range(3) for j in range(12)])
+    built = []
+    init = IntMatrix.__init__
+    monkeypatch.setattr(IntMatrix, "__init__", lambda self, *args: built.append(args[:2]) or init(self, *args))
+    assert smith_normal_form(A).diagonal() == (2, 6, 12)
+    assert built == [(3, 3)]
+    smith_normal_form(W)
+    assert built == [(3, 3), (3, 12)]
+
+
+@pytest.mark.parametrize("n, count", [(4, 98), (5, 195)])
+def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
+    # the HNF rows of F = <f_1..f_n> and B = F + <f_-1> that h1_oracle
+    # reduces, for every class within the oracle bound
+    reps, _ = full_lattice(n)
+    reps = [H for H in reps if H.order <= DEFAULT_ORACLE_BOUND]
+    assert len(reps) == count
+    for H in reps:
+        S = _generating_set(H, None)
+        if not S:
+            continue
+        cob = coboundary_columns(S, n)
+        F = LatticeBasis.from_vectors(len(S) * (n + 2), [cob[i] for i in range(1, n + 1)])
+        for lattice in (F, F.sum_with([cob[-1]])):
+            A = IntMatrix.from_rows(lattice.rows)
+            assert smith_normal_form(A) == smith_normal_form_with_transforms(A)[0], H
 
 
 def test_snf_2x2_coprime_diagonal():
