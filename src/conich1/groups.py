@@ -2,9 +2,10 @@
 and the conjugacy orbit of a subgroup (its normalizer and canonical form).
 
 Everything here runs on element encodings (SignedPerm.enc) with the
-primitives of signedperm (enc_mul, enc_inv, enc_order, enc_cycle_type),
-which this module re-exports; SignedPerm objects are the public value
-type and are built only on request (FiniteGroup.generators, .elements).
+primitives of signedperm (enc_mul, enc_inv, enc_order, enc_cycle_type,
+enc_dn_class), which this module re-exports; SignedPerm objects are the
+public value type and are built only on request (FiniteGroup.generators,
+.elements).
 Conjugacy orbits of subgroups run on labels instead, the sort positions
 of a conjugation-closed set of encodings (ConjugationLabels).
 """
@@ -21,6 +22,7 @@ from .signedperm import (
     Enc,
     SignedPerm,
     enc_cycle_type,
+    enc_dn_class,
     enc_inv,
     enc_mul,
     enc_order,
@@ -235,17 +237,28 @@ class FiniteGroup:
         return FiniteGroup.from_enc_set(self.n, map(conj, self.enc_set), [conj(e) for e in self.spanning_encs])
 
     def derived_subgroup_encs(self) -> frozenset[Enc]:
+        """[G,G], the normal closure of the commutators [s_i, s_j] of the
+        stored generators: G modulo it is abelian, as its generators commute.
+
+        The commutators are closed to D, and D's generators conjugated by
+        each s; D takes the conjugates outside it and is re-closed, until
+        every conjugate lies in D, which each s then normalizes.
+        """
         gens = self.spanning_encs
-        elems = self.enc_sorted
-        comms = set()
-        for a in elems:
-            ainv = enc_inv(a)
-            for b in gens:
-                comms.add(enc_mul(enc_mul(a, b), enc_mul(ainv, enc_inv(b))))
-        out = enc_closure(sorted(comms), self.n, cap=self.order + 1)
-        if out is None:
-            raise RuntimeError(f"derived subgroup outgrew its group of order {self.order}")
-        return out
+        D_gens = [
+            enc_mul(enc_mul(a, b), enc_mul(enc_inv(a), enc_inv(b))) for i, a in enumerate(gens) for b in gens[i + 1:]
+        ]
+        D = enc_closure(D_gens, self.n, cap=self.order)
+        conjugations = [enc_conjugation(s) for s in gens]
+        fresh = D_gens  # the conjugates of older generators lie in D already
+        while D is not None:
+            new = {x for conj in conjugations for x in map(conj, fresh) if x not in D}
+            if not new:
+                return D
+            fresh = sorted(new)
+            D_gens += fresh
+            D = enc_closure(D_gens, self.n, cap=self.order, subgroup=D)
+        raise RuntimeError(f"derived subgroup outgrew its group of order {self.order}")
 
 
 def closure(gens: Sequence[SignedPerm], n: int | None = None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -309,6 +322,10 @@ def _cyclic_encs(e: Enc) -> list[Enc]:
 class ClassStore:
     """Conjugacy-class dedup via fingerprint buckets + exact backtracking.
 
+    A bucket holds the stored groups of one fingerprint, which counts
+    elements per W(D_n)-class (enc_dn_class), so twins that only an odd
+    element of W(B_n) conjugates, such as H and c1 H c1 when the key
+    splits them (Carter, Compositio Math. 25, 1972), meet no test.
     ``count`` is the number of classes stored and ``tests`` the number of
     conjugacy tests made.  A walker given a store extends each stored class
     once per orbit of its normalizer, adds the size of each conjugacy orbit
@@ -600,16 +617,23 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def fingerprint(G: FiniteGroup) -> tuple:
-    """Cheap conjugation invariant used to bucket groups before exact tests.
+    """Cheap W(D_n)-conjugation invariant used to bucket groups before
+    exact tests: the order, the index and pair orbit sizes, and the number
+    of elements in each W(D_n)-class.
 
+    The classes are told apart by enc_dn_class, which refines the signed
+    cycle type (the W(B_n)-class) where W(D_n) splits it (Carter,
+    "Conjugacy classes in the Weyl group", Compositio Math. 25, 1972).
     Computed once per group, together with what conjugating_element reads
     on every test: the size of each symbol's pair orbit (G._pair_size) and
-    the elements bucketed by signed cycle type (G._by_type).
+    the elements bucketed by W(D_n)-class (G._by_type).
     """
     if G._fingerprint is None:
+        # at odd n W(D_n) splits no class, and the signed cycle type is the key
+        dn_class = enc_dn_class if G.n % 2 == 0 else enc_cycle_type
         by_type: dict[tuple, list[Enc]] = {}
         for e in G.enc_set:
-            by_type.setdefault(enc_cycle_type(e), []).append(e)
+            by_type.setdefault(dn_class(e), []).append(e)
         span = G.spanning_encs
         porbs = pair_orbits(G.n, span)
         pair_size = [0] * (2 * G.n)
@@ -629,9 +653,12 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
     """Some t in W(D_n) with t H1 t^{-1} = H2, or None.
 
     Backtracking over the images of 1^+..n^+, pruning with per-generator
-    candidate sets in H2 and pair-orbit size compatibility.  The pruning
-    reads H1's stored generators (every constructor stores generators that
-    generate), and an accepted t is checked on all of H1.
+    candidate sets in H2 and pair-orbit size compatibility.  A generator's
+    candidates are the elements of H2 in its W(D_n)-class (enc_dn_class;
+    Carter, Compositio Math. 25, 1972), so an image of the wrong half of a
+    split W(B_n)-class is never tried.  The pruning reads H1's stored
+    generators (every constructor stores generators that generate), and an
+    accepted t is checked for parity and on all of H1.
     """
     if H1.n != H2.n or H1.order != H2.order:
         return None
@@ -663,7 +690,7 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
 
     timage: dict[int, int] = {}  # symbol -> symbol, closed under pairing
     assigned: list[int] = []  # indices j (0-based) already placed
-    cands = [h2_by_type.get(t, []) for t in map(enc_cycle_type, gens)]
+    cands = [h2_by_type.get(t, []) for t in map(enc_dn_class, gens)]
 
     def filter_cands(cand: list[Enc], g: Enc) -> list[Enc]:
         # keep h with h(t(j^+)) = t(g(j^+)) wherever both sides are known

@@ -6,16 +6,16 @@ left: (a * b) means b acts first, so matrix representations satisfy
 Phi(a*b) = Phi(a) Phi(b) on column vectors.
 
 Symbols are the 2n objects j^+ / j^-, encoded as pairs (j, +1) / (j, -1).
-A SignedPerm stores its encoding (Enc).  Product, inverse, order and
-signed cycle type are the Enc functions below, which groups, cohomology
-and enumeration call directly on their hot paths.
+A SignedPerm stores its encoding (Enc).  Product, inverse, order, signed
+cycle type and W(D_n)-class are the Enc functions below, which groups,
+cohomology and enumeration call directly on their hot paths.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -61,6 +61,44 @@ def enc_cycle_type(a: Enc) -> tuple[tuple[int, int], ...]:
             w += 1
         out.append((w, flips % 2))
     return tuple(sorted(out))
+
+
+@cache  # one entry per signed cycle type met, so each type is checked once
+def _splits(cycle_type: tuple[tuple[int, int], ...]) -> bool:
+    """Whether W(D_n) splits this W(B_n)-class: every signed cycle has even
+    length and an even number of flips."""
+    return all(w % 2 == 0 and not odd for w, odd in cycle_type)
+
+
+def enc_dn_class(a: Enc) -> tuple[tuple[int, int], ...]:
+    """W(D_n)-conjugation invariant: the signed cycle type, which names the
+    W(B_n)-class, plus a trailing pair (0, bit) when that class splits.
+
+    In W(D_n) the W(B_n)-class of a splits into two classes exactly when
+    every signed cycle has even length and an even number of flips (Carter,
+    "Conjugacy classes in the Weyl group", Compositio Math. 25, 1972); that
+    needs n even.  Such an a fixes a sign vector v (a v = v), unique up to
+    negation on each cycle, and the cycles have even length, so the parity
+    of v's minus count is defined: that is the bit.  t a t^-1 fixes t v,
+    whose minus count has the parity of v's plus the number of flips of t:
+    even conjugators keep the bit and odd ones, such as c1, swap the two
+    classes.  So the key names the W(D_n)-class exactly.
+    """
+    ctype = enc_cycle_type(a)
+    if len(a) % 2 or not _splits(ctype):
+        return ctype
+    seen = [False] * len(a)
+    minus = 0
+    for start in range(len(a)):
+        sign = 0  # v_start = +1, then v_{a(j)} = (-1)^flip v_j along the cycle
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            minus += sign
+            s = a[j]
+            sign ^= s & 1
+            j = s >> 1
+    return ctype + ((0, minus & 1),)
 
 
 def enc_order(a: Enc) -> int:

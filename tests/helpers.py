@@ -252,10 +252,25 @@ def smith_normal_form_with_transforms(A):
     return S, U, V
 
 
+def derived_subgroup_by_all_commutators(G):
+    """The checker for FiniteGroup.derived_subgroup_encs: the closure of the
+    commutators [a, s] for every element a of G and stored generator s,
+    which generate [G,G] with no normal-closure argument."""
+    gens = G.spanning_encs
+    comms = set()
+    for a in G.enc_sorted:
+        ainv = enc_inv(a)
+        for b in gens:
+            comms.add(enc_mul(enc_mul(a, b), enc_mul(ainv, enc_inv(b))))
+    out = enc_closure(sorted(comms), G.n, cap=G.order + 1)
+    assert out is not None, f"derived subgroup outgrew its group of order {G.order}"
+    return out
+
+
 def abelian_invariants_by_counting(G):
     """The checker for groups.abelian_invariants: the invariant factors of
     G/[G,G] from counting, for each prime p, the cosets a with a^(p^k) = 1."""
-    derived = G.derived_subgroup_encs()
+    derived = derived_subgroup_by_all_commutators(G)
     rep = {}
     for e in G.enc_sorted:
         if e not in rep:

@@ -180,7 +180,7 @@ FROZEN_REPORTS = [
     (["enumerate", "-n", "5"], EXIT_OK, "3121abf263aa9108978cbe162c32702adf0ade45e5ad1d13d750753aae1c7139"),
     (["verify-tables", "-n", "9"], EXIT_OK, "7663a265046c6f40ebc2faaa1c48bf2fbc2e47f748226028e84e5ebceddde836"),
     (["enumerate", "-n", "4", "--mode", "full"], EXIT_OK, "d2220fda7afbb2edad816a52249473a111a3be1723f7416be62911a06b21406a"),
-    (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK, "64d44100f16114e2f1080472877b53212667156a512963e3fe8f2f5c101f1616"),
+    (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK, "b854f69dc86444c64a07bd13030aded0d52a72a53b6ebba88ede760e4fc0c4ea"),
     (["enumerate", "-n", "5", "--mode", "generator_guided"], EXIT_OK, "f33b3dfc07b72c38f8691aec2228e8de7d2eab95625c7200253b4cab07d90f1f"),
     (["verify-tables", "-n", "4"], EXIT_OK, "e3a95bb212526acf911cb83b7a5bfea31bfb78638caa5baed40160e3924f2be5"),
     (["verify-tables", "-n", "5"], EXIT_OK, "c66b2b34169d73be115ce3cc4f548099161dc5095fad87d10fe0b14f2230121b"),

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from conich1 import groups
 from conich1.cohomology import h1_condition_cyclic
 from conich1.enumeration import (
     CLEAN_SUBGROUP_CAP,
@@ -35,6 +36,17 @@ def test_verify_tables(n):
     rep = verify_tables(n)
     assert rep.all_ok, [r.row_id for r in rep.rows if not r.all_ok]
     assert rep.pairwise_distinct
+
+
+def test_verify_tables_needs_no_conjugacy_search(monkeypatch):
+    # the rows of each rank differ in fingerprint, W(D_n)-class key
+    # included, so proving them pairwise distinct runs no backtrack
+    calls = []
+    search = groups.conjugating_element
+    monkeypatch.setattr(groups, "conjugating_element", lambda *pair: calls.append(pair) or search(*pair))
+    for n in range(4, 10):
+        assert verify_tables(n).pairwise_distinct
+    assert calls == []
 
 
 def test_verify_tables_unknown_rank():
@@ -146,6 +158,18 @@ def test_enumerate_5_both_modes_heavy():
     guided = enumerate_wdn(5, "generator_guided")
     assert len(full.entries) == len(guided.entries) == 3
     assert {e.canonical_key for e in full.entries} == {e.canonical_key for e in guided.entries}
+
+
+def test_enumerate_6_guided_matches_table(guided_enumeration):
+    res = guided_enumeration(6)
+    assert [(e.name, e.order) for e in res.entries] == [(row.name, row.order) for row in TABLE_ROWS[6]]
+    # the walk's work is deterministic; a change here is a change of the search
+    keys = ("closures", "aborted_closures", "capped_closures", "conjugacy_tests", "clean_subgroup_classes")
+    stats = {k: res.stats[k] for k in keys}
+    assert stats == {
+        "closures": 9533, "aborted_closures": 2076, "capped_closures": 0, "conjugacy_tests": 1076,
+        "clean_subgroup_classes": 281,
+    }
 
 
 @pytest.mark.heavy

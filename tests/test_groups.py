@@ -35,8 +35,14 @@ from conich1.groups import (
     sylow2,
     wdn_generators,
 )
-from conich1.signedperm import SignedPerm, parse_element, wdn_order
-from helpers import abelian_invariants_by_counting, conjugacy_orbit_by_bfs, iter_wdn, normalizer_generators_by_bfs
+from conich1.signedperm import SignedPerm, enc_dn_class, parse_element, wdn_order
+from helpers import (
+    abelian_invariants_by_counting,
+    conjugacy_orbit_by_bfs,
+    derived_subgroup_by_all_commutators,
+    iter_wdn,
+    normalizer_generators_by_bfs,
+)
 
 
 def G(n, *texts):
@@ -364,15 +370,25 @@ def test_conjugating_element_roundtrip():
     assert not are_conjugate(G(4, "c1 c2"), G(4, "c1 c2 (1,2)"))
 
 
-def test_conjugating_element_checks_the_whole_group():
+def test_conjugating_element_checks_the_whole_group(monkeypatch):
     # the search prunes with the stored generators, and an accepted
     # conjugator is still checked on every element: stored generators that
-    # generate only a subgroup cannot make it report a false conjugacy
-    A, B = G(4, "(3,4)", "(1,2)"), G(4, "(3,4)", "c1 c2 (1,2)")
-    assert not are_conjugate(A, B)
-    first_only = [FiniteGroup.from_enc_set(4, H.enc_set, [H.generators[0].enc]) for H in (A, B)]
+    # generate only a subgroup cannot make it report a false conjugacy.
+    # The pair is one of the equal-fingerprint refutations of guided rank 6.
+    A, B = G(6, "(3,4) (5,6)", "(1,2) (5,6)"), G(6, "(3,4) (5,6)", "c1 c2 (1,2) (5,6)")
+    assert fingerprint(A) == fingerprint(B) and not are_conjugate(A, B)
+    first_only = [FiniteGroup.from_enc_set(6, H.enc_set, [H.generators[0].enc]) for H in (A, B)]
     assert fingerprint(first_only[0]) == fingerprint(first_only[1])
+    leaves = []  # conjugators that pass the generator and parity checks
+    conjugation = groups.enc_conjugation
+    monkeypatch.setattr(groups, "enc_conjugation", lambda t: leaves.append(t) or conjugation(t))
     assert conjugating_element(*first_only) is None
+    assert leaves
+    # the rank-4 pair this test used before is a c1 twin, which the
+    # W(D_n)-class key now tells apart before any search
+    old = G(4, "(3,4)", "(1,2)"), G(4, "(3,4)", "c1 c2 (1,2)")
+    assert are_conjugate(old[0].conjugate_by(parse_element("c1", 4)), old[1])
+    assert fingerprint(old[0]) != fingerprint(old[1])
 
 
 def test_constructors_store_generators_that_generate():
@@ -402,11 +418,44 @@ def test_constructors_store_generators_that_generate():
 
 
 def test_fingerprint_is_conjugation_invariant():
+    # also on the rank-6 table rows, whose elements fill split W(D_6)-classes
     rng = random.Random(5)
-    grp = d41()
-    fp = fingerprint(grp)
-    for _ in range(20):
-        assert fingerprint(grp.conjugate_by(rand_wdn(rng, 4))) == fp
+    for grp in [d41()] + [row.build(6) for row in TABLE_ROWS[6]]:
+        fp = fingerprint(grp)
+        for _ in range(10):
+            assert fingerprint(grp.conjugate_by(rand_wdn(rng, grp.n))) == fp, grp
+
+
+@pytest.mark.parametrize("n, count", [(2, 4), (3, 5), (4, 13), (5, 18), (6, 37)])
+def test_dn_class_key_is_exact(n, count):
+    # enc_dn_class is constant on each W(D_n)-class and has one value per
+    # class: as many keys as classes, counted by brute force
+    wdn = enc_closure(wdn_generators(n), n, cap=wdn_order(n))
+    conjugations = [enc_conjugation(w) for w in wdn_generators(n)]
+    for e in wdn:
+        assert all(enc_dn_class(conj(e)) == enc_dn_class(e) for conj in conjugations)
+    left, classes = set(wdn), 0
+    while left:
+        cls = [left.pop()]
+        for e in cls:  # cls grows while it is read
+            for conj in conjugations:
+                f = conj(e)
+                if f in left:
+                    left.remove(f)
+                    cls.append(f)
+        classes += 1
+    assert classes == count == len(set(map(enc_dn_class, wdn)))
+
+
+def test_fingerprint_separates_the_rank6_twins():
+    # each pair is W(B_6)- but not W(D_6)-conjugate: c1 maps one row into
+    # the other's W(D_6)-class, and the rows differ in fingerprint
+    rows = {row.row_id: row.build(6) for row in TABLE_ROWS[6]}
+    c1 = parse_element("c1", 6)
+    for a, b in [("D6(3)", "D6(4)"), ("D6(7)", "D6(8)"), ("D6(9)", "D6(10)"), ("D6(12)", "D6(13)"), ("D6(14)", "D6(15)")]:
+        A, B = rows[a], rows[b]
+        assert are_conjugate(A.conjugate_by(c1), B), (a, b)
+        assert fingerprint(A) != fingerprint(B), (a, b)
 
 
 def test_abelian_invariants():
@@ -417,15 +466,17 @@ def test_abelian_invariants():
 
 
 def test_abelian_invariants_match_counting(full_lattice):
-    # the Smith form of the Schreier relations against p-power counting on
-    # every class of W(D_4) and W(D_5), every table row and the two smallest
-    # instances of each family
+    # the Smith form of the Schreier relations against p-power counting, and
+    # the normal closure of the generator commutators against the closure of
+    # all [a, s], on every class of W(D_4) and W(D_5), every table row and
+    # the two smallest instances of each family
     classes = full_lattice(4)[0] + full_lattice(5)[0]
     tables = [row.build(n) for n in range(4, 10) for row in TABLE_ROWS[n]]
     families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=2)]
     assert (len(classes), len(tables), len(families)) == (98 + 197, 46, 48)
     seen = set()
     for grp in classes + tables + families:
+        assert grp.derived_subgroup_encs() == derived_subgroup_by_all_commutators(grp), grp
         inv = abelian_invariants(grp)
         assert inv == abelian_invariants_by_counting(grp), grp
         seen.add(inv)
