@@ -629,11 +629,9 @@ def fingerprint(G: FiniteGroup) -> tuple:
     the elements bucketed by W(D_n)-class (G._by_type).
     """
     if G._fingerprint is None:
-        # at odd n W(D_n) splits no class, and the signed cycle type is the key
-        dn_class = enc_dn_class if G.n % 2 == 0 else enc_cycle_type
         by_type: dict[tuple, list[Enc]] = {}
         for e in G.enc_set:
-            by_type.setdefault(dn_class(e), []).append(e)
+            by_type.setdefault(enc_dn_class(e), []).append(e)
         span = G.spanning_encs
         porbs = pair_orbits(G.n, span)
         pair_size = [0] * (2 * G.n)

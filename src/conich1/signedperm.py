@@ -85,7 +85,7 @@ def enc_dn_class(a: Enc) -> tuple[tuple[int, int], ...]:
     classes.  So the key names the W(D_n)-class exactly.
     """
     ctype = enc_cycle_type(a)
-    if len(a) % 2 or not _splits(ctype):
+    if not _splits(ctype):
         return ctype
     seen = [False] * len(a)
     minus = 0

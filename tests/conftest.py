@@ -9,7 +9,7 @@ _full_cache = {}
 @pytest.fixture(scope="session")
 def guided_enumeration():
     """Memoized generator-guided enumeration; the rank 6/7 searches take
-    about 8 s and 70 s, so the tests at each rank share one run."""
+    about 8 s and 80 s, so the tests at each rank share one run."""
 
     def run(n):
         if n not in _guided_cache:

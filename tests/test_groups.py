@@ -422,7 +422,7 @@ def test_fingerprint_is_conjugation_invariant():
     rng = random.Random(5)
     for grp in [d41()] + [row.build(6) for row in TABLE_ROWS[6]]:
         fp = fingerprint(grp)
-        for _ in range(10):
+        for _ in range(20):
             assert fingerprint(grp.conjugate_by(rand_wdn(rng, grp.n))) == fp, grp
 
 
