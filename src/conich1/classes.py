@@ -17,7 +17,7 @@ from itertools import product as iproduct
 from .conditions import relative_minimality
 from .cohomology import h1_condition
 from .groups import FiniteGroup, closure, index_orbits
-from .signedperm import SignedPerm, sigma
+from .signedperm import SignedPerm, format_element, sigma
 
 Poly = tuple[int, ...]
 
@@ -576,8 +576,6 @@ def class_catalog() -> list[dict]:
     for cid in range(1, 25):
         spec = smallest_param_tuples(cid, count=1)[0]
         gens, N, profile = class_generators(spec)
-        from .signedperm import format_element
-
         out.append(
             {
                 "id": cid,

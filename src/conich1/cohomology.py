@@ -26,15 +26,15 @@ from .groups import (
     enc_cycle_type,
     identity_enc,
     index_orbits,
-    prime_power_cyclic_generators,
+    prime_power_cyclics,
     sylow2,
 )
 from .intlinalg import IntMatrix, LatticeBasis, invariant_factors, quotient_invariants
 from .picard import phi_of_enc
 from .signedperm import SignedPerm, sigma
 
-DEFAULT_ORACLE_BOUND = 512
 SAMPLED_PAIRS = 64  # random 2-generated subgroups h1_condition tries past its bound
+SAMPLED_CLOSURE_CAP = 512  # a sampled pair closing to more elements is skipped
 
 
 class TorsionError(RuntimeError):
@@ -108,11 +108,7 @@ def coboundary_columns(gens: list[Enc], n: int) -> dict[int, tuple[int, ...]]:
     return {i: tuple(v) for i, v in cols.items()}
 
 
-def h1_oracle(
-    G: FiniteGroup,
-    generators: list[SignedPerm] | None = None,
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> H1Report:
+def h1_oracle(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1Report:
     """Z^1/B^1 as the torsion of Z^D/B^1, read off the coboundaries alone.
 
     In the coordinates (f(s))_{s in S}, D = |S|(n+2), Z^1 is the integer
@@ -123,12 +119,9 @@ def h1_oracle(
     torsion of Z^D/F for F = <f_1..f_n>, since the half-sum identity puts
     f_-1 in the rational span of F.  Nothing walks G: phi is evaluated
     once per generator.  tests/helpers.py keeps the full cocycle system
-    over the Cayley graph as the slow ground truth.  ``bound`` no longer
-    limits any work; it stays because h1_condition's sampling fallback and
-    the CLI's errors are defined by it.
+    over the Cayley graph as the slow ground truth.  The cost does not
+    grow with |G|, so no order bound applies.
     """
-    if G.order > bound:
-        raise ValueError(f"group order {G.order} exceeds oracle bound {bound}")
     n = G.n
     S = _generating_set(G, generators)
     if not S:
@@ -326,9 +319,9 @@ def h1_condition(
     is equivalent; route='direct' enumerates all subgroups of G itself.
     When that group has more than groups.DEFAULT_SUBGROUP_BOUND elements,
     the subgroups are not enumerated and only sampling runs, over the cyclic
-    subgroups and then SAMPLED_PAIRS seeded random 2-generated ones: a
-    failure is definitive, anything else is reported as undecided, never
-    as a clean verdict.
+    subgroups and then SAMPLED_PAIRS seeded random 2-generated ones (those
+    of order at most SAMPLED_CLOSURE_CAP): a failure is definitive,
+    anything else is reported as undecided, never as a clean verdict.
 
     Within the bound the subgroups are checked in (order, sorted element
     encodings) order, and the witness of a failure is the least failing
@@ -364,7 +357,7 @@ def h1_condition(
         for i in range(SAMPLED_PAIRS):
             gens = [base.elements[rng.randrange(base.order)] for _ in range(2)]
             try:
-                H = closure(gens, n=G.n, cap=DEFAULT_ORACLE_BOUND)
+                H = closure(gens, n=G.n, cap=SAMPLED_CLOSURE_CAP)
             except ValueError:
                 continue
             if h1_oracle(H).f2_rank:
@@ -372,7 +365,7 @@ def h1_condition(
         return H1ConditionResult(None, None, route, SAMPLED_PAIRS, "subgroup enumeration bound exceeded")
     pending: list[tuple[int, tuple[Enc, ...], frozenset[Enc], list[Enc]]] = []
     checked = 0
-    levels = _walk_levels(base.n, prime_power_cyclic_generators(base.enc_set), cap=base.order)
+    levels = _walk_levels(base.n, prime_power_cyclics(base.enc_set), cap=base.order)
     for d, (level, _, aborted) in enumerate(levels):
         if aborted:
             raise RuntimeError(f"a closure inside a group of order {base.order} outgrew it")

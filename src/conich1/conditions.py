@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cohomology import h1_condition
 from .groups import Enc, FiniteGroup, enc_closure, enc_mul, identity_enc, index_orbits, pair_orbits
-from .intlinalg import LatticeBasis, lattice_equal
-from .picard import fixed_sublattice, minimal_lattice, phi_of_enc
+from .picard import fixed_sublattice, phi_of_enc
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,15 @@ def fiber_pair_condition(G: FiniteGroup) -> bool:
 
 
 def relative_minimality(G: FiniteGroup) -> bool:
-    """True iff the fixed sublattice of Pic is exactly Z l_0 + Z K_X."""
+    """True iff the fixed sublattice Pic^G is exactly Z l_0 + Z K_X.
+
+    Pic^G always holds Z l_0 + Z K_X, which is saturated of rank 2, and
+    Pic^G is saturated, so they are equal iff rk Pic^G = 2.  The trivial
+    group fixes all of Pic, of rank n + 2 > 2.
+    """
     ident = identity_enc(G.n)
     mats = [phi_of_enc(e) for e in G.spanning_encs if e != ident]
-    fixed = fixed_sublattice(mats) if mats else LatticeBasis.full(G.n + 2)
-    return lattice_equal(fixed, minimal_lattice(G.n))
+    return bool(mats) and fixed_sublattice(mats).rank == 2
 
 
 def orbit_count_filter(G: FiniteGroup) -> bool:
@@ -140,8 +144,6 @@ class ConditionReport:
 
 def check_conditions(G: FiniteGroup) -> ConditionReport:
     """The full obstruction panel for one group."""
-    from .cohomology import h1_condition
-
     dec = orbits(G)
     cond = h1_condition(G)
     return ConditionReport(

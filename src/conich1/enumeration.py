@@ -4,13 +4,13 @@ verification of the bundled per-rank reference tables.
 Two modes:
 
 * full (n <= 5): the complete subgroup lattice up to W(D_n)-conjugacy,
-  grown by prime-power cyclic extensions, one coset step each, over the
-  right-regular table of W(D_n), with conjugation-orbit dedup, then
-  filtered.  It is the independent reference that guided mode is tested
-  against.
+  grown by the candidates of groups.prime_power_cyclics, one coset step
+  each, over the right-regular table of W(D_n), with conjugation-orbit
+  dedup, then filtered.  It is the independent reference that guided
+  mode is tested against.
 * generator_guided (n <= 7): groups.subgroup_walk, the walker behind
-  groups.all_subgroups, over the prime-power cyclic generators of the
-  "clean" elements (those whose cyclic group has trivial H^1), with the
+  groups.all_subgroups, over groups.prime_power_cyclics of the "clean"
+  elements (those whose cyclic group has trivial H^1), with the
   clean set as its ``within``: a closure that meets an unclean element
   aborts, and a candidate x is dropped before its orbit is traced when
   the coset Hx meets one.  It keeps one subgroup per W(D_n)-class in a
@@ -40,16 +40,17 @@ from .groups import (
     abelian_invariants,
     are_conjugate,
     canonical_form,
+    closure,
     enc_closure,
     enc_cycle_type,
     enc_mul,
     identity_enc,
     index_orbits,
-    prime_power_cyclic_generators,
+    prime_power_cyclics,
     subgroup_walk,
     wdn_generators,
 )
-from .signedperm import SignedPerm, format_element, wdn_order
+from .signedperm import SignedPerm, format_element, parse_element, wdn_order
 
 FULL_MODE_MAX_RANK = 5
 GUIDED_MODE_MAX_RANK = 7
@@ -155,7 +156,7 @@ def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
         return itemgetter(*right[right[g].index(ident)])(left_g)  # q -> g*(q*g^-1)
 
     w_conjugations = [conjugation(index[w]) for w in wdn_generators(n)]
-    ppow = [index[e] for e in prime_power_cyclic_generators(encs)]
+    ppow = [index[e] for e in dict.fromkeys(prime_power_cyclics(encs).values())]
     trivial = frozenset({ident})
     seen: set[frozenset[int]] = {trivial}
     class_reps: list[tuple[frozenset[int], list[int]]] = [(trivial, [])]
@@ -231,12 +232,12 @@ def _enumerate_guided(n: int, cap: int = CLEAN_SUBGROUP_CAP) -> tuple[list[Finit
     intermediate subgroups by the walker's prime-power extensions.
     """
     clean = clean_elements(n)
-    candidates = prime_power_cyclic_generators(clean)
+    cyclic = prime_power_cyclics(clean)
     store = ClassStore()
-    walk = subgroup_walk(n, candidates, cap, within=clean, store=store)
+    walk = subgroup_walk(n, cyclic, cap, within=clean, store=store)
     stats = {
         "clean_elements": len(clean),
-        "clean_cyclic_candidates": len(candidates),
+        "clean_cyclic_candidates": len(set(cyclic.values())),
         "clean_subgroup_classes": store.count,
         "closures": walk.closures,
         "aborted_closures": walk.aborted,
@@ -300,9 +301,6 @@ class TableRow:
     note: str = ""
 
     def build(self, n: int) -> FiniteGroup:
-        from .groups import closure
-        from .signedperm import parse_element
-
         if self.class_id is not None:
             spec = ClassSpec(self.class_id, dict(self.class_params or ()))
             G = build_group(spec)

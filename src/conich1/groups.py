@@ -13,7 +13,6 @@ of a conjugation-closed set of encodings (ConjugationLabels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
@@ -33,7 +32,6 @@ from .signedperm import (
 
 DEFAULT_CLOSURE_CAP = 100000
 DEFAULT_SUBGROUP_BOUND = 2000
-DEFAULT_CANONICAL_BOUND = 512
 
 
 def wdn_generators(n: int) -> list[Enc]:
@@ -123,9 +121,10 @@ def _right_coset(H: Sequence[Enc], y: Enc) -> list[Enc]:
     return [tuple([h[k] ^ f for k, f in pairs]) for h in H]
 
 
-def index_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
-    """Orbits of the projected permutation group on {1..n}, sorted by min."""
-    parent = list(range(n))
+def _orbits(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes of {0..size-1} joined by ``links``, by union-find; each
+    class ascending, the classes sorted by least member."""
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -133,37 +132,26 @@ def index_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for e in encs:
-        for j, s in enumerate(e):
-            a, b = find(j), find(s >> 1)
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for j in range(n):
-        groups.setdefault(find(j), []).append(j + 1)
-    return sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0])
+    for a, b in links:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    classes: dict[int, list[int]] = {}
+    for x in range(size):
+        classes.setdefault(find(x), []).append(x)
+    return sorted(classes.values())
+
+
+def index_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
+    """Orbits of the projected permutation group on {1..n}, sorted by min."""
+    links = ((j, s >> 1) for e in encs for j, s in enumerate(e))
+    return [tuple(j + 1 for j in o) for o in _orbits(n, links)]
 
 
 def pair_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
     """Orbits on the 2n symbols; symbols are 2(j-1) for j^+ and 2(j-1)+1 for j^-."""
-    parent = list(range(2 * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in encs:
-        for j, s in enumerate(e):
-            for bit in (0, 1):
-                a, b = find(2 * j + bit), find(s ^ bit)
-                if a != b:
-                    parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for x in range(2 * n):
-        groups.setdefault(find(x), []).append(x)
-    return sorted((tuple(sorted(v)) for v in groups.values()), key=lambda t: t[0])
+    links = ((2 * j + bit, s ^ bit) for e in encs for j, s in enumerate(e) for bit in (0, 1))
+    return [tuple(o) for o in _orbits(2 * n, links)]
 
 
 class FiniteGroup:
@@ -287,27 +275,27 @@ class SubgroupList:
     subgroups: tuple[FiniteGroup, ...]
 
 
-def prime_power_cyclic_generators(encs: Iterable[Enc]) -> list[Enc]:
-    """One generator per cyclic subgroup of prime-power order: the least
-    element of ``encs`` that generates it."""
-    seen: set[frozenset[Enc]] = set()
-    out: list[Enc] = []
+def prime_power_cyclics(encs: Iterable[Enc]) -> dict[Enc, Enc]:
+    """Each generator of a cyclic subgroup of prime-power order generated by
+    an element of ``encs`` -> the least element of ``encs`` generating it.
+
+    One pass over ``encs`` in sorted order: an element not yet mapped is
+    the least generator of its cyclic group, whose powers are computed
+    once.  The values, in the order they first appear, are one generator
+    per such subgroup.
+    """
+    table: dict[Enc, Enc] = {}
     for e in sorted(encs):
-        k = enc_order(e)
-        if k == 1:
+        if e in table or (k := enc_order(e)) == 1:
             continue
-        # prime power orders only
-        p = min(q for q in range(2, k + 1) if k % q == 0)
-        kk = k
-        while kk % p == 0:
-            kk //= p
-        if kk != 1:
-            continue
-        cyc = frozenset(_cyclic_encs(e))
-        if cyc not in seen:
-            seen.add(cyc)
-            out.append(e)
-    return out
+        p = next(q for q in range(2, k + 1) if k % q == 0)  # the least prime factor
+        while k % p == 0:
+            k //= p
+        if k != 1:
+            continue  # not of prime-power order
+        powers = _cyclic_encs(e)
+        table.update((powers[i], e) for i in range(1, len(powers)) if i % p)
+    return table
 
 
 def _cyclic_encs(e: Enc) -> list[Enc]:
@@ -366,21 +354,21 @@ class SubgroupWalk:
 
 def subgroup_walk(
     n: int,
-    candidates: Sequence[Enc],
+    cyclic: dict[Enc, Enc],
     cap: int,
     within: AbstractSet[Enc] | None = None,
     store: ClassStore | None = None,
 ) -> SubgroupWalk:
     """Breadth-first cyclic-extension walk of a subgroup lattice.
 
-    ``candidates`` holds one generator per cyclic subgroup, the least one
-    when they come from prime_power_cyclic_generators.  Starting from the
-    trivial group, each kept subgroup H = <gens> is extended to
-    <gens, x>, closed by enc_closure under ``cap`` and inside ``within``,
-    for one candidate x per orbit of candidate cyclic subgroups, the least
-    candidate of the orbit.  The orbits are traced by conjugating with
-    gens: if <h x h^-1> = <y> for h in H, then <H, x> = <H, y>.  Literal
-    element sets are kept once.
+    ``cyclic`` maps each generator of a candidate cyclic subgroup to the
+    candidate that stands for it, as prime_power_cyclics does; the
+    candidates are its values.  Starting from the trivial group, each kept
+    subgroup H = <gens> is extended to <gens, x>, closed by enc_closure
+    under ``cap`` and inside ``within``, for one candidate x per orbit of
+    candidate cyclic subgroups, the least candidate of the orbit.  The
+    orbits are traced by conjugating with gens: if <h x h^-1> = <y> for h
+    in H, then <H, x> = <H, y>.  Literal element sets are kept once.
 
     Given ``within``, a candidate x is dropped before its orbit is traced
     when the coset Hx leaves ``within``, for then so does <H, x>, and an
@@ -406,14 +394,14 @@ def subgroup_walk(
     """
     kept: list[FiniteGroup] = []
     closures = aborted = 0
-    for level, closures, aborted in _walk_levels(n, candidates, cap, within, store):
+    for level, closures, aborted in _walk_levels(n, cyclic, cap, within, store):
         kept.extend(G if G is not None else FiniteGroup.from_enc_set(n, K, gens) for K, gens, G in level)
     return SubgroupWalk(tuple(kept), closures, aborted)
 
 
 def _walk_levels(
     n: int,
-    candidates: Sequence[Enc],
+    cyclic: dict[Enc, Enc],
     cap: int,
     within: AbstractSet[Enc] | None = None,
     store: ClassStore | None = None,
@@ -431,12 +419,6 @@ def _walk_levels(
     level: list[_LevelEntry] = [(trivial, [], None)]
     seen = {trivial}
     closures = aborted = 0
-    cyclic_rep: dict[Enc, Enc] = {}  # each generator of a candidate's cyclic group -> the candidate
-    for x in candidates:
-        powers = _cyclic_encs(x)
-        for k in range(1, len(powers)):
-            if gcd(k, len(powers)) == 1:
-                cyclic_rep[powers[k]] = x
     on_cap = None
     if store is not None:
         if within is None:
@@ -448,7 +430,7 @@ def _walk_levels(
             store.capped += 1
 
     # each subgroup waiting to be extended -> its parent and the parent's live candidates
-    inherited: dict[frozenset[Enc], tuple[frozenset[Enc], list[Enc]]] = {trivial: (trivial, list(candidates))}
+    inherited: dict[frozenset[Enc], tuple[frozenset[Enc], list[Enc]]] = {trivial: (trivial, list(dict.fromkeys(cyclic.values())))}
     yield level, closures, aborted
     while level:
         nxt: list[_LevelEntry] = []
@@ -461,7 +443,7 @@ def _walk_levels(
                 conjugators = normalizer_generators(labels, H, gens, orbit)
             parent, candidates_left = inherited.pop(H)
             conjugations = [enc_conjugation(g) for g in conjugators]
-            orbits = _live_orbits(H, parent, candidates_left, within, conjugations, cyclic_rep)
+            orbits = _live_orbits(H, parent, candidates_left, within, conjugations, cyclic)
             live: list[Enc] = []  # the members of orbits whose closure did not abort
             children = []
             for x, orbit in sorted((min(orbit), orbit) for orbit in orbits):
@@ -493,7 +475,7 @@ def _live_orbits(
     inherited: Sequence[Enc],
     within: AbstractSet[Enc] | None,
     conjugations: Sequence[Callable[[Enc], Enc]],
-    cyclic_rep: dict[Enc, Enc],
+    cyclic: dict[Enc, Enc],
 ) -> list[list[Enc]]:
     """The orbits, under ``conjugations``, of the candidates that may still
     extend H, each in tracing order.
@@ -521,7 +503,7 @@ def _live_orbits(
         dead = False
         for y in orbit:  # orbit grows while it is read
             for conj in conjugations:
-                z = cyclic_rep.get(conj(y))
+                z = cyclic.get(conj(y))
                 if z is None:
                     continue
                 if z not in live:
@@ -538,10 +520,10 @@ def _live_orbits(
 
 def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> SubgroupList:
     """Every subgroup of G, by subgroup_walk over its prime-power cyclic
-    generators, sorted by order and then by sorted element encodings."""
+    subgroups, sorted by order and then by sorted element encodings."""
     if G.order > bound:
         raise ValueError(f"group order {G.order} exceeds subgroup enumeration bound {bound}")
-    walk = subgroup_walk(G.n, prime_power_cyclic_generators(G.enc_set), cap=G.order)
+    walk = subgroup_walk(G.n, prime_power_cyclics(G.enc_set), cap=G.order)
     if walk.aborted:
         raise RuntimeError(f"a closure inside a group of order {G.order} outgrew it")
     subs = sorted(walk.subgroups, key=lambda H: (H.order, H.enc_sorted))
@@ -836,23 +818,17 @@ def normalizer_generators(
     raise RuntimeError(f"the Schreier generators close to order {len(N)}, short of {target}")
 
 
-def canonical_form(
-    G: FiniteGroup,
-    bound: int = DEFAULT_CANONICAL_BOUND,
-    max_conjugators: int = 50000,
-) -> tuple:
+def canonical_form(G: FiniteGroup, max_conjugators: int = 50000) -> tuple:
     """Minimal image of the sorted element-set encoding over W(D_n)-conjugation.
 
     The least tuple(sorted(P)) over the conjugacy orbit of G's element
     set, which takes |W(D_n)| / |N_W(G)| conjugates rather than one per
     element of W(D_n).  The orbit is labelled over the conjugation closure
     of G's elements, and labels order as their elements do, so the least
-    sorted label tuple is the least sorted element tuple.  ``bound`` caps
-    |G| and ``max_conjugators`` caps |W(D_n)|; both raise ValueError when
-    exceeded.
+    sorted label tuple is the least sorted element tuple.  The walk reads
+    |G| |W(D_n)| / |N_W(G)| <= |W(D_n)| labels, so ``max_conjugators``,
+    which caps |W(D_n)| and raises ValueError when exceeded, bounds it.
     """
-    if G.order > bound:
-        raise ValueError(f"group order {G.order} exceeds canonical_form bound {bound}")
     n = G.n
     total = wdn_order(n)
     if total > max_conjugators:

@@ -122,9 +122,3 @@ def fixed_sublattice_of(n: int, elements: list[SignedPerm]) -> LatticeBasis:
     if not elements:
         return LatticeBasis.full(n + 2)
     return fixed_sublattice([phi(a) for a in elements])
-
-
-def minimal_lattice(n: int) -> LatticeBasis:
-    """The lattice Z l_0 + Z K_X inside Pic."""
-    lat = PicLattice(n)
-    return LatticeBasis.from_vectors(lat.dim, [lat.l0, lat.K])

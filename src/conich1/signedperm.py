@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 Symbol = tuple[int, int]
@@ -312,6 +312,4 @@ def format_element(a: SignedPerm) -> str:
 
 
 def wdn_order(n: int) -> int:
-    from math import factorial
-
     return factorial(n) * 2 ** (n - 1)

@@ -5,8 +5,21 @@ from itertools import combinations, permutations
 from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns
 from conich1.groups import closure, enc_closure, enc_conjugation, wdn_generators
 from conich1.intlinalg import IntMatrix, LatticeBasis, _pivot_min_abs, kernel_of_rows
-from conich1.picard import phi_of_enc
+from conich1.picard import PicLattice, phi_of_enc
 from conich1.signedperm import SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
+
+
+# the classes of W(D_4) and W(D_5) the H^1 cross-checks run on: all 98 of
+# W(D_4), and the 195 of W(D_5) of order at most 512, which leaves out the
+# two largest (960 and 1920) and keeps the Cayley-graph checker quick
+CHECKED_CLASS_MAX_ORDER = 512
+
+
+def minimal_lattice(n):
+    """The checker's input for conditions.relative_minimality: the lattice
+    Z l_0 + Z K_X inside Pic, which Pic^G must equal."""
+    lat = PicLattice(n)
+    return LatticeBasis.from_vectors(lat.dim, [lat.l0, lat.K])
 
 
 def iter_wdn(n):

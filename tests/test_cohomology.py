@@ -1,12 +1,13 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
 from conich1 import cohomology
 from conich1.classes import build_group, smallest_param_tuples
+from conich1.cli import EXIT_OK, main
 from conich1.cohomology import (
-    DEFAULT_ORACLE_BOUND,
     TorsionError,
     coboundary_columns,
     cyclic_h1_fails,
@@ -25,11 +26,13 @@ from conich1.groups import (
     enc_cycle_type,
     enc_mul,
     enc_order,
+    identity_enc,
     sylow2,
+    wdn_generators,
 )
 from conich1.picard import phi_of_enc
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
-from helpers import h1_by_cocycle_system, iter_wdn, random_subgroup
+from helpers import CHECKED_CLASS_MAX_ORDER, h1_by_cocycle_system, iter_wdn, random_subgroup
 
 Gcache = {}
 
@@ -78,9 +81,25 @@ def test_oracle_worked_example_1():
     assert rep.invariant_factors == (2,)
 
 
-def test_oracle_bound():
-    with pytest.raises(ValueError):
-        h1_oracle(example2(), bound=8)
+def test_oracle_has_no_order_bound(capsys):
+    # the oracle's cost does not grow with |G|: W(D_5) (1920 elements) and
+    # W(D_6) (23,040) are answered, and agree with the half-sum method
+    for n, rank in ((5, 0), (6, 0)):
+        wdn = closure([SignedPerm.from_enc(n, e) for e in wdn_generators(n)])
+        assert h1_oracle(wdn).f2_rank == h1_halfsum(wdn).f2_rank == rank
+    assert main(["h1", "-n", "5", "(1,2)", "c1 c2", "(1,2,3,4,5)"]) == EXIT_OK
+    assert '"group_order": 1920' in capsys.readouterr().out
+
+
+def test_sign_change_is_clean_iff_it_flips_at_most_two():
+    # the kernel bound: an even sign change flipping k indices has k signed
+    # cycles with an odd number of flips, so H^1(<x>, Pic) = 0 iff k <= 2
+    for n in range(2, 10):
+        ident = identity_enc(n)
+        for k in range(0, n + 1, 2):
+            for flips in combinations(range(n), k):
+                x = tuple(s ^ (j in flips) for j, s in enumerate(ident))
+                assert cyclic_h1_fails(x) == (k > 2), (n, flips)
 
 
 def test_cyclic_formula_examples():
@@ -223,11 +242,11 @@ def test_oracle_halfsum_agree_on_fixtures_and_random_subgroups():
 
 @pytest.mark.parametrize("n, count, cyclic", [(4, 98, 13), (5, 195, 18)])
 def test_oracle_halfsum_cyclic_agree_on_every_class(n, count, cyclic, full_lattice):
-    # every subgroup class of W(D_4), and every class of W(D_5) within the
-    # oracle bound (195 of 197); on cyclic classes the closed form of a
-    # generator gives the same rank
+    # every subgroup class of W(D_4), and every class of W(D_5) of order at
+    # most CHECKED_CLASS_MAX_ORDER (195 of 197); on cyclic classes the
+    # closed form of a generator gives the same rank
     reps, _ = full_lattice(n)
-    reps = [H for H in reps if H.order <= DEFAULT_ORACLE_BOUND]
+    reps = [H for H in reps if H.order <= CHECKED_CLASS_MAX_ORDER]
     assert len(reps) == count
     cyclic_seen = 0
     for H in reps:
@@ -249,7 +268,7 @@ def test_oracle_matches_cocycle_system_on_every_class(n, count, full_lattice):
     # the oracle reads Z^1 as the saturation of B^1; the cocycle system
     # solves for Z^1 over the whole Cayley graph
     reps, _ = full_lattice(n)
-    reps = [H for H in reps if H.order <= DEFAULT_ORACLE_BOUND]
+    reps = [H for H in reps if H.order <= CHECKED_CLASS_MAX_ORDER]
     assert len(reps) == count
     for H in reps:
         assert _h1_data(h1_oracle(H)) == _h1_data(h1_by_cocycle_system(H)), H

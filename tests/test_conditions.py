@@ -13,9 +13,12 @@ from conich1.conditions import (
     project,
     relative_minimality,
 )
-from conich1.enumeration import _enumerate_full
+from conich1.enumeration import TABLE_ROWS, _enumerate_full
 from conich1.groups import closure, enc_mul, identity_enc, index_orbits, pair_orbits
+from conich1.intlinalg import LatticeBasis, lattice_equal
+from conich1.picard import fixed_sublattice, phi_of_enc
 from conich1.signedperm import SignedPerm, parse_element
+from helpers import minimal_lattice
 
 
 def G(n, *texts):
@@ -75,6 +78,21 @@ def test_relative_minimality_examples():
 
         spec = smallest_param_tuples(cid, count=1)[0]
         assert relative_minimality(build_group(spec))
+
+
+def test_relative_minimality_is_the_lattice_equality(full_lattice):
+    # rk Pic^G = 2 against Pic^G = Z l_0 + Z K_X, on every class of W(D_4)
+    # and W(D_5) and every reference table row
+    cases = full_lattice(4)[0] + full_lattice(5)[0]
+    cases += [row.build(n) for n, rows in TABLE_ROWS.items() for row in rows]
+    assert len(cases) == 341
+    verdicts = []
+    for grp in cases:
+        mats = [phi_of_enc(e) for e in grp.spanning_encs]
+        fixed = fixed_sublattice(mats) if mats else LatticeBasis.full(grp.n + 2)
+        verdicts.append(relative_minimality(grp))
+        assert verdicts[-1] == lattice_equal(fixed, minimal_lattice(grp.n)), grp
+    assert 0 < sum(verdicts) < len(cases)
 
 
 def test_orbit_count_filter_examples():

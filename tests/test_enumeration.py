@@ -141,15 +141,31 @@ def test_guided_classes_are_the_clean_classes_of_full_mode(n, count, full_lattic
     clean = clean_elements(n)
     reference, _ = full_lattice(n)
     expected = {
-        canonical_form(H, bound=H.order)
+        canonical_form(H)
         for H in reference
         if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean
     }
     groups, stats = _enumerate_guided(n)
-    keys = [canonical_form(H, bound=H.order) for H in groups]
+    keys = [canonical_form(H) for H in groups]
     assert stats["clean_subgroup_classes"] == count
     assert len(keys) == len(set(keys)) == count + 1  # the trivial group is walked, not stored
     assert set(keys) == expected
+
+
+@pytest.mark.parametrize("n, histogram", [(4, {1: 28, 2: 8, 4: 6}), (5, {1: 27, 2: 22, 4: 12})])
+def test_guided_classes_meet_the_sign_changes_in_at_most_a_triangle(n, histogram):
+    # the kernel bound: a clean sign change flips exactly two indices, so
+    # for every clean class G the sign changes in G are trivial, one pair
+    # c_i c_j, or the three pairs of a triangle
+    groups, _ = _enumerate_guided(n)
+    orders = {}
+    for G in groups:
+        kernel = [e for e in G.enc_set if all(s >> 1 == j for j, s in enumerate(e))]
+        pairs = {frozenset(j for j, s in enumerate(e) if s & 1) for e in kernel} - {frozenset()}
+        assert all(len(p) == 2 for p in pairs), G
+        assert len(pairs) in (0, 1, 3) and len(frozenset().union(*pairs)) in (0, 2, 3), G
+        orders[len(kernel)] = orders.get(len(kernel), 0) + 1
+    assert orders == histogram
 
 
 @pytest.mark.heavy

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conich1.cohomology import DEFAULT_ORACLE_BOUND, _generating_set, coboundary_columns
+from conich1.cohomology import _generating_set, coboundary_columns
 from conich1.intlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -22,7 +22,7 @@ from conich1.intlinalg import (
     quotient_invariants,
     smith_normal_form,
 )
-from helpers import smith_normal_form_with_transforms
+from helpers import CHECKED_CLASS_MAX_ORDER, smith_normal_form_with_transforms
 
 
 def snf_postconditions(A):
@@ -56,9 +56,9 @@ def test_snf_builds_one_intmatrix(monkeypatch):
 @pytest.mark.parametrize("n, count", [(4, 98), (5, 195)])
 def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
     # the HNF rows of F = <f_1..f_n> and B = F + <f_-1> that h1_oracle
-    # reduces, for every class within the oracle bound
+    # reduces, for every class of order at most CHECKED_CLASS_MAX_ORDER
     reps, _ = full_lattice(n)
-    reps = [H for H in reps if H.order <= DEFAULT_ORACLE_BOUND]
+    reps = [H for H in reps if H.order <= CHECKED_CLASS_MAX_ORDER]
     assert len(reps) == count
     for H in reps:
         S = _generating_set(H, None)

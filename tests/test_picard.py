@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conich1.intlinalg import IntMatrix, lattice_equal
-from conich1.picard import PicLattice, fixed_sublattice, fixed_sublattice_of, minimal_lattice, phi, psi, verify_aut0
+from conich1.picard import PicLattice, fixed_sublattice, fixed_sublattice_of, phi, psi, verify_aut0
+from helpers import minimal_lattice
 from conich1.signedperm import SignedPerm, parse_element
 from helpers import determinant
 
