@@ -34,8 +34,6 @@ from .intlinalg import (
     IntMatrix,
     LatticeBasis,
     integer_kernel,
-    lattice_equal,
-    lattice_member,
     quotient_invariants,
     smith_normal_form,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "h1_oracle",
     "integer_kernel",
     "lambda_count",
-    "lattice_equal",
-    "lattice_member",
     "multiply",
     "orbit_count_filter",
     "orbits",

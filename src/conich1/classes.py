@@ -504,13 +504,13 @@ class ClassReport:
     orbit_profile: tuple[int, ...]
     expected_profile: tuple[int, ...]
     orbit_profile_ok: bool
-    h1_ok: bool | None
+    h1_ok: bool
     relmin_ok: bool
     sylow2_order: int
 
     @property
     def all_ok(self) -> bool:
-        return bool(self.h1_ok) and self.relmin_ok and self.orbit_profile_ok
+        return self.h1_ok and self.relmin_ok and self.orbit_profile_ok
 
 
 def verify_class(spec: ClassSpec) -> ClassReport:
@@ -533,11 +533,10 @@ def verify_class(spec: ClassSpec) -> ClassReport:
     )
 
 
-def smallest_param_tuples(cid: int, count: int = 2, max_q: int = 9) -> list[ClassSpec]:
+def smallest_param_tuples(cid: int, count: int = 2) -> list[ClassSpec]:
     """The ``count`` smallest parameter choices, ordered by total size."""
     kind = PARAM_KINDS[cid]
     qs = [(3, 1), (5, 1), (7, 1), (9, 2)]  # (p^r, r) with q <= 9
-    qs = [(q, r) for q, r in qs if q <= max_q]
     cands: list[tuple[int, tuple, dict]] = []
     npart = [k for k in kind if k.startswith("n")]
     if "p" in kind:

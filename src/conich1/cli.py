@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
         "orbit_profile": list(rep.orbit_profile),
         "orbits": [list(o) for o in dec.orbits],
     }
-    ok = bool(rep.h1_ok) and rep.relatively_minimal and rep.fiber_pairs_joined and rep.at_most_three_orbits
+    ok = rep.h1_ok and rep.relatively_minimal and rep.fiber_pairs_joined and rep.at_most_three_orbits
     result["all_conditions"] = ok
     _emit(_report("check", {"n": args.n, "generators": list(args.generators)}, result))
     return EXIT_OK if ok else EXIT_FAILED

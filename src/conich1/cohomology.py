@@ -21,20 +21,16 @@ from .groups import (
     Enc,
     FiniteGroup,
     _cyclic_encs,
-    _walk_levels,
     closure,
     enc_cycle_type,
     identity_enc,
     index_orbits,
-    prime_power_cyclics,
+    ordered_subgroups,
     sylow2,
 )
 from .intlinalg import IntMatrix, LatticeBasis, invariant_factors, quotient_invariants
 from .picard import phi_of_enc
 from .signedperm import SignedPerm, sigma
-
-SAMPLED_PAIRS = 64  # random 2-generated subgroups h1_condition tries past its bound
-SAMPLED_CLOSURE_CAP = 512  # a sampled pair closing to more elements is skipped
 
 
 class TorsionError(RuntimeError):
@@ -74,14 +70,9 @@ def _torsion(sub: LatticeBasis) -> tuple[int, ...]:
     return factors
 
 
-def _generating_set(G: FiniteGroup, generators: list[SignedPerm] | None) -> list[Enc]:
-    """S, as encodings: the caller's ``generators`` (checked to generate G),
-    or G's stored non-identity generators, which generate it by construction."""
-    if generators is not None:
-        gens = list(generators)
-        if closure(gens, n=G.n).enc_set != G.enc_set:
-            raise ValueError("supplied generators do not generate the group")
-        return [g.enc for g in gens]
+def _generating_set(G: FiniteGroup) -> list[Enc]:
+    """S, as encodings: G's stored non-identity generators, which generate
+    it by construction."""
     ident = identity_enc(G.n)
     return [e for e in G.spanning_encs if e != ident]
 
@@ -108,7 +99,7 @@ def coboundary_columns(gens: list[Enc], n: int) -> dict[int, tuple[int, ...]]:
     return {i: tuple(v) for i, v in cols.items()}
 
 
-def h1_oracle(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1Report:
+def h1_oracle(G: FiniteGroup) -> H1Report:
     """Z^1/B^1 as the torsion of Z^D/B^1, read off the coboundaries alone.
 
     In the coordinates (f(s))_{s in S}, D = |S|(n+2), Z^1 is the integer
@@ -123,7 +114,7 @@ def h1_oracle(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1R
     grow with |G|, so no order bound applies.
     """
     n = G.n
-    S = _generating_set(G, generators)
+    S = _generating_set(G)
     if not S:
         return H1Report((), 0, "oracle", None, 0, True)
     D = len(S) * (n + 2)
@@ -190,7 +181,7 @@ def h1_condition_cyclic(g: SignedPerm) -> tuple[bool, int | None]:
     return True, 2
 
 
-def h1_halfsum(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1Report:
+def h1_halfsum(G: FiniteGroup) -> H1Report:
     """The orbit/half-sum method of the cocycle-quotient reduction.
 
     Candidate classes are xi_I = (1/2) sum_{i in I} f_i for I a union of
@@ -199,7 +190,7 @@ def h1_halfsum(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1
     """
     n = G.n
     dim = n + 2
-    S = _generating_set(G, generators)
+    S = _generating_set(G)
     if not S:
         return H1Report((), 0, "halfsum", (), 0, True)
     cols = coboundary_columns(S, n)
@@ -296,16 +287,15 @@ def h1_halfsum(G: FiniteGroup, generators: list[SignedPerm] | None = None) -> H1
 
 @dataclass(frozen=True)
 class H1ConditionResult:
-    """Verdict of the all-subgroups (H1) check; ok=None means 'not decided'."""
+    """Verdict of the all-subgroups (H1) check."""
 
-    ok: bool | None
+    ok: bool
     witness: FiniteGroup | None
     route: str
     subgroups_checked: int
-    note: str = ""
 
     def __bool__(self) -> bool:
-        return self.ok is True
+        return self.ok
 
 
 def h1_condition(
@@ -318,18 +308,16 @@ def h1_condition(
     The default route checks the subgroups of one Sylow 2-subgroup, which
     is equivalent; route='direct' enumerates all subgroups of G itself.
     When that group has more than groups.DEFAULT_SUBGROUP_BOUND elements,
-    the subgroups are not enumerated and only sampling runs, over the cyclic
-    subgroups and then SAMPLED_PAIRS seeded random 2-generated ones (those
-    of order at most SAMPLED_CLOSURE_CAP): a failure is definitive,
-    anything else is reported as undecided, never as a clean verdict.
+    its subgroups are not enumerated: its cyclic subgroups are scanned in
+    the order of its elements, and a failing one is a definitive False
+    verdict with that subgroup as the witness.  If none fails, (H1) is not
+    decided above the bound, and ValueError is raised.
 
-    Within the bound the subgroups are checked in (order, sorted element
-    encodings) order, and the witness of a failure is the least failing
-    one; ``subgroups_checked`` counts the nontrivial subgroups up to it.
-    The subgroup walk is read one breadth-first level at a time and stops
-    at the witness: every walk step at least doubles the order, so after
-    level d all subgroups of order < 2^(d+1) are known and can be checked
-    in that order before the walk goes on.
+    Within the bound the subgroups are checked in the order of
+    groups.ordered_subgroups, (order, sorted element encodings), and the
+    witness of a failure is the least failing one; ``subgroups_checked``
+    counts the nontrivial subgroups up to it.  The stream is lazy, so the
+    subgroup walk stops at the witness.
 
     A subgroup the walk reached through a single generator x is cyclic and
     is decided by the closed form (cyclic_h1_fails: Lambda(x) > 2), with no
@@ -348,43 +336,26 @@ def h1_condition(
     else:
         raise ValueError(f"unknown route {route!r}")
     if base.order > DEFAULT_SUBGROUP_BOUND:
-        import random
-
-        rng = random.Random(0)
         for g in base.elements:
             if not g.is_identity() and h1_cyclic(g).f2_rank:
-                return H1ConditionResult(False, closure([g], n=G.n), route, 0, "found by cyclic scan")
-        for i in range(SAMPLED_PAIRS):
-            gens = [base.elements[rng.randrange(base.order)] for _ in range(2)]
-            try:
-                H = closure(gens, n=G.n, cap=SAMPLED_CLOSURE_CAP)
-            except ValueError:
-                continue
-            if h1_oracle(H).f2_rank:
-                return H1ConditionResult(False, H, route, i + 1, "found by sampling")
-        return H1ConditionResult(None, None, route, SAMPLED_PAIRS, "subgroup enumeration bound exceeded")
-    pending: list[tuple[int, tuple[Enc, ...], frozenset[Enc], list[Enc]]] = []
+                return H1ConditionResult(False, closure([g], n=G.n), route, 0)
+        raise ValueError(
+            f"(H1) is not decided above the subgroup bound {DEFAULT_SUBGROUP_BOUND}: "
+            f"no cyclic subgroup fails in the {route} group of order {base.order}"
+        )
+    if memo is None:
+        memo = {}
     checked = 0
-    levels = _walk_levels(base.n, prime_power_cyclics(base.enc_set), cap=base.order)
-    for d, (level, _, aborted) in enumerate(levels):
-        if aborted:
-            raise RuntimeError(f"a closure inside a group of order {base.order} outgrew it")
-        pending.extend((len(K), tuple(sorted(K)), K, gens) for K, gens, _ in level)
-        pending.sort(reverse=True)  # the least subgroup last
-        while pending and (not level or pending[-1][0] < 2 ** (d + 1)):
-            order, _, K, gens = pending.pop()
-            if order == 1:
-                continue
-            checked += 1
-            if len(gens) == 1:
-                fails = cyclic_h1_fails(gens[0])
-            elif memo is not None and K in memo:
-                fails = memo[K]
-            else:
-                fails = h1_oracle(FiniteGroup.from_enc_set(base.n, K, gens)).f2_rank > 0
-                if memo is not None:
-                    memo[K] = fails
-            if fails:
-                return H1ConditionResult(False, FiniteGroup.from_enc_set(base.n, K, gens), route, checked)
+    for H in ordered_subgroups(base):
+        if H.order == 1:
+            continue
+        checked += 1
+        if len(H.spanning_encs) == 1:
+            fails = cyclic_h1_fails(H.spanning_encs[0])
+        else:
+            fails = memo.get(H.enc_set)
+            if fails is None:
+                fails = memo[H.enc_set] = h1_oracle(H).f2_rank > 0
+        if fails:
+            return H1ConditionResult(False, H, route, checked)
     return H1ConditionResult(True, None, route, checked)
-

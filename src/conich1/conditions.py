@@ -133,7 +133,7 @@ def project(G: FiniteGroup, orbit: tuple[int, ...] | frozenset[int]) -> Projecte
 class ConditionReport:
     order: int
     degree: int
-    h1_ok: bool | None
+    h1_ok: bool
     h1_witness_order: int | None
     relatively_minimal: bool
     fiber_pairs_joined: bool

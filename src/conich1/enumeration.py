@@ -9,7 +9,7 @@ Two modes:
   dedup, then filtered.  It is the independent reference that guided
   mode is tested against.
 * generator_guided (n <= 7): groups.subgroup_walk, the walker behind
-  groups.all_subgroups, over groups.prime_power_cyclics of the "clean"
+  groups.ordered_subgroups, over groups.prime_power_cyclics of the "clean"
   elements (those whose cyclic group has trivial H^1), with the
   clean set as its ``within``: a closure that meets an unclean element
   aborts, and a candidate x is dropped before its orbit is traced when
@@ -98,7 +98,6 @@ class EnumerationResult:
     mode: str
     entries: list[EnumEntry]
     stats: dict = field(default_factory=dict)
-    elapsed: float | None = None
 
 
 def _passes_filters(G: FiniteGroup, h1_memo: dict[frozenset[Enc], bool]) -> bool:
@@ -108,10 +107,7 @@ def _passes_filters(G: FiniteGroup, h1_memo: dict[frozenset[Enc], bool]) -> bool
         return False
     if not relative_minimality(G):
         return False
-    cond = h1_condition(G, memo=h1_memo)
-    if cond.ok is None:
-        raise RuntimeError(f"(H1) condition undecidable for order {G.order}")
-    return bool(cond.ok)
+    return h1_condition(G, memo=h1_memo).ok
 
 
 def right_regular_table(n: int) -> tuple[list[Enc], dict[Enc, int], list[tuple[int, ...]]]:
@@ -223,8 +219,8 @@ def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
     return groups, stats
 
 
-def _enumerate_guided(n: int, cap: int = CLEAN_SUBGROUP_CAP) -> tuple[list[FiniteGroup], dict]:
-    """Classes of clean subgroups of order <= cap.
+def _enumerate_guided(n: int) -> tuple[list[FiniteGroup], dict]:
+    """Classes of clean subgroups of order <= CLEAN_SUBGROUP_CAP.
 
     Complete: every finite group is generated by its elements of
     prime-power order, and the clean set is closed under powers and
@@ -234,7 +230,7 @@ def _enumerate_guided(n: int, cap: int = CLEAN_SUBGROUP_CAP) -> tuple[list[Finit
     clean = clean_elements(n)
     cyclic = prime_power_cyclics(clean)
     store = ClassStore()
-    walk = subgroup_walk(n, cyclic, cap, within=clean, store=store)
+    walk = subgroup_walk(n, cyclic, CLEAN_SUBGROUP_CAP, within=clean, store=store)
     stats = {
         "clean_elements": len(clean),
         "clean_cyclic_candidates": len(set(cyclic.values())),
@@ -462,7 +458,7 @@ def verify_tables(n: int) -> TablesReport:
                 row_id=row.row_id,
                 name=row.name,
                 order_ok=G.order == row.order,
-                h1_ok=bool(cond.ok),
+                h1_ok=cond.ok,
                 relmin_ok=relative_minimality(G),
                 fiber_pairs_ok=fiber_pair_condition(G),
                 orbit_count_ok=orbit_count_filter(G),

@@ -32,6 +32,7 @@ from .signedperm import (
 
 DEFAULT_CLOSURE_CAP = 100000
 DEFAULT_SUBGROUP_BOUND = 2000
+MAX_CONJUGATORS = 50000  # the largest |W(D_n)| canonical_form walks
 
 
 def wdn_generators(n: int) -> list[Enc]:
@@ -249,8 +250,9 @@ class FiniteGroup:
         raise RuntimeError(f"derived subgroup outgrew its group of order {self.order}")
 
 
-def closure(gens: Sequence[SignedPerm], n: int | None = None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    """Group generated by the given W(D_n) elements (breadth-first saturation)."""
+def closure(gens: Sequence[SignedPerm], n: int | None = None) -> FiniteGroup:
+    """Group generated by the given W(D_n) elements (breadth-first saturation);
+    one of more than DEFAULT_CLOSURE_CAP elements raises ValueError."""
     if not gens:
         if n is None:
             raise ValueError("empty generator list needs an explicit rank n")
@@ -263,9 +265,9 @@ def closure(gens: Sequence[SignedPerm], n: int | None = None, cap: int = DEFAULT
             raise ValueError("rank mismatch among generators")
         if sigma(g) != 1:
             raise ValueError("generator with sigma = -1 is outside W(D_n)")
-    encs = enc_closure([g.enc for g in gens], n0, cap=cap)
+    encs = enc_closure([g.enc for g in gens], n0, cap=DEFAULT_CLOSURE_CAP)
     if encs is None:
-        raise ValueError(f"closure exceeded cap of {cap} elements")
+        raise ValueError(f"closure exceeded cap of {DEFAULT_CLOSURE_CAP} elements")
     return FiniteGroup.from_enc_set(n0, encs, [g.enc for g in gens])
 
 
@@ -384,8 +386,8 @@ def subgroup_walk(
     A conjugate that generates no candidate's cyclic subgroup is not
     followed, which can only split orbits.  ``cap`` and ``within`` must
     then be invariant under W(D_n)-conjugation, as guided enumeration's
-    are; the normalizers are read off conjugacy orbits labelled over
-    ``within``, or over all of W(D_n) without it.
+    are, and ``within`` is required: the normalizers are read off
+    conjugacy orbits labelled over it.
 
     The walk reaches every subgroup, or class, generated by candidates
     whose intermediate closures stay under ``cap`` and inside ``within``.
@@ -421,10 +423,7 @@ def _walk_levels(
     closures = aborted = 0
     on_cap = None
     if store is not None:
-        if within is None:
-            labels = ConjugationLabels(n, enc_closure(wdn_generators(n), n, cap=wdn_order(n)))
-        else:
-            labels = ConjugationLabels(n, within)
+        labels = ConjugationLabels(n, within)
 
         def on_cap() -> None:
             store.capped += 1
@@ -518,16 +517,35 @@ def _live_orbits(
     return orbits
 
 
-def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_SUBGROUP_BOUND) -> SubgroupList:
-    """Every subgroup of G, by subgroup_walk over its prime-power cyclic
-    subgroups, sorted by order and then by sorted element encodings."""
-    if G.order > bound:
-        raise ValueError(f"group order {G.order} exceeds subgroup enumeration bound {bound}")
-    walk = subgroup_walk(G.n, prime_power_cyclics(G.enc_set), cap=G.order)
-    if walk.aborted:
-        raise RuntimeError(f"a closure inside a group of order {G.order} outgrew it")
-    subs = sorted(walk.subgroups, key=lambda H: (H.order, H.enc_sorted))
-    return SubgroupList(G, tuple(subs))
+def ordered_subgroups(G: FiniteGroup) -> Iterator[FiniteGroup]:
+    """Every subgroup of G, the trivial group first, in (order, sorted
+    element encodings) order, walked lazily one level at a time.
+
+    The walk is _walk_levels over G's prime-power cyclic subgroups.  Every
+    walk step at least doubles the order, so after level d all subgroups
+    of order < 2^(d+1) are known and are yielded, in order, before the
+    walk goes on; a caller that stops early walks no further.  Each
+    subgroup keeps the generators the walk reached it by, so one with a
+    single stored generator is cyclic.
+    """
+    pending: list[tuple[int, tuple[Enc, ...], frozenset[Enc], list[Enc]]] = []
+    levels = _walk_levels(G.n, prime_power_cyclics(G.enc_set), cap=G.order)
+    for d, (level, _, aborted) in enumerate(levels):
+        if aborted:
+            raise RuntimeError(f"a closure inside a group of order {G.order} outgrew it")
+        pending.extend((len(K), tuple(sorted(K)), K, gens) for K, gens, _ in level)
+        pending.sort(reverse=True)  # the least subgroup last
+        while pending and (not level or pending[-1][0] < 2 ** (d + 1)):
+            _, _, K, gens = pending.pop()
+            yield FiniteGroup.from_enc_set(G.n, K, gens)
+
+
+def all_subgroups(G: FiniteGroup) -> SubgroupList:
+    """Every subgroup of G, as ordered_subgroups yields them; G may have at
+    most DEFAULT_SUBGROUP_BOUND elements."""
+    if G.order > DEFAULT_SUBGROUP_BOUND:
+        raise ValueError(f"group order {G.order} exceeds subgroup enumeration bound {DEFAULT_SUBGROUP_BOUND}")
+    return SubgroupList(G, tuple(ordered_subgroups(G)))
 
 
 def sylow2(G: FiniteGroup) -> FiniteGroup:
@@ -818,7 +836,7 @@ def normalizer_generators(
     raise RuntimeError(f"the Schreier generators close to order {len(N)}, short of {target}")
 
 
-def canonical_form(G: FiniteGroup, max_conjugators: int = 50000) -> tuple:
+def canonical_form(G: FiniteGroup) -> tuple:
     """Minimal image of the sorted element-set encoding over W(D_n)-conjugation.
 
     The least tuple(sorted(P)) over the conjugacy orbit of G's element
@@ -826,14 +844,14 @@ def canonical_form(G: FiniteGroup, max_conjugators: int = 50000) -> tuple:
     element of W(D_n).  The orbit is labelled over the conjugation closure
     of G's elements, and labels order as their elements do, so the least
     sorted label tuple is the least sorted element tuple.  The walk reads
-    |G| |W(D_n)| / |N_W(G)| <= |W(D_n)| labels, so ``max_conjugators``,
+    |G| |W(D_n)| / |N_W(G)| <= |W(D_n)| labels, so MAX_CONJUGATORS,
     which caps |W(D_n)| and raises ValueError when exceeded, bounds it.
     """
     n = G.n
     total = wdn_order(n)
-    if total > max_conjugators:
+    if total > MAX_CONJUGATORS:
         raise ValueError(
-            f"|W(D_{n})| = {total} conjugators exceed max_conjugators={max_conjugators}"
+            f"|W(D_{n})| = {total} conjugators exceed MAX_CONJUGATORS={MAX_CONJUGATORS}"
         )
     labels = ConjugationLabels(n, G.enc_set)
     least = min(tuple(sorted(P)) for P in conjugacy_orbit(labels, labels.of(G.enc_set)))

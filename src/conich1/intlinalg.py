@@ -289,17 +289,6 @@ class LatticeBasis:
         return LatticeBasis.from_vectors(self.ambient_dim, list(self.rows) + [tuple(v) for v in vectors])
 
 
-def lattice_member(L: LatticeBasis, v: Sequence[int]) -> tuple[int, ...] | None:
-    """Coefficients of v with respect to L's stored basis, or None."""
-    return L.coefficients(v)
-
-
-def lattice_equal(L1: LatticeBasis, L2: LatticeBasis) -> bool:
-    if L1.ambient_dim != L2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return L1.rows == L2.rows
-
-
 def integer_kernel(A: IntMatrix) -> LatticeBasis:
     """Saturated basis of {v in Z^cols : A v = 0}."""
     vecs = kernel_of_rows([A.row(i) for i in range(A.rows)], A.cols)

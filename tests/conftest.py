@@ -1,19 +1,38 @@
 import pytest
 
-from conich1.enumeration import _enumerate_full, enumerate_wdn
+from conich1 import enumeration
+from conich1.enumeration import _enumerate_full, _enumerate_guided, enumerate_wdn
 
 _guided_cache = {}
+_walk_cache = {}
 _full_cache = {}
 
 
 @pytest.fixture(scope="session")
-def guided_enumeration():
-    """Memoized generator-guided enumeration; the rank 6/7 searches take
-    about 8 s and 80 s, so the tests at each rank share one run."""
+def guided_walk():
+    """Memoized enumeration._enumerate_guided: the rank 6/7 walks take about
+    8 s and 80 s, so the tests of the clean classes at each rank and the
+    guided enumeration share one walk.  Each call returns fresh containers,
+    as enumerate_wdn adds to the stats it gets."""
+
+    def run(n):
+        if n not in _walk_cache:
+            _walk_cache[n] = _enumerate_guided(n)
+        groups, stats = _walk_cache[n]
+        return list(groups), dict(stats)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def guided_enumeration(guided_walk):
+    """Memoized generator-guided enumeration, run on the memoized walk."""
 
     def run(n):
         if n not in _guided_cache:
-            _guided_cache[n] = enumerate_wdn(n, "generator_guided")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(enumeration, "_enumerate_guided", guided_walk)
+                _guided_cache[n] = enumerate_wdn(n, "generator_guided")
         return _guided_cache[n]
 
     return run

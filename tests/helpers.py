@@ -3,7 +3,7 @@
 from itertools import combinations, permutations
 
 from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns
-from conich1.groups import closure, enc_closure, enc_conjugation, wdn_generators
+from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, wdn_generators
 from conich1.intlinalg import IntMatrix, LatticeBasis, _pivot_min_abs, kernel_of_rows
 from conich1.picard import PicLattice, phi_of_enc
 from conich1.signedperm import SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
@@ -20,6 +20,20 @@ def minimal_lattice(n):
     Z l_0 + Z K_X inside Pic, which Pic^G must equal."""
     lat = PicLattice(n)
     return LatticeBasis.from_vectors(lat.dim, [lat.l0, lat.K])
+
+
+def lattice_equal(L1, L2):
+    """Whether two lattices are equal, by their stored canonical HNF rows."""
+    if L1.ambient_dim != L2.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return L1.rows == L2.rows
+
+
+def bounded_closure(gens, n, cap):
+    """The FiniteGroup generated by the SignedPerms ``gens``, or None when
+    it has more than ``cap`` elements."""
+    encs = enc_closure([g.enc for g in gens], n, cap=cap)
+    return None if encs is None else FiniteGroup.from_enc_set(n, encs, [g.enc for g in gens])
 
 
 def iter_wdn(n):
@@ -96,7 +110,7 @@ def h1_by_cocycle_system(G, generators=None):
     """
     n = G.n
     dim = n + 2
-    S = _generating_set(G, generators)
+    S = _generating_set(G) if generators is None else [g.enc for g in generators]
     m = len(S)
     D = m * dim
     if m == 0:

@@ -75,7 +75,7 @@ def test_criterion_4_all_24_classes():
     t0 = time.monotonic()
     failures = []
     for cid in range(1, 25):
-        for spec in smallest_param_tuples(cid, count=2, max_q=9):
+        for spec in smallest_param_tuples(cid, count=2):
             rep = verify_class(spec)
             if not rep.all_ok:
                 failures.append((cid, spec.params, rep))
@@ -135,7 +135,7 @@ def test_criterion_6_projection_lemma():
     t0 = time.monotonic()
     count = 0
     for cid in range(1, 25):
-        for spec in smallest_param_tuples(cid, count=2, max_q=9):
+        for spec in smallest_param_tuples(cid, count=2):
             from conich1.classes import build_group
 
             grp = build_group(spec)

@@ -70,6 +70,16 @@ def test_check_failing_group_exit_1(capsys):
     assert rep["result"]["all_conditions"] is False
 
 
+def test_check_undecided_above_the_bound_exit_2(capsys):
+    # the flip-free Sylow 2-subgroup of S_16, of order 32,768: no cyclic
+    # subgroup fails, and (H1) is not decided above the subgroup bound
+    gens = ["(1,2)", "(1,3)(2,4)", "(1,5)(2,6)(3,7)(4,8)", "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)"]
+    assert main(["check", "-n", "16", *gens]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not decided above the subgroup bound 2000" in captured.err
+
+
 def test_class_command(capsys):
     code, rep = run(capsys, "class", "--id", "2", "--p", "5", "--r", "1")
     assert code == EXIT_OK
@@ -191,6 +201,12 @@ FROZEN_REPORTS = [
     (["check", "-n", "4", "c1 c2", "c3 c4 (1,2)"], EXIT_FAILED, "ca670484f241f0f6b28b8241c830a9e8023d88d39c0fab2894c8f99c0ad91492"),
     # an identity generator, which the group's stored generators still hold
     (["h1", "-n", "6", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6", "(1,2)(1,2)"], EXIT_OK, "9aaf68b7fec52f82ed558998fdef3e5d86a190127729f0dc4ab15b1e07451a34"),
+    # a 2-group of order 16,384, above the subgroup bound: the cyclic scan finds a witness of order 2
+    (
+        ["check", "-n", "8", "(1,2)", "(1,3)(2,4)", "(1,5)(2,6)(3,7)(4,8)", "c1 c2", "c3 c4", "c5 c6", "c7 c8", "c1 c3", "c1 c5"],
+        EXIT_FAILED,
+        "c9fb05b9a1358bfa347fd1a022be575c1ee4c3ee18f287c517aa333c62c57c1e",
+    ),
 ]
 
 

@@ -20,6 +20,7 @@ from conich1.cohomology import (
 from conich1.enumeration import TABLE_ROWS, _enumerate_full
 from conich1.groups import (
     FiniteGroup,
+    _cyclic_encs,
     all_subgroups,
     closure,
     enc_conjugation,
@@ -27,12 +28,14 @@ from conich1.groups import (
     enc_mul,
     enc_order,
     identity_enc,
+    prime_power_cyclics,
+    subgroup_walk,
     sylow2,
     wdn_generators,
 )
 from conich1.picard import phi_of_enc
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
-from helpers import CHECKED_CLASS_MAX_ORDER, h1_by_cocycle_system, iter_wdn, random_subgroup
+from helpers import CHECKED_CLASS_MAX_ORDER, bounded_closure, h1_by_cocycle_system, iter_wdn, random_subgroup
 
 Gcache = {}
 
@@ -232,9 +235,8 @@ def test_oracle_halfsum_agree_on_fixtures_and_random_subgroups():
     while checked < 200:
         n = rng.choice([4, 5, 6, 7])
         gens = [rand_wdn(rng, n) for _ in range(rng.randint(1, 2))]
-        try:
-            grp = closure(gens, n=n, cap=384)
-        except ValueError:
+        grp = bounded_closure(gens, n, cap=384)
+        if grp is None:
             continue
         assert h1_oracle(grp).f2_rank == h1_halfsum(grp).f2_rank
         checked += 1
@@ -285,7 +287,7 @@ def test_oracle_matches_cocycle_system_on_examples_and_all_elements(full_lattice
     for H in small:
         every = list(H.elements)
         want = _h1_data(h1_by_cocycle_system(H, generators=every))
-        assert _h1_data(h1_oracle(H, generators=every)) == want == _h1_data(h1_oracle(H)), H
+        assert _h1_data(h1_oracle(_generated_by_all(H))) == want == _h1_data(h1_oracle(H)), H
 
 
 def test_oracle_matches_cocycle_system_on_random_subgroups():
@@ -300,10 +302,9 @@ def test_oracle_matches_cocycle_system_on_random_subgroups():
     while len(drawn) < 100:
         base = rng.choice(bases)
         gens = [base.elements[rng.randrange(base.order)] for _ in range(rng.choice([2, 3]))]
-        try:
-            drawn.append((len(gens), closure(gens, n=base.n, cap=192)))
-        except ValueError:
-            continue
+        H = bounded_closure(gens, base.n, cap=192)
+        if H is not None:
+            drawn.append((len(gens), H))
     ranks = set()
     for k, H in drawn:
         rep = h1_oracle(H)
@@ -330,26 +331,17 @@ def test_oracle_evaluates_phi_once_per_generator(monkeypatch):
     assert rep.invariant_factors == (2,) == h1_halfsum(grp).invariant_factors
 
 
-def test_supplied_generators_must_generate():
-    # caller-supplied generators are checked; a proper subgroup's are refused
-    grp = example1()
-    sub = grp.generators[:1]
-    assert closure(list(sub), n=grp.n).order < grp.order
-    for method in (h1_oracle, h1_halfsum):
-        with pytest.raises(ValueError, match="do not generate"):
-            method(grp, generators=list(sub))
-        assert method(grp, generators=list(grp.generators)).f2_rank == h1_oracle(grp).f2_rank
+def _generated_by_all(grp):
+    # the same group, with every element as a stored generator
+    return FiniteGroup.from_enc_set(grp.n, grp.enc_set, grp.enc_sorted)
 
 
 def test_generating_set_independence():
     for build in (example1, example3):
         grp = build()
-        by_gens = h1_oracle(grp)
-        by_all = h1_oracle(grp, generators=list(grp.elements))
-        assert by_gens.invariant_factors == by_all.invariant_factors
-        hs_gens = h1_halfsum(grp)
-        hs_all = h1_halfsum(grp, generators=list(grp.elements))
-        assert hs_gens.f2_rank == hs_all.f2_rank
+        every = _generated_by_all(grp)
+        assert h1_oracle(grp).invariant_factors == h1_oracle(every).invariant_factors
+        assert h1_halfsum(grp).f2_rank == h1_halfsum(every).f2_rank
 
 
 def test_conjugation_invariance():
@@ -419,10 +411,12 @@ _full_scans = {}
 
 
 def _checked_in_order(base):
-    # the nontrivial subgroups of the base in all_subgroups order, which is
-    # the order h1_condition checks them in
+    # the nontrivial subgroups of the base, walked whole and then sorted by
+    # (order, sorted encodings), the order h1_condition checks them in
     if base.enc_set not in _subgroup_lists:
-        _subgroup_lists[base.enc_set] = [H for H in all_subgroups(base).subgroups if H.order > 1]
+        walk = subgroup_walk(base.n, prime_power_cyclics(base.enc_set), cap=base.order)
+        subs = sorted(walk.subgroups, key=lambda H: (H.order, H.enc_sorted))
+        _subgroup_lists[base.enc_set] = [H for H in subs if H.order > 1]
     return _subgroup_lists[base.enc_set]
 
 
@@ -514,11 +508,13 @@ def test_h1_condition_oracle_calls_are_the_undecided_noncyclic_subgroups(monkeyp
 
 
 def test_h1_condition_unknown_on_bound(monkeypatch):
-    # example 2 fails (H1) on a subgroup; past the bound the sampling scan
-    # still finds that witness, so the verdict is a definitive False
+    # example 2 has an element with Lambda = 4; past the bound the cyclic
+    # scan finds it, so the verdict is a definitive False with a cyclic witness
     monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 4)
     res = h1_condition(example2())
-    assert res.ok is False and res.note
+    assert res.ok is False and res.subgroups_checked == 0
+    (gen,) = res.witness.spanning_encs
+    assert cyclic_h1_fails(gen) and res.witness.enc_set == frozenset(_cyclic_encs(gen))
 
 
 def test_abelian_shortcut():
@@ -549,14 +545,16 @@ def test_two_torsion_enforced():
 
 
 def test_h1_condition_sampling_fallback(monkeypatch):
-    # with a tiny bound the Klein-type failure is still found by the scan
+    # with a tiny bound the Klein-type failure is still found by the scan,
+    # as the first failing element in sorted order
     bad = G(4, "c1 c2 c3 c4", "(1,2) (3,4)")
     monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 2)
     res = h1_condition(bad)
-    assert res.ok is False and res.note
-    # a group that does satisfy (H1) stays undecided past the bound,
-    # never a clean True
+    first = next(g for g in sylow2(bad).elements if h1_cyclic(g).f2_rank)
+    assert res.ok is False and res.witness.enc_set == frozenset(_cyclic_encs(first.enc))
+    # a group that does satisfy (H1) is refused past the bound, never
+    # given a clean True
     good = G(4, "c1 c2 c3 c4 (2,3)", "(1,2,3)")
     monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 1)
-    res = h1_condition(good)
-    assert res.ok is None and "bound" in res.note
+    with pytest.raises(ValueError, match="not decided above the subgroup bound 1"):
+        h1_condition(good)

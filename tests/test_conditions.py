@@ -15,10 +15,10 @@ from conich1.conditions import (
 )
 from conich1.enumeration import TABLE_ROWS, _enumerate_full
 from conich1.groups import closure, enc_mul, identity_enc, index_orbits, pair_orbits
-from conich1.intlinalg import LatticeBasis, lattice_equal
+from conich1.intlinalg import LatticeBasis
 from conich1.picard import fixed_sublattice, phi_of_enc
 from conich1.signedperm import SignedPerm, parse_element
-from helpers import minimal_lattice
+from helpers import lattice_equal, minimal_lattice
 
 
 def G(n, *texts):

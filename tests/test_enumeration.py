@@ -9,7 +9,6 @@ from conich1.enumeration import (
     D6_FIXTURES,
     TABLE_ROWS,
     _enumerate_full,
-    _enumerate_guided,
     clean_elements,
     enumerate_wdn,
     match_table_row,
@@ -133,7 +132,7 @@ def test_enumerate_5_guided_matches_table(guided_enumeration):
 
 
 @pytest.mark.parametrize("n, count", [(4, 41), (5, 60)])
-def test_guided_classes_are_the_clean_classes_of_full_mode(n, count, full_lattice):
+def test_guided_classes_are_the_clean_classes_of_full_mode(n, count, full_lattice, guided_walk):
     # guided mode extends each class once per normalizer orbit; full mode,
     # which dedups by literal conjugation orbits, is the completeness
     # reference: its clean classes are those of clean elements only, within
@@ -145,19 +144,21 @@ def test_guided_classes_are_the_clean_classes_of_full_mode(n, count, full_lattic
         for H in reference
         if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean
     }
-    groups, stats = _enumerate_guided(n)
+    groups, stats = guided_walk(n)
     keys = [canonical_form(H) for H in groups]
     assert stats["clean_subgroup_classes"] == count
     assert len(keys) == len(set(keys)) == count + 1  # the trivial group is walked, not stored
     assert set(keys) == expected
 
 
-@pytest.mark.parametrize("n, histogram", [(4, {1: 28, 2: 8, 4: 6}), (5, {1: 27, 2: 22, 4: 12})])
-def test_guided_classes_meet_the_sign_changes_in_at_most_a_triangle(n, histogram):
+@pytest.mark.parametrize(
+    "n, histogram", [(4, {1: 28, 2: 8, 4: 6}), (5, {1: 27, 2: 22, 4: 12}), (6, {1: 186, 2: 65, 4: 31})]
+)
+def test_guided_classes_meet_the_sign_changes_in_at_most_a_triangle(n, histogram, guided_walk):
     # the kernel bound: a clean sign change flips exactly two indices, so
     # for every clean class G the sign changes in G are trivial, one pair
     # c_i c_j, or the three pairs of a triangle
-    groups, _ = _enumerate_guided(n)
+    groups, _ = guided_walk(n)
     orders = {}
     for G in groups:
         kernel = [e for e in G.enc_set if all(s >> 1 == j for j, s in enumerate(e))]

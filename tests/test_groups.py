@@ -29,6 +29,7 @@ from conich1.groups import (
     enc_order,
     fingerprint,
     normalizer_generators,
+    ordered_subgroups,
     prime_power_cyclics,
     subgroup_walk,
     identity_enc,
@@ -47,6 +48,9 @@ from helpers import (
 
 def G(n, *texts):
     return closure([parse_element(t, n) for t in texts], n=n)
+
+
+WDN4 = frozenset(g.enc for g in iter_wdn(4))  # a store's walk labels its orbits over ``within``
 
 
 def d41():
@@ -103,11 +107,12 @@ def test_closure_generator_order_independent():
     assert len(sets) == 1
 
 
-def test_closure_errors():
+def test_closure_errors(monkeypatch):
     with pytest.raises(ValueError):
         closure([parse_element("c1", 4)])  # sigma = -1
-    with pytest.raises(ValueError):
-        closure([parse_element("(1,2,3,4,5)", 5)], cap=3)
+    monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 3)
+    with pytest.raises(ValueError, match="cap of 3"):
+        closure([parse_element("(1,2,3,4,5)", 5)])
     with pytest.raises(ValueError):
         closure([parse_element("c1 c2", 4), parse_element("c1 c2", 5)])
 
@@ -123,9 +128,10 @@ def test_all_subgroups_trivial_and_prime():
     assert len(all_subgroups(G(4, "c1 c2 c3 c4")).subgroups) == 2
 
 
-def test_all_subgroups_bound():
-    with pytest.raises(ValueError):
-        all_subgroups(f7(), bound=10)
+def test_all_subgroups_bound(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_BOUND", 10)
+    with pytest.raises(ValueError, match="bound 10"):
+        all_subgroups(f7())
 
 
 def euler_phi(k):
@@ -205,8 +211,9 @@ def test_canonical_form_distinguishes():
 
 
 def test_canonical_form_bounds():
-    with pytest.raises(ValueError):
-        canonical_form(f7(), max_conjugators=10)
+    # f7 has rank 8, and |W(D_8)| = 5,160,960 exceeds MAX_CONJUGATORS
+    with pytest.raises(ValueError, match="MAX_CONJUGATORS"):
+        canonical_form(f7())
 
 
 def canonical_form_by_scan(grp):
@@ -402,7 +409,7 @@ def test_constructors_store_generators_that_generate():
     made_by = {
         "closure": [closure([], n=3), d41(), f7(), wdn4],
         "walker": list(all_subgroups(sylow2(wdn4)).subgroups)
-        + list(subgroup_walk(4, wdn4_cyclic, cap=wdn4.order, store=ClassStore()).subgroups),
+        + list(subgroup_walk(4, wdn4_cyclic, cap=wdn4.order, within=wdn4.enc_set, store=ClassStore()).subgroups),
         "build_group": families,
         "sylow2": [sylow2(grp) for grp in families + [d41(), f7(), wdn4]],
         "project": [project(grp, orb).group for grp in small for orb in orbits(grp).orbits],
@@ -508,14 +515,13 @@ def test_subgroup_walk_s3():
     walk = subgroup_walk(4, cyclic, cap=grp.order)
     assert len(walk.subgroups) == 6 and walk.aborted == 0
     # S_3: the three reflection subgroups fuse under W(D_4)-conjugation
-    classes = subgroup_walk(4, cyclic, cap=grp.order, store=ClassStore())
+    classes = subgroup_walk(4, cyclic, cap=grp.order, within=WDN4, store=ClassStore())
     assert sorted(H.order for H in classes.subgroups) == [1, 2, 3, 6]
 
 
 def test_subgroup_walk_matches_full_lattice_wdn4():
     # fingerprint + backtracking dedup against the int-table orbit dedup
-    wdn = [g.enc for g in iter_wdn(4)]
-    walk = subgroup_walk(4, prime_power_cyclics(wdn), cap=len(wdn), store=ClassStore())
+    walk = subgroup_walk(4, prime_power_cyclics(WDN4), cap=len(WDN4), within=WDN4, store=ClassStore())
     reference, stats = _enumerate_full(4)
     assert len(walk.subgroups) == len(reference) == stats["subgroup_classes"] == 98
     assert {canonical_form(H) for H in walk.subgroups} == {canonical_form(H) for H in reference}
@@ -523,7 +529,8 @@ def test_subgroup_walk_matches_full_lattice_wdn4():
 
 def test_walk_levels_complete_below_next_power_of_two():
     # after level d every subgroup of order < 2^(d+1) has been yielded,
-    # which is what lets h1_condition stop the walk at its witness
+    # which is what lets ordered_subgroups yield in order without walking
+    # the whole lattice first
     wdn = closure(list(iter_wdn(4)), n=4)
     for base in (sylow2(wdn), d41()):
         subgroups = {H.enc_set for H in all_subgroups(base).subgroups}
@@ -535,6 +542,25 @@ def test_walk_levels_complete_below_next_power_of_two():
             found.update(K for K, _, _ in level)
             assert {K for K in subgroups if len(K) < 2 ** (d + 1)} <= found
         assert found == subgroups
+
+
+def test_ordered_subgroups_is_the_sorted_walk(monkeypatch):
+    # the stream is subgroup_walk's lattice sorted by (order, sorted
+    # encodings), each subgroup with the generators the walk reached it by
+    wdn = closure(list(iter_wdn(4)), n=4)
+    for base in (sylow2(wdn), d41()):
+        walk = subgroup_walk(4, prime_power_cyclics(base.enc_set), cap=base.order)
+        want = sorted((H.order, H.enc_sorted, H.spanning_encs) for H in walk.subgroups)
+        assert [(H.order, H.enc_sorted, H.spanning_encs) for H in ordered_subgroups(base)] == want
+    # it walks a level only when the next subgroup asks for it: the trivial
+    # group needs no closure, and the subgroups of order 2 and 3 need one
+    # per prime-power cyclic candidate, 101 in W(D_4)
+    closures = []
+    real = groups.enc_closure
+    monkeypatch.setattr(groups, "enc_closure", lambda *args, **kw: closures.append(1) or real(*args, **kw))
+    stream = ordered_subgroups(wdn)
+    assert next(stream).order == 1 and closures == []
+    assert next(stream).order == 2 and len(closures) == 101
 
 
 def test_canonical_form_invariance_rank5_fixture():

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conich1.intlinalg import IntMatrix, lattice_equal
+from conich1.intlinalg import IntMatrix
 from conich1.picard import PicLattice, fixed_sublattice, fixed_sublattice_of, phi, psi, verify_aut0
-from helpers import minimal_lattice
+from helpers import lattice_equal, minimal_lattice
 from conich1.signedperm import SignedPerm, parse_element
 from helpers import determinant
 
