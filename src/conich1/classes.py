@@ -17,7 +17,7 @@ from itertools import product as iproduct
 from .conditions import relative_minimality
 from .cohomology import h1_condition
 from .groups import FiniteGroup, closure, index_orbits
-from .signedperm import SignedPerm, format_element, sigma
+from .signedperm import SignedPerm, sigma
 
 Poly = tuple[int, ...]
 
@@ -225,25 +225,6 @@ PARAM_KINDS: dict[int, tuple[str, ...]] = {
     9: ("n",), 10: ("n",), 11: ("n",), 12: ("n",), 13: ("n",), 14: ("p", "r"),
     15: ("n",), 16: ("p", "r"), 17: ("p", "r"), 18: ("n",), 19: ("p", "r"),
     20: ("n1", "n2", "n3"), 21: ("n1", "n2"), 22: ("n1", "n2"), 23: ("n",), 24: ("n",),
-}
-
-CLASS_NAMES: dict[int, str] = {
-    1: "D_{2n+1}", 2: "F_{p^r}", 3: "D_{2n1+1} x D_{2n2+1}", 4: "D_{2n+1} x F_{p^r}",
-    5: "C_{2n1+1} : D_{2n2+1}", 6: "C_{2n+1} : F_{p^r}", 7: "C_{2n1+1} : D_{2n2+1} (two generators)",
-    8: "* (two-generator mix of D and F blocks)", 9: "D_{4n+2}", 10: "C_{2n+1} : C_4",
-    11: "C_{2n+1} : D_4", 12: "D_{4n+2} (one orbit)", 13: "D_{2n+1}^2", 14: "F_{p^r} or C_{p^r} : C_{2(p^r-1)}",
-    15: "(C_{2n+1} : D_{2n+1}) : C_2", 16: "C_2 x F_{p^r} or C_{p^r} : C_{2(p^r-1)}",
-    17: "C_2 x F_{p^r}", 18: "D_{2n+1} wr C_2", 19: "C_2^2 : F_{p^r}",
-    20: "(C_{2n1+1} x C_{2n2+1} x C_{2n3+1}) : C_2^2", 21: "C_{2n1+1}^2 : (C_{2n2+1} : C_4)",
-    22: "(C_{2n1+1}^2 x C_{2n2+1}) : D_4", 23: "C_{2n+1}^3 : C_2^2 : C_3", 24: "C_{2n+1}^3 : D_4 : C_3",
-}
-
-SYLOW2_SHAPES: dict[int, str] = {
-    1: "C_2 (inside <g1>)", 2: "cyclic (inside <g1>)", 3: "C_2 x C_2", 4: "C_2 x cyclic",
-    5: "C_2", 6: "cyclic", 7: "C_2", 8: "cyclic", 9: "C_2 x C_2", 10: "C_4", 11: "D_4",
-    12: "C_2 x C_2", 13: "C_2 x C_2", 14: "cyclic (inside <g1>)", 15: "C_4",
-    16: "inside <g1> x <g3>", 17: "inside <g1> x <g3>", 18: "D_4", 19: "inside C_2^2 : C_{p^r-1}",
-    20: "C_2 x C_2", 21: "C_4", 22: "D_4", 23: "C_2 x C_2", 24: "D_4",
 }
 
 
@@ -552,40 +533,3 @@ def smallest_param_tuples(cid: int, count: int = 2) -> list[ClassSpec]:
             cands.append((sum(ns), tuple(ns), params))
     cands.sort(key=lambda t: (t[0], t[1]))
     return [ClassSpec(cid, params) for _, _, params in cands[:count]]
-
-
-def class_catalog() -> list[dict]:
-    """Structured catalog: one entry per family id."""
-    rank_formulas = {
-        1: "2n+2", 2: "p^r+1", 3: "2n1+2n2+3", 4: "2n+p^r+2", 5: "2n1+2n2+2",
-        6: "2n+1+p^r", 7: "2n1+2n2+2", 8: "2n+1+p^r", 9: "2n+3", 10: "2n+3",
-        11: "2n+3", 12: "4n+2", 13: "4n+2", 14: "p^r+2", 15: "4n+3", 16: "p^r+2",
-        17: "p^r+2", 18: "4n+3", 19: "p^r+2", 20: "2(n1+n2+n3)+3", 21: "4n1+2n2+3",
-        22: "4n1+2n2+3", 23: "6n+3", 24: "6n+3",
-    }
-    orbit_texts = {
-        1: "(2n+1)+1", 2: "p^r+1", 3: "(2n1+1)+(2n2+1)+1", 4: "(2n+1)+p^r+1",
-        5: "(2n1+1)+(2n2+1)", 6: "(2n+1)+p^r", 7: "(2n1+1)+(2n2+1)", 8: "(2n+1)+p^r",
-        9: "(2n+1)+1+1", 10: "(2n+1)+2", 11: "(2n+1)+2", 12: "4n+2", 13: "4n+2",
-        14: "p^r+2", 15: "(4n+2)+1", 16: "p^r+2", 17: "p^r+1+1", 18: "(4n+2)+1",
-        19: "p^r+2", 20: "(2n1+1)+(2n2+1)+(2n3+1)", 21: "(4n1+2)+(2n2+1)",
-        22: "(4n1+2)+(2n2+1)", 23: "6n+3", 24: "6n+3",
-    }
-    out = []
-    for cid in range(1, 25):
-        spec = smallest_param_tuples(cid, count=1)[0]
-        gens, N, profile = class_generators(spec)
-        out.append(
-            {
-                "id": cid,
-                "name": CLASS_NAMES[cid],
-                "parameters": list(PARAM_KINDS[cid]),
-                "ambient_rank": rank_formulas[cid],
-                "orbit_profile": orbit_texts[cid],
-                "sylow2": SYLOW2_SHAPES[cid],
-                "example_params": dict(spec.params),
-                "example_rank": N,
-                "example_generators": [format_element(g) for g in gens],
-            }
-        )
-    return out

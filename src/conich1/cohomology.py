@@ -21,7 +21,6 @@ from .groups import (
     Enc,
     FiniteGroup,
     _cyclic_encs,
-    closure,
     enc_cycle_type,
     identity_enc,
     index_orbits,
@@ -291,27 +290,23 @@ class H1ConditionResult:
 
     ok: bool
     witness: FiniteGroup | None
-    route: str
     subgroups_checked: int
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def h1_condition(
-    G: FiniteGroup,
-    route: str = "sylow2",
-    memo: dict[frozenset[Enc], bool] | None = None,
-) -> H1ConditionResult:
+def h1_condition(G: FiniteGroup, memo: dict[frozenset[Enc], bool] | None = None) -> H1ConditionResult:
     """(H1): H^1(H, Pic) = 0 for every subgroup H.
 
-    The default route checks the subgroups of one Sylow 2-subgroup, which
-    is equivalent; route='direct' enumerates all subgroups of G itself.
-    When that group has more than groups.DEFAULT_SUBGROUP_BOUND elements,
+    It is decided on the subgroups of one Sylow 2-subgroup P = sylow2(G),
+    which is equivalent; the tests check that against the subgroups of G
+    itself.  When P has more than groups.DEFAULT_SUBGROUP_BOUND elements,
     its subgroups are not enumerated: its cyclic subgroups are scanned in
-    the order of its elements, and a failing one is a definitive False
-    verdict with that subgroup as the witness.  If none fails, (H1) is not
-    decided above the bound, and ValueError is raised.
+    the order of P.enc_sorted, and a failing one is a definitive False
+    verdict with that subgroup, generated by the least failing encoding,
+    as the witness.  If none fails, (H1) is not decided above the bound,
+    and ValueError is raised.
 
     Within the bound the subgroups are checked in the order of
     groups.ordered_subgroups, (order, sorted element encodings), and the
@@ -321,27 +316,21 @@ def h1_condition(
 
     A subgroup the walk reached through a single generator x is cyclic and
     is decided by the closed form (cyclic_h1_fails: Lambda(x) > 2), with no
-    oracle call; that is every cyclic subgroup on the Sylow-2 route, and
-    every one of prime-power order on the direct route.  The others go to
-    h1_oracle.  ``memo``, when given, is owned by the caller
+    oracle call; in a 2-group that is every cyclic subgroup.  The others go
+    to h1_oracle.  ``memo``, when given, is owned by the caller
     and maps the element set of each subgroup the oracle decided to whether
     it fails; a set found there is not decided again, so one memo can be
     shared by the calls of one verify_tables or enumerate_wdn run.  The
     verdicts, the witness and ``subgroups_checked`` do not depend on it.
     """
-    if route == "sylow2":
-        base = sylow2(G)
-    elif route == "direct":
-        base = G
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    base = sylow2(G)
     if base.order > DEFAULT_SUBGROUP_BOUND:
-        for g in base.elements:
-            if not g.is_identity() and h1_cyclic(g).f2_rank:
-                return H1ConditionResult(False, closure([g], n=G.n), route, 0)
+        for e in base.enc_sorted:
+            if cyclic_h1_fails(e):
+                return H1ConditionResult(False, FiniteGroup.from_enc_set(G.n, _cyclic_encs(e), [e]), 0)
         raise ValueError(
             f"(H1) is not decided above the subgroup bound {DEFAULT_SUBGROUP_BOUND}: "
-            f"no cyclic subgroup fails in the {route} group of order {base.order}"
+            f"no cyclic subgroup fails in the Sylow 2-subgroup of order {base.order}"
         )
     if memo is None:
         memo = {}
@@ -357,5 +346,5 @@ def h1_condition(
             if fails is None:
                 fails = memo[H.enc_set] = h1_oracle(H).f2_rank > 0
         if fails:
-            return H1ConditionResult(False, H, route, checked)
-    return H1ConditionResult(True, None, route, checked)
+            return H1ConditionResult(False, H, checked)
+    return H1ConditionResult(True, None, checked)

@@ -18,8 +18,11 @@ Two modes:
   candidate cyclic subgroups, read off a conjugacy orbit labelled over
   the clean set; that set is closed under conjugation, so every class is
   still reached.  Any group passing the filters is clean, so the search
-  is complete for the target set up to the order cap (capped_closures
-  counts the closures the cap stopped).
+  is complete for the target set below the order cap (capped_closures
+  counts the closures the cap stopped).  At rank 7 the cap hides no
+  passing class: without it the walk finds exactly two more, the
+  flip-free A_7 and S_7, and both fail the fiber-pair condition
+  (test_rank_7_order_cap_hides_no_passing_class, a heavy test).
   Partial groups are never pruned by orbit counts: that would lose D4(1),
   both of whose one-generator partials already have four symbol orbits.
 """

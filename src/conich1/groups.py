@@ -549,7 +549,8 @@ def all_subgroups(G: FiniteGroup) -> SubgroupList:
 
 
 def sylow2(G: FiniteGroup) -> FiniteGroup:
-    """A Sylow 2-subgroup of G, with the generators it was climbed with.
+    """A Sylow 2-subgroup of G: G itself when its order is a power of 2,
+    else the subgroup climbed to, with the generators it was climbed with.
 
     Each step adds the first 2-element of G.enc_sorted that normalizes P
     without lying in it, so the result depends only on G's element set.
@@ -558,6 +559,8 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     (phi(t) maps the H-module Pic to the tHt^-1-module).
     """
     two_part = G.order & -G.order
+    if two_part == G.order:
+        return G
     n = G.n
     P: frozenset[Enc] = frozenset({identity_enc(n)})
     gens: list[Enc] = []

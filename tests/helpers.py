@@ -2,6 +2,9 @@
 
 from itertools import combinations, permutations
 
+import pytest
+
+from conich1 import cohomology
 from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns
 from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, wdn_generators
 from conich1.intlinalg import IntMatrix, LatticeBasis, _pivot_min_abs, kernel_of_rows
@@ -95,6 +98,15 @@ def random_subgroup(G, rng, max_gens=2):
     k = rng.randint(1, max_gens)
     gens = [G.elements[rng.randrange(G.order)] for _ in range(k)]
     return closure(gens, n=G.n)
+
+
+def h1_condition_direct(G, memo=None):
+    """The checker for cohomology.h1_condition's Sylow 2-reduction: the same
+    decision run on the subgroups of G itself instead of a Sylow
+    2-subgroup's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "sylow2", lambda grp: grp)
+        return cohomology.h1_condition(G, memo=memo)
 
 
 def h1_by_cocycle_system(G, generators=None):

@@ -18,7 +18,7 @@ from conich1.enumeration import TABLE_ROWS, enumerate_wdn, verify_tables
 from conich1.groups import closure
 from conich1.picard import phi, verify_aut0
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
-from helpers import random_subgroup
+from helpers import h1_condition_direct, random_subgroup
 
 TORSION_LEDGER: list[tuple[int, ...]] = []
 
@@ -179,8 +179,8 @@ def test_criterion_8_sylow_reduction():
         grp = fixtures[i % len(fixtures)]
         i += 1
         H = random_subgroup(grp, rng, max_gens=2)
-        via_sylow = h1_condition(H, route="sylow2")
-        direct = h1_condition(H, route="direct")
+        via_sylow = h1_condition(H)
+        direct = h1_condition_direct(H)
         assert via_sylow.ok == direct.ok, (H.n, H.order)
         checked += 1
     elapsed = time.monotonic() - t0

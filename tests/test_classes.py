@@ -1,17 +1,24 @@
+import ast
+import math
+import re
+from pathlib import Path
+
 import pytest
 
 from conich1.classes import (
+    PARAM_KINDS,
     ClassSpec,
     build_group,
-    class_catalog,
     class_generators,
     field_labeling,
     smallest_param_tuples,
     verify_class,
 )
 from conich1.conditions import relative_minimality
-from conich1.groups import all_subgroups, are_conjugate, closure, enc_mul, sylow2
-from conich1.signedperm import parse_element
+from conich1.groups import abelian_invariants, all_subgroups, are_conjugate, closure, enc_mul, sylow2
+from conich1.signedperm import format_element, parse_element
+
+CATALOG_DOC = Path(__file__).resolve().parent.parent / "docs" / "class_catalog.md"
 
 
 def test_field_labeling_f5():
@@ -171,12 +178,65 @@ def test_all_generators_stay_in_wdn():
             assert all(g.n == N and sigma(g) == 1 for g in gens)
 
 
-def test_class_catalog_complete():
-    cat = class_catalog()
-    assert len(cat) == 24
-    for entry in cat:
-        for key in ("id", "name", "parameters", "ambient_rank", "orbit_profile", "sylow2", "example_generators"):
-            assert key in entry
+def _catalog_entries():
+    # id -> {"parameters": ..., "ambient rank": ..., ..., "example": ..., "generators": [...]}
+    entries = {}
+    for section in CATALOG_DOC.read_text().split("\n## Class ")[1:]:
+        head, *lines = section.splitlines()
+        entry = entries[int(head.split(":")[0])] = {"generators": []}
+        for line in lines:
+            if line.startswith("  - `"):
+                entry["generators"].append(line.strip()[3:-1])
+            elif line.startswith("- example at "):
+                entry["example"] = line[len("- example at "):]
+            elif line.startswith("- "):
+                key, value = line[2:].split(": ", 1)
+                entry[key] = value
+    return entries
+
+
+def _eval_formula(text, params):
+    # "2n1+1" -> 2*n1+1, "p^r" -> p**r
+    expr = re.sub(r"(\d)(?=[a-z(])", r"\1*", text).replace("^", "**")
+    return eval(expr, {"__builtins__": {}}, dict(params))
+
+
+def _sylow2_matches(shape, P):
+    invariants = abelian_invariants(P)
+    if shape == "D_4":
+        return P.order == 8 and math.prod(invariants) < P.order
+    if math.prod(invariants) != P.order:
+        return False
+    return {
+        "C_2": invariants == (2,),
+        "C_4": invariants == (4,),
+        "C_2 x C_2": invariants == (2, 2),
+        "C_2 x cyclic": invariants == (2, P.order // 2),
+        "cyclic": invariants == (P.order,),
+    }[shape]
+
+
+def test_class_catalog_doc_matches_the_code():
+    # docs/class_catalog.md is the only copy of the catalog
+    entries = _catalog_entries()
+    assert sorted(entries) == list(range(1, 25))
+    named_shapes = 0
+    for cid, entry in entries.items():
+        assert entry["parameters"] == ", ".join(PARAM_KINDS[cid]), cid
+        spec = smallest_param_tuples(cid, 1)[0]
+        gens, N, _ = class_generators(spec)
+        assert entry["example"] == f"{spec.params} (rank {N}):", cid
+        assert entry["generators"] == [format_element(g) for g in gens], cid
+        shape = entry["Sylow 2-subgroup"].split(" (inside")[0]
+        for spec in smallest_param_tuples(cid, 2):
+            _, N, profile = class_generators(spec)
+            assert _eval_formula(entry["ambient rank"], spec.params) == N, (cid, spec.params)
+            orbits = sorted((_eval_formula(t, spec.params) for t in entry["orbit profile"].split(", ")), reverse=True)
+            assert orbits == sorted(profile, reverse=True), (cid, spec.params)
+            if not shape.startswith("inside"):
+                assert _sylow2_matches(shape, sylow2(build_group(spec))), (cid, spec.params, shape)
+                named_shapes += 1
+    assert named_shapes == 42
 
 
 def test_d4_sylow_classes_11_18_22_24():

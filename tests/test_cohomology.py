@@ -35,7 +35,14 @@ from conich1.groups import (
 )
 from conich1.picard import phi_of_enc
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
-from helpers import CHECKED_CLASS_MAX_ORDER, bounded_closure, h1_by_cocycle_system, iter_wdn, random_subgroup
+from helpers import (
+    CHECKED_CLASS_MAX_ORDER,
+    bounded_closure,
+    h1_by_cocycle_system,
+    h1_condition_direct,
+    iter_wdn,
+    random_subgroup,
+)
 
 Gcache = {}
 
@@ -374,10 +381,10 @@ def test_h1_condition_routes_agree():
     fixtures = [example1(), example3(), G(4, "c1 c2 c3 c4 (2,3)", "(1,2,3)")]
     checked = 0
     for grp in fixtures:
-        assert h1_condition(grp, route="sylow2").ok == h1_condition(grp, route="direct").ok
+        assert h1_condition(grp).ok == h1_condition_direct(grp).ok
         while checked < 12:
             H = random_subgroup(grp, rng, max_gens=2)
-            assert h1_condition(H, route="sylow2").ok == h1_condition(H, route="direct").ok
+            assert h1_condition(H).ok == h1_condition_direct(H).ok
             checked += 1
 
 
@@ -399,7 +406,7 @@ def test_h1_verdict_is_the_same_on_every_sylow2_conjugate(full_lattice):
                 conjugates[Q] = FiniteGroup.from_enc_set(grp.n, Q, [conj(e) for e in P.spanning_encs])
         verdicts = set()
         for Q in conjugates.values():
-            res = h1_condition(Q, route="direct")
+            res = h1_condition_direct(Q)
             verdicts.add((res.ok, res.witness.order if res.witness is not None else None))
         assert len(verdicts) == 1, grp
         several += len(conjugates) > 1
@@ -433,11 +440,14 @@ def _full_scan(base):
     return _full_scans[base.enc_set]
 
 
-def _matches_full_scan(grp, route="sylow2", memo=None):
-    base = sylow2(grp) if route == "sylow2" else grp
-    res = h1_condition(grp, route=route, memo=memo)
+def _matches_full_scan(grp, direct=False, memo=None):
+    # direct: the decision on the subgroups of grp itself, else on sylow2(grp)
+    if direct:
+        base, res = grp, h1_condition_direct(grp, memo=memo)
+    else:
+        base, res = sylow2(grp), h1_condition(grp, memo=memo)
     witness = res.witness.enc_set if res.witness is not None else None
-    assert (res.ok, witness, res.subgroups_checked) == _full_scan(base), (grp, route)
+    assert (res.ok, witness, res.subgroups_checked) == _full_scan(base), (grp, direct)
     return res
 
 
@@ -449,10 +459,10 @@ def test_h1_condition_matches_full_scan_wdn4_classes():
     for memo in (None, {}):
         compared = noncyclic_witnesses = 0
         for grp in reps:
-            for route in ("sylow2", "direct"):
-                if route == "direct" and grp.order > 64:
+            for direct in (False, True):
+                if direct and grp.order > 64:
                     continue
-                res = _matches_full_scan(grp, route, memo)
+                res = _matches_full_scan(grp, direct, memo)
                 compared += 1
                 if res.witness is not None and res.witness.order == 4:
                     noncyclic_witnesses += all(h1_cyclic(g).f2_rank == 0 for g in res.witness.elements)
@@ -558,3 +568,20 @@ def test_h1_condition_sampling_fallback(monkeypatch):
     monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 1)
     with pytest.raises(ValueError, match="not decided above the subgroup bound 1"):
         h1_condition(good)
+
+
+def test_refusal_scan_above_the_bound_builds_no_signed_perm(monkeypatch):
+    # the 2-group of order 16,384 that `check -n 8` pins: sylow2 returns it
+    # whole, and the scan above the bound runs on encodings alone, its
+    # witness generated by the least failing encoding
+    grp = G(8, "(1,2)", "(1,3)(2,4)", "(1,5)(2,6)(3,7)(4,8)", "c1 c2", "c3 c4", "c5 c6", "c7 c8", "c1 c3", "c1 c5")
+    assert grp.order == 16384 and sylow2(grp) is grp
+    calls = []
+    from_enc = SignedPerm.from_enc
+    monkeypatch.setattr(SignedPerm, "from_enc", classmethod(lambda cls, n, e: calls.append(e) or from_enc(n, e)))
+    monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 2)
+    res = h1_condition(grp)
+    assert calls == []
+    least = min(e for e in grp.enc_set if cyclic_h1_fails(e))
+    assert res.ok is False and res.subgroups_checked == 0
+    assert res.witness.spanning_encs == (least,) and res.witness.order == 2

@@ -2,13 +2,15 @@ import hashlib
 
 import pytest
 
-from conich1 import groups
+from conich1 import enumeration, groups
 from conich1.cohomology import h1_condition_cyclic
+from conich1.conditions import fiber_pair_condition
 from conich1.enumeration import (
     CLEAN_SUBGROUP_CAP,
     D6_FIXTURES,
     TABLE_ROWS,
     _enumerate_full,
+    _enumerate_guided,
     clean_elements,
     enumerate_wdn,
     match_table_row,
@@ -16,7 +18,7 @@ from conich1.enumeration import (
     verify_tables,
 )
 from conich1.groups import are_conjugate, canonical_form, closure, enc_mul
-from conich1.signedperm import parse_element
+from conich1.signedperm import parse_element, wdn_order
 from helpers import iter_wdn
 
 
@@ -202,6 +204,25 @@ def test_enumerate_6_matches_table(guided_enumeration):
         assert len(hits) == 1, (e.order, hits)
         matched.add(hits[0])
     assert len(matched) == 15
+
+
+@pytest.mark.heavy
+def test_rank_7_order_cap_hides_no_passing_class(monkeypatch):
+    # the guided walk at rank 7 with no order cap: exactly two clean classes
+    # lie above CLEAN_SUBGROUP_CAP, the flip-free A_7 and S_7, and both fail
+    # the fiber-pair condition, so the capped walk misses no passing class
+    monkeypatch.setattr(enumeration, "CLEAN_SUBGROUP_CAP", wdn_order(7))
+    classes, stats = _enumerate_guided(7)
+    above = sorted((H for H in classes if H.order > CLEAN_SUBGROUP_CAP), key=lambda H: H.order)
+    assert [H.order for H in above] == [2520, 5040]
+    for H in above:
+        assert not any(s & 1 for e in H.enc_set for s in e)  # flip-free
+        assert not fiber_pair_condition(H)
+    keys = ("clean_subgroup_classes", "closures", "aborted_closures", "conjugacy_tests", "orbit_points")
+    assert {k: stats[k] for k in keys} == {
+        "clean_subgroup_classes": 475, "closures": 25473, "aborted_closures": 4917, "conjugacy_tests": 2159,
+        "orbit_points": 1055702,
+    }
 
 
 @pytest.mark.heavy
