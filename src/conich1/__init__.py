@@ -41,10 +41,8 @@ from .picard import PicLattice, fixed_sublattice, phi, psi, verify_aut0
 from .signedperm import (
     SignedCycle,
     SignedPerm,
-    conjugate,
     format_element,
     lambda_count,
-    multiply,
     parse_element,
     sigma,
     signed_cycles,
@@ -67,7 +65,6 @@ __all__ = [
     "check_conditions",
     "class_generators",
     "closure",
-    "conjugate",
     "enumerate_wdn",
     "fiber_pair_condition",
     "field_labeling",
@@ -80,7 +77,6 @@ __all__ = [
     "h1_oracle",
     "integer_kernel",
     "lambda_count",
-    "multiply",
     "orbit_count_filter",
     "orbits",
     "parse_element",

@@ -215,6 +215,12 @@ class ClassSpec:
     def key(self) -> tuple:
         return (self.id, tuple(sorted(self.params.items())))
 
+    @property
+    def rank(self) -> int:
+        """The rank N of the ambient W(D_N), from the parameters alone."""
+        P = self.params
+        return _RANKS[self.id](P, P["p"] ** P["r"] if "p" in P else 0)
+
     def __hash__(self):
         return hash(self.key())
 
@@ -226,6 +232,24 @@ PARAM_KINDS: dict[int, tuple[str, ...]] = {
     15: ("n",), 16: ("p", "r"), 17: ("p", "r"), 18: ("n",), 19: ("p", "r"),
     20: ("n1", "n2", "n3"), 21: ("n1", "n2"), 22: ("n1", "n2"), 23: ("n",), 24: ("n",),
 }
+
+# family ids -> the rank N, from the parameters P and q = p^r
+_RANK_FORMULAS = (
+    ((1,), lambda P, q: 2 * P["n"] + 2),
+    ((2,), lambda P, q: q + 1),
+    ((3,), lambda P, q: 2 * P["n1"] + 2 * P["n2"] + 3),
+    ((4,), lambda P, q: 2 * P["n"] + q + 2),
+    ((5, 7), lambda P, q: 2 * P["n1"] + 2 * P["n2"] + 2),
+    ((6, 8), lambda P, q: 2 * P["n"] + q + 1),
+    ((9, 10, 11), lambda P, q: 2 * P["n"] + 3),
+    ((12, 13), lambda P, q: 4 * P["n"] + 2),
+    ((14, 16, 17, 19), lambda P, q: q + 2),
+    ((15, 18), lambda P, q: 4 * P["n"] + 3),
+    ((20,), lambda P, q: 2 * (P["n1"] + P["n2"] + P["n3"]) + 3),
+    ((21, 22), lambda P, q: 4 * P["n1"] + 2 * P["n2"] + 3),
+    ((23, 24), lambda P, q: 6 * P["n"] + 3),
+)
+_RANKS = {cid: formula for ids, formula in _RANK_FORMULAS for cid in ids}
 
 
 def _el(N: int, minus, cycles) -> SignedPerm:
@@ -257,31 +281,26 @@ def _shift(cycle, offset: int) -> list[int]:
     return [offset + j for j in cycle]
 
 
-def _gamma_cycle(labels: FieldLabeling) -> list[int]:
-    return labels.gamma_labels()
-
-
 def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int, ...]]:
     """Generators, ambient rank, and the expected index-orbit length profile."""
     P = spec.params
     cid = spec.id
+    N = spec.rank
 
     if cid in (2, 4, 6, 8, 14, 16, 17, 19):
         L = field_labeling(P["p"], P["r"])
         q = L.q
-        gcyc = _gamma_cycle(L)
+        gcyc = L.gamma_labels()
         addc = L.addition_cycles()
 
     if cid == 1:
         n = P["n"]
-        N = 2 * n + 2
         gens = [
             _el(N, range(1, N + 1), _trans_chain(0, n)),
             _el(N, (), [_std_cycle(0, n)]),
         ]
         return gens, N, (2 * n + 1, 1)
     if cid == 2:
-        N = q + 1
         gens = [
             _el(N, range(1, N + 1), [gcyc]),
             _el(N, (), addc),
@@ -289,7 +308,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, (q, 1)
     if cid == 3:
         n1, n2 = P["n1"], P["n2"]
-        N = 2 * n1 + 2 * n2 + 3
         o2 = 2 * n1 + 1
         gens = [
             _el(N, list(range(1, 2 * n1 + 2)) + [N], _trans_chain(0, n1)),
@@ -300,7 +318,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, tuple(sorted((2 * n1 + 1, 2 * n2 + 1, 1), reverse=True))
     if cid == 4:
         n = P["n"]
-        N = 2 * n + 1 + q + 1
         o2 = 2 * n + 1
         gens = [
             _el(N, list(range(1, 2 * n + 2)) + [N], _trans_chain(0, n)),
@@ -311,7 +328,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, tuple(sorted((2 * n + 1, q, 1), reverse=True))
     if cid in (5, 7):
         n1, n2 = P["n1"], P["n2"]
-        N = 2 * n1 + 2 * n2 + 2
         o2 = 2 * n1 + 1
         g1 = _el(N, range(1, N + 1), _trans_chain(0, n1) + _trans_chain(o2, n2))
         if cid == 5:
@@ -321,7 +337,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, tuple(sorted((2 * n1 + 1, 2 * n2 + 1), reverse=True))
     if cid in (6, 8):
         n = P["n"]
-        N = 2 * n + 1 + q
         o2 = 2 * n + 1
         g1 = _el(N, range(1, N + 1), _trans_chain(0, n) + [_shift(gcyc, o2)])
         if cid == 6:
@@ -331,7 +346,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, tuple(sorted((2 * n + 1, q), reverse=True))
     if cid == 9:
         n = P["n"]
-        N = 2 * n + 3
         gens = [
             _el(N, range(1, 2 * n + 3), _trans_chain(0, n)),
             _el(N, (), [_std_cycle(0, n)]),
@@ -340,7 +354,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, (2 * n + 1, 1, 1)
     if cid in (10, 11):
         n = P["n"]
-        N = 2 * n + 3
         gens = [
             _el(N, range(1, 2 * n + 3), _trans_chain(0, n) + [(2 * n + 2, 2 * n + 3)]),
             _el(N, (), [_std_cycle(0, n)]),
@@ -350,7 +363,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, (2 * n + 1, 2)
     if cid in (12, 13):
         n = P["n"]
-        N = 4 * n + 2
         o2 = 2 * n + 1
         g1 = _el(N, range(1, N + 1), _trans_chain(0, n) + _trans_chain(o2, n))
         swap = _el(N, (), _block_swap(0, o2, 2 * n + 1))
@@ -360,7 +372,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
             gens = [g1, _el(N, (), [_std_cycle(0, n)]), _el(N, (), [_std_cycle(o2, n)]), swap]
         return gens, N, (4 * n + 2,)
     if cid in (14, 16):
-        N = q + 2
         gens = [
             _el(N, range(1, q + 2), [gcyc, (q + 1, q + 2)]),
             _el(N, (), addc),
@@ -370,7 +381,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, (q, 2)
     if cid == 15:
         n = P["n"]
-        N = 4 * n + 3
         o2 = 2 * n + 1
         gens = [
             _el(N, list(range(1, 2 * n + 2)) + [N], [(1, o2 + 1)] + _four_cycles(o2, n)),
@@ -379,7 +389,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         ]
         return gens, N, (4 * n + 2, 1)
     if cid == 17:
-        N = q + 2
         gens = [
             _el(N, range(1, q + 2), [gcyc]),
             _el(N, (), addc),
@@ -388,7 +397,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, (q, 1, 1)
     if cid == 18:
         n = P["n"]
-        N = 4 * n + 3
         o2 = 2 * n + 1
         gens = [
             _el(N, list(range(1, 2 * n + 2)) + [N], _trans_chain(0, n)),
@@ -399,7 +407,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         ]
         return gens, N, (4 * n + 2, 1)
     if cid == 19:
-        N = q + 2
         gens = [
             _el(N, range(1, q + 2), [gcyc, (q + 1, q + 2)]),
             _el(N, (), addc),
@@ -409,7 +416,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, (q, 2)
     if cid == 20:
         n1, n2, n3 = P["n1"], P["n2"], P["n3"]
-        N = 2 * (n1 + n2 + n3) + 3
         o2 = 2 * n1 + 1
         o3 = 2 * n1 + 2 * n2 + 2
         gens = [
@@ -422,7 +428,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, tuple(sorted((2 * n1 + 1, 2 * n2 + 1, 2 * n3 + 1), reverse=True))
     if cid == 21:
         n1, n2 = P["n1"], P["n2"]
-        N = 4 * n1 + 2 * n2 + 3
         o2 = 2 * n1 + 1
         o3 = 4 * n1 + 2
         gens = [
@@ -434,7 +439,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, tuple(sorted((4 * n1 + 2, 2 * n2 + 1), reverse=True))
     if cid == 22:
         n1, n2 = P["n1"], P["n2"]
-        N = 4 * n1 + 2 * n2 + 3
         o2 = 2 * n1 + 1
         o3 = 4 * n1 + 2
         gens = [
@@ -448,7 +452,6 @@ def class_generators(spec: ClassSpec) -> tuple[list[SignedPerm], int, tuple[int,
         return gens, N, tuple(sorted((4 * n1 + 2, 2 * n2 + 1), reverse=True))
     if cid in (23, 24):
         n = P["n"]
-        N = 6 * n + 3
         o2 = 2 * n + 1
         o3 = 4 * n + 2
         gens = [

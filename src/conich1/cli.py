@@ -15,7 +15,7 @@ from dataclasses import asdict
 from functools import cache
 
 from . import __version__
-from .classes import ClassSpec, PARAM_KINDS, class_generators, verify_class
+from .classes import ClassSpec, PARAM_KINDS, verify_class
 from .cohomology import h1_cyclic, h1_halfsum, h1_oracle
 from .conditions import check_conditions, orbits, project
 from .enumeration import enumerate_wdn, verify_tables
@@ -141,10 +141,13 @@ def cmd_check(args) -> int:
 
 def cmd_class(args) -> int:
     params = {k: getattr(args, k) for k in PARAM_KINDS.get(args.id, ()) if getattr(args, k) is not None}
+    for key, val in params.items():
+        # every family's rank exceeds each of its parameters
+        if val > MAX_RANK:
+            raise ValueError(f"parameter {key} must be at most MAX_RANK = {MAX_RANK}, got {val}")
     spec = ClassSpec(args.id, params)
-    _, N, _ = class_generators(spec)
-    if N > MAX_RANK:
-        raise ValueError(f"rank n must be at most {MAX_RANK}, got {N}")
+    if spec.rank > MAX_RANK:
+        raise ValueError(f"rank n must be at most {MAX_RANK}, got {spec.rank}")
     rep = verify_class(spec)
     result = {
         "class_id": args.id,

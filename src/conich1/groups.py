@@ -3,9 +3,9 @@ and the conjugacy orbit of a subgroup (its normalizer and canonical form).
 
 Everything here runs on element encodings (SignedPerm.enc) with the
 primitives of signedperm (enc_mul, enc_inv, enc_order, enc_cycle_type,
-enc_dn_class), which this module re-exports; SignedPerm objects are the
-public value type and are built only on request (FiniteGroup.generators,
-.elements).
+enc_dn_class), which this module re-exports, and orders elements as
+their encodings order.  SignedPerm objects are the public value type and
+are built only on request (FiniteGroup.generators).
 Conjugacy orbits of subgroups run on labels instead, the sort positions
 of a conjugation-closed set of encodings (ConjugationLabels).
 """
@@ -162,13 +162,13 @@ class FiniteGroup:
     it.  The one constructor, from_enc_set, is called only with an element
     set closed from (or conjugated along with) the generators it gets, so
     nothing re-derives or re-checks them; the trivial group may have none.
-    The SignedPerm tuples ``generators`` and ``elements`` (sorted by
-    SignedPerm.sort_key) and the fingerprint are built on first access.
+    The SignedPerm tuple ``generators``, the sorted encodings
+    ``enc_sorted`` and the fingerprint are built on first access.
     """
 
     __slots__ = (
-        "n", "spanning_encs", "enc_set", "order", "_generators", "_elements", "_enc_sorted", "_fingerprint",
-        "_pair_size", "_by_type",
+        "n", "spanning_encs", "enc_set", "order", "_generators", "_enc_sorted", "_fingerprint", "_pair_size",
+        "_by_type",
     )
 
     @classmethod
@@ -180,7 +180,6 @@ class FiniteGroup:
         G.enc_set = frozenset(encs)
         G.order = len(G.enc_set)
         G._generators = None
-        G._elements = None
         G._enc_sorted = None
         G._fingerprint = None
         G._pair_size = None
@@ -194,20 +193,10 @@ class FiniteGroup:
         return self._generators
 
     @property
-    def elements(self) -> tuple[SignedPerm, ...]:
-        if self._elements is None:
-            perms = (SignedPerm.from_enc(self.n, e) for e in self.enc_set)
-            self._elements = tuple(sorted(perms, key=SignedPerm.sort_key))
-        return self._elements
-
-    @property
     def enc_sorted(self) -> tuple[Enc, ...]:
         if self._enc_sorted is None:
             self._enc_sorted = tuple(sorted(self.enc_set))
         return self._enc_sorted
-
-    def __contains__(self, g: SignedPerm) -> bool:
-        return g.enc in self.enc_set
 
     def __len__(self) -> int:
         return self.order
@@ -220,34 +209,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(n={self.n}, order={self.order}, gens={len(self.spanning_encs)})"
-
-    def conjugate_by(self, t: SignedPerm) -> "FiniteGroup":
-        conj = enc_conjugation(t.enc)
-        return FiniteGroup.from_enc_set(self.n, map(conj, self.enc_set), [conj(e) for e in self.spanning_encs])
-
-    def derived_subgroup_encs(self) -> frozenset[Enc]:
-        """[G,G], the normal closure of the commutators [s_i, s_j] of the
-        stored generators: G modulo it is abelian, as its generators commute.
-
-        The commutators are closed to D, and D's generators conjugated by
-        each s; D takes the conjugates outside it and is re-closed, until
-        every conjugate lies in D, which each s then normalizes.
-        """
-        gens = self.spanning_encs
-        D_gens = [
-            enc_mul(enc_mul(a, b), enc_mul(enc_inv(a), enc_inv(b))) for i, a in enumerate(gens) for b in gens[i + 1:]
-        ]
-        D = enc_closure(D_gens, self.n, cap=self.order)
-        conjugations = [enc_conjugation(s) for s in gens]
-        fresh = D_gens  # the conjugates of older generators lie in D already
-        while D is not None:
-            new = {x for conj in conjugations for x in map(conj, fresh) if x not in D}
-            if not new:
-                return D
-            fresh = sorted(new)
-            D_gens += fresh
-            D = enc_closure(D_gens, self.n, cap=self.order, subgroup=D)
-        raise RuntimeError(f"derived subgroup outgrew its group of order {self.order}")
 
 
 def closure(gens: Sequence[SignedPerm], n: int | None = None) -> FiniteGroup:
@@ -588,33 +549,31 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
 
 
 def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of the abelianization A = G/[G,G].
+    """Invariant factors d_1 | d_2 | ... of the abelianization G/[G,G].
 
-    A breadth-first search over the cosets of [G,G], along the stored
-    generators s_1..s_k, gives each coset c the word v_c in Z^k of its
-    search-tree path.  Each edge c --s--> cs gives the relation
-    v_c + e_s - v_cs (zero on tree edges); by Schreier's lemma these
-    generate all relations of A on the images of the s_i, so A is Z^k
-    modulo them, and its invariant factors are the Smith factors > 1.
+    A breadth-first search over G along the stored generators s_1..s_k
+    gives each element c the word v_c in Z^k of its search-tree path.  Each
+    edge c --s--> cs gives the relation v_c + e_s - v_cs (zero on tree
+    edges); by Schreier's lemma these generate the relations of G on the
+    s_i, so G/[G,G] is Z^k modulo them, and its invariant factors are the
+    Smith factors > 1.
     """
     gens = G.spanning_encs
-    derived = G.derived_subgroup_encs()
-    coset_of = dict.fromkeys(derived, 0)
     reps = [identity_enc(G.n)]
+    index = {reps[0]: 0}
     words = [[0] * len(gens)]
-    relations = []
+    relations = set()
     for c, r in enumerate(reps):  # reps grows while it is read
         for i, s in enumerate(gens):
             x = enc_mul(r, s)
             step = words[c][:]
             step[i] += 1
-            d = coset_of.get(x)
-            if d is None:
-                coset_of.update(dict.fromkeys([enc_mul(x, y) for y in derived], len(reps)))
+            d = index.setdefault(x, len(reps))
+            if d == len(reps):
                 reps.append(x)
                 words.append(step)
             else:
-                relations.append([a - b for a, b in zip(step, words[d])])
+                relations.add(tuple([a - b for a, b in zip(step, words[d])]))
     L = LatticeBasis.from_vectors(len(gens), relations)
     return tuple(d for d in invariant_factors(IntMatrix.from_rows(L.rows)) if d > 1)
 

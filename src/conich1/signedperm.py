@@ -5,10 +5,11 @@ c_{j_1}...c_{j_t} tau with tau applied first.  Products compose right to
 left: (a * b) means b acts first, so matrix representations satisfy
 Phi(a*b) = Phi(a) Phi(b) on column vectors.
 
-Symbols are the 2n objects j^+ / j^-, encoded as pairs (j, +1) / (j, -1).
-A SignedPerm stores its encoding (Enc).  Product, inverse, order, signed
+W(B_n) permutes the 2n symbols j^+ / j^-.  A SignedPerm stores its
+encoding (Enc), the images of 1^+..n^+.  Product, inverse, order, signed
 cycle type and W(D_n)-class are the Enc functions below, which groups,
-cohomology and enumeration call directly on their hot paths.
+cohomology and enumeration call directly on their hot paths; elements
+order as their encodings do.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Sequence
-
-Symbol = tuple[int, int]
 
 # An element's encoding: entry j-1 is the image of the symbol j^+, where
 # symbol k^+ is 2(k-1) and k^- is 2(k-1)+1, so pairing is XOR 1.
@@ -155,17 +155,9 @@ class SignedPerm:
         return g
 
     @property
-    def image(self) -> tuple[int, ...]:
-        return tuple((s >> 1) + 1 for s in self.enc)
-
-    @property
     def minus(self) -> frozenset[int]:
         """The flipped indices: the targets of the odd entries of ``enc``."""
         return frozenset((s >> 1) + 1 for s in self.enc if s & 1)
-
-    def sort_key(self) -> tuple:
-        minus = self.minus
-        return (tuple(-1 if j in minus else 1 for j in range(1, self.n + 1)), self.image)
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         """Composition with ``other`` applied first."""
@@ -173,60 +165,17 @@ class SignedPerm:
             raise ValueError("rank mismatch")
         return SignedPerm.from_enc(self.n, enc_mul(self.enc, other.enc))
 
-    def inverse(self) -> "SignedPerm":
-        return SignedPerm.from_enc(self.n, enc_inv(self.enc))
-
-    def __pow__(self, k: int) -> "SignedPerm":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = SignedPerm.identity(self.n)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SignedPerm) and self.enc == other.enc
 
     def __hash__(self) -> int:
         return hash(self.enc)
 
-    def __lt__(self, other: "SignedPerm") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def is_identity(self) -> bool:
-        return self.enc == identity_enc(self.n)
-
     def order(self) -> int:
         return enc_order(self.enc)
 
-    def act_index(self, j: int) -> int:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"index {j} out of range 1..{self.n}")
-        return (self.enc[j - 1] >> 1) + 1
-
-    def act_symbol(self, symbol: Symbol) -> Symbol:
-        """Image of j^+ or j^- under the group action on 2n symbols."""
-        j, sign = symbol
-        if sign not in (1, -1):
-            raise ValueError("symbol sign must be +1 or -1")
-        t = self.act_index(j)
-        return (t, -sign if self.enc[j - 1] & 1 else sign)
-
     def __repr__(self) -> str:
         return f"SignedPerm({self.n}, {format_element(self)!r})"
-
-
-def multiply(a: SignedPerm, b: SignedPerm) -> SignedPerm:
-    """Product a*b, with b applied first."""
-    return a * b
-
-
-def conjugate(a: SignedPerm, t: SignedPerm) -> SignedPerm:
-    """t a t^{-1}; preserves sigma, the Lambda count and the cycle shape."""
-    return t * a * t.inverse()
 
 
 def sigma(a: SignedPerm) -> int:
@@ -299,7 +248,7 @@ def parse_element(text: str, n: int) -> SignedPerm:
                 raise ValueError(f"repeated index inside cycle {tok}")
             factors.append(SignedPerm.from_cycles(n, [idx]))
         pos = m.end()
-    return reduce(multiply, factors, SignedPerm.identity(n))
+    return reduce(mul, factors, SignedPerm.identity(n))
 
 
 def format_element(a: SignedPerm) -> str:

@@ -93,10 +93,39 @@ def normalizer_generators_by_bfs(n, H, gens, orbit):
     return N_gens
 
 
+def elements(G):
+    """The elements of G as SignedPerms, sorted by sign vector (flipped
+    indices first) and then by the image of 1..n, so that seeded draws by
+    position stay fixed."""
+    def key(e):
+        signs = [1] * G.n
+        for s in e:
+            if s & 1:
+                signs[s >> 1] = -1
+        return (signs, [s >> 1 for s in e])
+
+    return [SignedPerm.from_enc(G.n, e) for e in sorted(G.enc_set, key=key)]
+
+
+def conjugate_group(G, t):
+    """t G t^-1 for a SignedPerm t, with the conjugated generators."""
+    conj = enc_conjugation(t.enc)
+    return FiniteGroup.from_enc_set(G.n, map(conj, G.enc_set), [conj(e) for e in G.spanning_encs])
+
+
+def act_symbol(g, symbol):
+    """The image of the symbol j^+ = (j, 1) or j^- = (j, -1) under the
+    SignedPerm g, read off its encoding."""
+    j, sign = symbol
+    s = g.enc[j - 1]
+    return ((s >> 1) + 1, -sign if s & 1 else sign)
+
+
 def random_subgroup(G, rng, max_gens=2):
     """The subgroup generated by one to ``max_gens`` elements of G drawn by ``rng``."""
     k = rng.randint(1, max_gens)
-    gens = [G.elements[rng.randrange(G.order)] for _ in range(k)]
+    perms = elements(G)
+    gens = [perms[rng.randrange(G.order)] for _ in range(k)]
     return closure(gens, n=G.n)
 
 
@@ -117,7 +146,7 @@ def h1_by_cocycle_system(G, generators=None):
     x in G contributes the cocycle constraint f(xs) = f(x) + phi(x) f(s),
     consumed either as the definition of f(xs) (spanning-tree edge of the
     Cayley graph) or as a relation row.  With S = the full element list
-    (generators=list(G.elements)) this is literally the |G|^2 constraint
+    (generators=elements(G)) this is literally the |G|^2 constraint
     system.  Returns an H1Report with method "cocycle_system".
     """
     n = G.n
@@ -291,25 +320,17 @@ def smith_normal_form_with_transforms(A):
     return S, U, V
 
 
-def derived_subgroup_by_all_commutators(G):
-    """The checker for FiniteGroup.derived_subgroup_encs: the closure of the
-    commutators [a, s] for every element a of G and stored generator s,
-    which generate [G,G] with no normal-closure argument."""
-    gens = G.spanning_encs
-    comms = set()
-    for a in G.enc_sorted:
-        ainv = enc_inv(a)
-        for b in gens:
-            comms.add(enc_mul(enc_mul(a, b), enc_mul(ainv, enc_inv(b))))
-    out = enc_closure(sorted(comms), G.n, cap=G.order + 1)
-    assert out is not None, f"derived subgroup outgrew its group of order {G.order}"
-    return out
-
-
 def abelian_invariants_by_counting(G):
     """The checker for groups.abelian_invariants: the invariant factors of
-    G/[G,G] from counting, for each prime p, the cosets a with a^(p^k) = 1."""
-    derived = derived_subgroup_by_all_commutators(G)
+    G/[G,G] from counting, for each prime p, the cosets a with a^(p^k) = 1.
+    [G,G] is the closure of the commutators [a, s] for every element a of G
+    and stored generator s, which generate it with no normal-closure
+    argument."""
+    comms = {
+        enc_mul(enc_mul(a, b), enc_mul(enc_inv(a), enc_inv(b))) for a in G.enc_sorted for b in G.spanning_encs
+    }
+    derived = enc_closure(sorted(comms), G.n, cap=G.order)
+    assert derived is not None, f"derived subgroup outgrew its group of order {G.order}"
     rep = {}
     for e in G.enc_sorted:
         if e not in rep:

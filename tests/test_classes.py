@@ -15,7 +15,7 @@ from conich1.classes import (
     verify_class,
 )
 from conich1.conditions import relative_minimality
-from conich1.groups import abelian_invariants, all_subgroups, are_conjugate, closure, enc_mul, sylow2
+from conich1.groups import abelian_invariants, all_subgroups, are_conjugate, closure, enc_mul, enc_order, sylow2
 from conich1.signedperm import format_element, parse_element
 
 CATALOG_DOC = Path(__file__).resolve().parent.parent / "docs" / "class_catalog.md"
@@ -88,7 +88,7 @@ def test_verify_class_18_sylow_is_dihedral():
     rep = verify_class(ClassSpec(18, {"n": 1}))
     assert rep.all_ok and rep.sylow2_order == 8
     P = sylow2(build_group(ClassSpec(18, {"n": 1})))
-    orders = sorted(g.order() for g in P.elements)
+    orders = sorted(map(enc_order, P.enc_set))
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]  # D_4, not Q_8 or C_8
 
 
@@ -183,7 +183,8 @@ def _catalog_entries():
     entries = {}
     for section in CATALOG_DOC.read_text().split("\n## Class ")[1:]:
         head, *lines = section.splitlines()
-        entry = entries[int(head.split(":")[0])] = {"generators": []}
+        cid, name = head.split(": ", 1)
+        entry = entries[int(cid)] = {"name": name, "generators": []}
         for line in lines:
             if line.startswith("  - `"):
                 entry["generators"].append(line.strip()[3:-1])
@@ -198,7 +199,27 @@ def _catalog_entries():
 def _eval_formula(text, params):
     # "2n1+1" -> 2*n1+1, "p^r" -> p**r
     expr = re.sub(r"(\d)(?=[a-z(])", r"\1*", text).replace("^", "**")
-    return eval(expr, {"__builtins__": {}}, dict(params))
+    return eval(expr, {"__builtins__": {}, "lcm": math.lcm, "factorial": math.factorial}, dict(params))
+
+
+# the order of each named group, with its subscript as "{}"
+_NAMED_ORDERS = {"C": "({})", "D": "(2*({}))", "F": "(({0})*({0}-1))", "S": "factorial({})"}
+
+
+def _name_orders(name, params):
+    """The orders a catalog name implies at ``params``, one per alternative
+    of "or": C_{m} = m, D_{m} = 2m, F_{q} = q(q-1), S_k = k!, "x" and ":"
+    multiply, ^k is a power and A wr C_2 = 2|A|^2; the remarks "(one
+    orbit)" and "(two generators)" are ignored."""
+    name = name.replace(" (one orbit)", "").replace(" (two generators)", "")
+    name = re.sub(r"(\w_(?:\{[^{}]*\}|\d+)) wr C_2", r"2*\1^2", name)
+    orders = []
+    for alternative in name.split(" or "):
+        expr = re.sub(
+            r"([CDFS])_(?:\{([^{}]*)\}|(\d+))", lambda m: _NAMED_ORDERS[m[1]].format(m[2] or m[3]), alternative
+        )
+        orders.append(_eval_formula(expr.replace(" x ", "*").replace(" : ", "*"), params))
+    return orders
 
 
 def _sylow2_matches(shape, P):
@@ -220,7 +241,7 @@ def test_class_catalog_doc_matches_the_code():
     # docs/class_catalog.md is the only copy of the catalog
     entries = _catalog_entries()
     assert sorted(entries) == list(range(1, 25))
-    named_shapes = 0
+    named_shapes = named_orders = 0
     for cid, entry in entries.items():
         assert entry["parameters"] == ", ".join(PARAM_KINDS[cid]), cid
         spec = smallest_param_tuples(cid, 1)[0]
@@ -233,10 +254,14 @@ def test_class_catalog_doc_matches_the_code():
             assert _eval_formula(entry["ambient rank"], spec.params) == N, (cid, spec.params)
             orbits = sorted((_eval_formula(t, spec.params) for t in entry["orbit profile"].split(", ")), reverse=True)
             assert orbits == sorted(profile, reverse=True), (cid, spec.params)
+            grp = build_group(spec)
+            if not entry["name"].startswith("*"):  # class 8's name is text only
+                assert grp.order in _name_orders(entry["name"], spec.params), (cid, spec.params, entry["name"])
+                named_orders += 1
             if not shape.startswith("inside"):
-                assert _sylow2_matches(shape, sylow2(build_group(spec))), (cid, spec.params, shape)
+                assert _sylow2_matches(shape, sylow2(grp)), (cid, spec.params, shape)
                 named_shapes += 1
-    assert named_shapes == 42
+    assert (named_orders, named_shapes) == (46, 42)
 
 
 def test_d4_sylow_classes_11_18_22_24():
@@ -248,5 +273,5 @@ def test_d4_sylow_classes_11_18_22_24():
         spec = smallest_param_tuples(cid, count=1)[0]
         P = sylow2(build_group(spec))
         assert P.order == 8
-        assert sorted(g.order() for g in P.elements) == [1, 2, 2, 2, 2, 2, 4, 4]
+        assert sorted(map(enc_order, P.enc_set)) == [1, 2, 2, 2, 2, 2, 4, 4]
         assert h1_oracle(P).f2_rank == 0

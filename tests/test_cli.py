@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 
@@ -95,11 +96,11 @@ def test_class_command_bad_params(capsys):
 
 
 def test_class_command_refuses_unknown_id_and_rank_above_max(capsys, monkeypatch):
-    # both are refused with exit 2 before any group is closed
-    def no_closure(*args, **kwargs):
-        raise AssertionError("closure called")
+    # both are refused with exit 2 before any generator is built
+    def no_generators(*args, **kwargs):
+        raise AssertionError("class_generators called")
 
-    monkeypatch.setattr(classes, "closure", no_closure)
+    monkeypatch.setattr(classes, "class_generators", no_generators)
     for argv in (["--id", "0"], ["--id", "99", "--n", "1"]):
         assert main(["class", *argv]) == EXIT_USAGE, argv
         captured = capsys.readouterr()
@@ -113,6 +114,27 @@ def test_class_command_refuses_unknown_id_and_rank_above_max(capsys, monkeypatch
     code, rep = run(capsys, "class", "--id", "2", "--p", "61", "--r", "1")
     assert code == EXIT_OK
     assert rep["result"]["rank"] == 62 and rep["result"]["verified"] is True
+
+
+def test_class_command_refuses_a_parameter_above_max_rank_at_once(capsys, monkeypatch):
+    # every family's rank exceeds each of its parameters, so a parameter
+    # above MAX_RANK is refused before the rank or any generator is computed
+    def no_generators(*args, **kwargs):
+        raise AssertionError("class_generators called")
+
+    monkeypatch.setattr(classes, "class_generators", no_generators)
+    for argv, key, val in (
+        (["--id", "2", "--p", "3", "--r", "100000"], "r", 100000),
+        (["--id", "1", "--n", "100000000"], "n", 100000000),
+        (["--id", "23", "--n", "2000000"], "n", 2000000),
+        (["--id", "2", "--p", "1000003", "--r", "1"], "p", 1000003),
+    ):
+        start = time.process_time()
+        assert main(["class", *argv]) == EXIT_USAGE, argv
+        assert time.process_time() - start < 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"parameter {key} must be at most MAX_RANK = {MAX_RANK}, got {val}" in captured.err, argv
 
 
 def test_project_command(capsys):

@@ -18,7 +18,7 @@ from conich1.groups import closure, enc_mul, identity_enc, index_orbits, pair_or
 from conich1.intlinalg import LatticeBasis
 from conich1.picard import fixed_sublattice, phi_of_enc
 from conich1.signedperm import SignedPerm, parse_element
-from helpers import lattice_equal, minimal_lattice
+from helpers import act_symbol, elements, lattice_equal, minimal_lattice
 
 
 def G(n, *texts):
@@ -63,7 +63,7 @@ def test_fiber_pair_condition_by_symbol_trace():
         while frontier:
             s = frontier.pop()
             for g in grp.generators:
-                t = g.act_symbol(s)
+                t = act_symbol(g, s)
                 if t not in orbit:
                     orbit.add(t)
                     frontier.append(t)
@@ -107,7 +107,7 @@ def test_project_d41_orbit_123():
     assert proj.rank == 4 and proj.appended_flag
     assert proj.group.order == 6
     # g1 restricts to c1c2c3(2,3), sigma = -1, so it gains c_4
-    imgs = {g.enc for g in proj.group.elements}
+    imgs = proj.group.enc_set
     assert parse_element("c1 c2 c3 c4 (2,3)", 4).enc in imgs
 
 
@@ -201,7 +201,7 @@ def restrict_by_hand(g, orbit, rank):
     # P_O from the definition: relabel the orbit to 1..n', keep the flips
     # landing on it, and flip index n'+1 too when those are odd
     relabel = {a: i + 1 for i, a in enumerate(orbit)}
-    image = [relabel[g.act_index(a)] for a in orbit] + [rank] * (rank - len(orbit))
+    image = [relabel[(g.enc[a - 1] >> 1) + 1] for a in orbit] + [rank] * (rank - len(orbit))
     minus = {relabel[k] for k in g.minus if k in relabel}
     if len(minus) % 2:
         minus.add(rank)
@@ -221,7 +221,7 @@ def test_projection_images_are_homomorphisms_on_all_pairs():
             proj = project(grp, orb)
             assert proj.group.enc_set == set(images.values())
             assert appended == proj.appended_flag and len(orb) + appended == proj.rank
-            for g in grp.elements:
+            for g in elements(grp):
                 assert images[g.enc] == restrict_by_hand(g, orb, proj.rank).enc
             for a in encs:
                 fa = images[a]

@@ -5,7 +5,7 @@ import pytest
 
 from conich1.intlinalg import IntMatrix
 from conich1.picard import PicLattice, fixed_sublattice, fixed_sublattice_of, phi, psi, verify_aut0
-from helpers import lattice_equal, minimal_lattice
+from helpers import act_symbol, lattice_equal, minimal_lattice
 from conich1.signedperm import SignedPerm, parse_element
 from helpers import determinant
 
@@ -59,7 +59,7 @@ def test_phi_with_swap():
     lat = PicLattice(4)
     assert phi(g).apply(lat.basis_vector(1)) == (0, 1, 0, -1, 0, 0)  # l_0 - l_2
     # cross-check against the symbol action: q_1^+ goes to q_2^-
-    assert g.act_symbol((1, 1)) == (2, -1)
+    assert act_symbol(g, (1, 1)) == (2, -1)
 
 
 def test_phi_rejects_odd_elements():
