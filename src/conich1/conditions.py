@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import h1_condition
-from .groups import Enc, FiniteGroup, enc_closure, enc_mul, identity_enc, index_orbits, pair_orbits
-from .picard import fixed_sublattice, phi_of_enc
+from .groups import Enc, FiniteGroup, enc_closure, enc_mul, index_orbits, pair_orbits
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,24 @@ def fiber_pair_condition(G: FiniteGroup) -> bool:
 
 
 def relative_minimality(G: FiniteGroup) -> bool:
-    """True iff the fixed sublattice Pic^G is exactly Z l_0 + Z K_X.
+    """True iff the fixed sublattice Pic^G is exactly Z l_0 + Z K_X, which
+    holds iff q_j^+ and q_j^- lie in one orbit for every j (Iskovskikh's
+    criterion), so this is fiber_pair_condition.
 
     Pic^G always holds Z l_0 + Z K_X, which is saturated of rank 2, and
-    Pic^G is saturated, so they are equal iff rk Pic^G = 2.  The trivial
-    group fixes all of Pic, of rank n + 2 > 2.
+    Pic^G is saturated, so they are equal iff rk Pic^G = 2.  Over Q,
+    l_{-1} = (sum l_i - 2 l_0 - K_X) / 2 lies in Q l_0 + Q K_X + span(l_i),
+    so q_j^+ -> l_j, q_j^- -> l_0 - l_j maps the permutation module of the
+    2n symbols onto Pic_Q / (Q l_0 + Q K_X), G-equivariantly, with kernel
+    spanned by the q_j^+ + q_j^-, the permutation module of the n indices.
+    Taking invariants is exact over Q and the invariants of a permutation
+    module have one dimension per orbit, so
+    rk Pic^G = 2 + #symbol orbits - #index orbits.  Each index orbit carries
+    one or two symbol orbits, one exactly when its pairs are joined, so the
+    rank is 2 iff every pair is joined.  The tests check this against the
+    lattice computation, fixed_sublattice and Z l_0 + Z K_X.
     """
-    ident = identity_enc(G.n)
-    mats = [phi_of_enc(e) for e in G.spanning_encs if e != ident]
-    return bool(mats) and fixed_sublattice(mats).rank == 2
+    return fiber_pair_condition(G)
 
 
 def orbit_count_filter(G: FiniteGroup) -> bool:
@@ -146,13 +154,16 @@ def check_conditions(G: FiniteGroup) -> ConditionReport:
     """The full obstruction panel for one group."""
     dec = orbits(G)
     cond = h1_condition(G)
+    # each index orbit carries one or two symbol orbits, one exactly when
+    # its fiber pairs are joined (relative_minimality)
+    joined = len(dec.pair_orbits) == len(dec.orbits)
     return ConditionReport(
         order=G.order,
         degree=8 - G.n,
         h1_ok=cond.ok,
         h1_witness_order=cond.witness.order if cond.witness is not None else None,
-        relatively_minimal=relative_minimality(G),
-        fiber_pairs_joined=fiber_pair_condition(G),
+        relatively_minimal=joined,
+        fiber_pairs_joined=joined,
         orbit_profile=dec.profile,
         pair_orbit_count=len(dec.pair_orbits),
         at_most_three_orbits=len(dec.pair_orbits) <= 3,

@@ -6,8 +6,10 @@ Two modes:
 * full (n <= 5): the complete subgroup lattice up to W(D_n)-conjugacy,
   grown by the candidates of groups.prime_power_cyclics, one coset step
   each, over the right-regular table of W(D_n), with conjugation-orbit
-  dedup, then filtered.  It is the independent reference that guided
-  mode is tested against.
+  dedup, then filtered.  Each class is extended once per orbit of its
+  normalizer on the candidates, and the normalizer is read off the walk
+  of the class's conjugation orbit, so no conjugacy test is run.  It is
+  the independent reference that guided mode is tested against.
 * generator_guided (n <= 7): groups.subgroup_walk, the walker behind
   groups.ordered_subgroups, over groups.prime_power_cyclics of the "clean"
   elements (those whose cyclic group has trivial H^1), with the
@@ -104,11 +106,10 @@ class EnumerationResult:
 
 
 def _passes_filters(G: FiniteGroup, h1_memo: dict[frozenset[Enc], bool]) -> bool:
+    # relative minimality is the fiber-pair condition (conditions.relative_minimality)
     if not fiber_pair_condition(G):
         return False
     if not orbit_count_filter(G):
-        return False
-    if not relative_minimality(G):
         return False
     return h1_condition(G, memo=h1_memo).ok
 
@@ -143,9 +144,71 @@ def right_regular_table(n: int) -> tuple[list[Enc], dict[Enc, int], list[tuple[i
     return encs, index, right
 
 
+def _coset_closure(H: frozenset[int], S: list[int], right: list[tuple[int, ...]], ident: int) -> frozenset[int]:
+    """<H, S> for a subgroup H and a list S that holds generators of H, as
+    the union of right cosets Hr that enc_closure(..., subgroup=H) builds:
+    from r = 1, each rs not yet reached adds the coset H(rs)."""
+    K = set(H)
+    coset_of = itemgetter(ident, *H)  # ident is in H; repeating it keeps a tuple when H is trivial
+    reps = [ident]
+    right_S = [right[s] for s in S]
+    for r in reps:  # reps grows while it is read
+        for right_s in right_S:
+            y = right_s[r]
+            if y not in K:
+                K.update(coset_of(right[y]))
+                reps.append(y)
+    return frozenset(K)
+
+
+def _orbit_and_normalizer(
+    K: frozenset[int],
+    gens: list[int],
+    right: list[tuple[int, ...]],
+    ident: int,
+    moves: list[tuple[int, int, tuple[int, ...]]],
+) -> tuple[list[frozenset[int]], list[int]]:
+    """The literal W(D_n)-orbit of K = <gens> and generators of N_W(K).
+
+    ``moves`` holds (w, w^-1, q -> w q w^-1) for generators w of W(D_n).
+    The breadth-first search of the orbit records for each point Q a
+    transversal t_Q with t_Q K t_Q^-1 = Q, and its inverse.  An edge
+    Q --w--> R onto a point already reached gives the Schreier element
+    t_R^-1 w t_Q, which maps K onto itself; by Schreier's lemma these
+    elements generate N_W(K).  N grows from K by one coset step for each
+    one not yet in it, so the generators are gens and those elements.
+    """
+    transversal = {K: (ident, ident)}
+    orbit = [K]
+    N, n_gens = K, list(gens)
+    for Q in orbit:  # orbit grows while it is read
+        take = itemgetter(ident, *Q)  # ident is in Q; repeating it keeps a tuple when Q is trivial
+        t, t_inv = transversal[Q]
+        for w, w_inv, conj in moves:
+            R = frozenset(take(conj))
+            if R not in transversal:
+                transversal[R] = (right[t][w], right[w_inv][t_inv])
+                orbit.append(R)
+                continue
+            s = right[t][right[w][transversal[R][1]]]
+            if s not in N:
+                n_gens.append(s)
+                N = _coset_closure(N, n_gens, right, ident)
+    return orbit, n_gens
+
+
 def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
     """Classes of subgroups of W(D_n), grown by prime-power cyclic
-    extensions over the right-regular table, with W(D_n)-orbit dedup."""
+    extensions over the right-regular table, with W(D_n)-orbit dedup.
+
+    Each new class K is listed with its literal W(D_n)-orbit, so no
+    conjugacy test is run, and the walk of that orbit also yields
+    generators of N_W(K) (_orbit_and_normalizer).  K is then extended once
+    per N_W(K)-orbit of candidates, by the orbit's least member x'.  Closing
+    every candidate in sorted order would reach x' first, and any other
+    member x gives <K, x>, conjugate to <K, x'> by N_W(K), whose whole
+    W(D_n)-orbit is then already in ``seen``; so the same classes are kept.
+    """
     encs, index, right = right_regular_table(n)
     ident = index[identity_enc(n)]
 
@@ -154,19 +217,25 @@ def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
         left_g = tuple(map(itemgetter(g), right))  # z -> g*z, column g of the table
         return itemgetter(*right[right[g].index(ident)])(left_g)  # q -> g*(q*g^-1)
 
-    w_conjugations = [conjugation(index[w]) for w in wdn_generators(n)]
+    moves = [(w, right[w].index(ident), conjugation(w)) for w in map(index.get, wdn_generators(n))]
     ppow = [index[e] for e in dict.fromkeys(prime_power_cyclics(encs).values())]
-    trivial = frozenset({ident})
-    seen: set[frozenset[int]] = {trivial}
-    class_reps: list[tuple[frozenset[int], list[int]]] = [(trivial, [])]
-    queue = [0]
+    seen: set[frozenset[int]] = set()
+    class_reps: list[tuple[frozenset[int], list[int], list[int]]] = []
+    queue = []
+
+    def keep(K: frozenset[int], gens: list[int]) -> None:
+        orbit, n_gens = _orbit_and_normalizer(K, gens, right, ident, moves)
+        seen.update(orbit)
+        class_reps.append((K, gens, n_gens))
+        queue.append(len(class_reps) - 1)
+
+    keep(frozenset({ident}), [])
     closures = 0
     while queue:
-        cid = queue.pop()
-        H, gens = class_reps[cid]
-        # H-conjugate candidates give the same extension <H, x>; keep the
-        # least element of each H-conjugation orbit
-        h_conjugations = [conjugation(g) for g in gens]
+        H, gens, n_gens = class_reps[queue.pop()]
+        # N_W(H)-conjugate candidates give conjugate extensions <H, x>; keep
+        # the least element of each N_W(H)-conjugation orbit
+        n_conjugations = [conjugation(g) for g in n_gens]
         traced: set[int] = set()
         orbit_reps = []
         for x in ppow:
@@ -175,43 +244,22 @@ def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:
             traced.add(x)
             orbit = [x]
             for y in orbit:  # orbit grows while it is read
-                for c in h_conjugations:
+                for c in n_conjugations:
                     z = c[y]
                     if z not in traced:
                         traced.add(z)
                         orbit.append(z)
             orbit_reps.append(min(orbit))
-        coset_of = itemgetter(ident, *H)  # ident is in H; repeating it keeps a tuple when H is trivial
         for x in sorted(orbit_reps):
-            # one coset step from H to <H, x>, as enc_closure(..., subgroup=H)
             S = gens + [x]
             closures += 1
-            K = set(H)
-            reps = [ident]
-            right_S = [right[s] for s in S]
-            for r in reps:  # reps grows while it is read
-                for right_s in right_S:
-                    y = right_s[r]
-                    if y not in K:
-                        K.update(coset_of(right[y]))
-                        reps.append(y)
-            K = frozenset(K)
-            if K in seen:
-                continue
-            class_reps.append((K, S))
-            queue.append(len(class_reps) - 1)
-            # the literal W(D_n)-orbit of K, so conjugates are never extended
-            seen.add(K)
-            orbit_sets = [K]
-            for Q in orbit_sets:  # orbit_sets grows while it is read
-                take = itemgetter(*Q)  # |Q| = |K| >= 2, so take returns a tuple
-                images = {frozenset(take(c)) for c in w_conjugations} - seen
-                seen |= images
-                orbit_sets += images
+            K = _coset_closure(H, S, right, ident)
+            if K not in seen:
+                keep(K, S)
 
     groups = [
         FiniteGroup.from_enc_set(n, (encs[i] for i in H), [encs[i] for i in gens])
-        for H, gens in class_reps
+        for H, gens, _ in class_reps
     ]
     stats = {
         "subgroup_classes": len(class_reps),

@@ -209,9 +209,9 @@ FROZEN_REPORTS = [
     (["check", "-n", "4", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], EXIT_OK, "8d0474ade8973e55ac53407bc868a117dd89209d05e2a49d78267d596a6b5beb"),
     (["class", "--id", "2", "--p", "5", "--r", "1"], EXIT_OK, "04a575d308083449ec00d3898fd813d1096ae2a08d74f1b4ba2c06384b577d14"),
     (["project", "-n", "4", "--orbit", "1", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], EXIT_OK, "67e2518cdef2f03c3d6f3c097e3dd7832229e37b5d7ba6d63816b220de8ae9fc"),
-    (["enumerate", "-n", "5"], EXIT_OK, "3121abf263aa9108978cbe162c32702adf0ade45e5ad1d13d750753aae1c7139"),
+    (["enumerate", "-n", "5"], EXIT_OK, "7d9539b670bb9206c4cc899df622a8c2f4d881071b1dbedccf3ce110829745e7"),
     (["verify-tables", "-n", "9"], EXIT_OK, "7663a265046c6f40ebc2faaa1c48bf2fbc2e47f748226028e84e5ebceddde836"),
-    (["enumerate", "-n", "4", "--mode", "full"], EXIT_OK, "d2220fda7afbb2edad816a52249473a111a3be1723f7416be62911a06b21406a"),
+    (["enumerate", "-n", "4", "--mode", "full"], EXIT_OK, "215c1bc01835982143621da8c26629047dbbe53464a793ae39bd2bdfada33c82"),
     (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK, "b854f69dc86444c64a07bd13030aded0d52a72a53b6ebba88ede760e4fc0c4ea"),
     (["enumerate", "-n", "5", "--mode", "generator_guided"], EXIT_OK, "f33b3dfc07b72c38f8691aec2228e8de7d2eab95625c7200253b4cab07d90f1f"),
     (["verify-tables", "-n", "4"], EXIT_OK, "e3a95bb212526acf911cb83b7a5bfea31bfb78638caa5baed40160e3924f2be5"),

@@ -81,11 +81,14 @@ def test_relative_minimality_examples():
 
 
 def test_relative_minimality_is_the_lattice_equality(full_lattice):
-    # rk Pic^G = 2 against Pic^G = Z l_0 + Z K_X, on every class of W(D_4)
-    # and W(D_5) and every reference table row
-    cases = full_lattice(4)[0] + full_lattice(5)[0]
+    # the fiber-pair verdict against Pic^G = Z l_0 + Z K_X, on every class
+    # of W(D_2) .. W(D_5), every reference table row, three instances of
+    # each family and every orbit projection of those instances
+    cases = [grp for n in range(2, 6) for grp in full_lattice(n)[0]]
     cases += [row.build(n) for n, rows in TABLE_ROWS.items() for row in rows]
-    assert len(cases) == 341
+    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=3)]
+    cases += families + [project(grp, orb).group for grp in families for orb in orbits(grp).orbits]
+    assert len(cases) == 576
     verdicts = []
     for grp in cases:
         mats = [phi_of_enc(e) for e in grp.spanning_encs]

@@ -11,14 +11,15 @@ from conich1.enumeration import (
     TABLE_ROWS,
     _enumerate_full,
     _enumerate_guided,
+    _orbit_and_normalizer,
     clean_elements,
     enumerate_wdn,
     match_table_row,
     right_regular_table,
     verify_tables,
 )
-from conich1.groups import are_conjugate, canonical_form, closure, enc_mul
-from conich1.signedperm import parse_element, wdn_order
+from conich1.groups import are_conjugate, canonical_form, closure, enc_closure, enc_mul, wdn_generators
+from conich1.signedperm import enc_inv, identity_enc, parse_element, wdn_order
 from helpers import iter_wdn
 
 
@@ -78,19 +79,47 @@ def test_enumerate_4_both_modes():
 
 
 FULL_SEARCH_STATS = {
-    4: {"subgroup_classes": 98, "subgroups_total": 605, "closures": 3695, "prime_power_cyclics": 101},
-    5: {"subgroup_classes": 197, "subgroups_total": 6697, "closures": 27052, "prime_power_cyclics": 601},
+    4: {"subgroup_classes": 98, "subgroups_total": 605, "closures": 2036, "prime_power_cyclics": 101},
+    5: {"subgroup_classes": 197, "subgroups_total": 6697, "closures": 11902, "prime_power_cyclics": 601},
 }
+
+
+def class_digest(reps):
+    classes = [(sorted(G.enc_set), list(G.spanning_encs)) for G in reps]
+    return hashlib.sha256(repr(classes).encode()).hexdigest()
 
 
 def test_full_search_is_pinned(full_lattice):
     # the full-mode search is deterministic; a change here is a change of the search
     reps, stats = _enumerate_full(4)
     assert stats == FULL_SEARCH_STATS[4]
-    classes = [(sorted(G.enc_set), list(G.spanning_encs)) for G in reps]
-    digest = hashlib.sha256(repr(classes).encode()).hexdigest()
-    assert digest == "7decb22f234c348757a2ccfae9b2e1c5ac8234bb19cc1214e4261b1bccfe60ce"
-    assert full_lattice(5)[1] == FULL_SEARCH_STATS[5]
+    assert class_digest(reps) == "7decb22f234c348757a2ccfae9b2e1c5ac8234bb19cc1214e4261b1bccfe60ce"
+    reps, stats = full_lattice(5)
+    assert stats == FULL_SEARCH_STATS[5]
+    assert class_digest(reps) == "01a9f6183972e238bdc705995f30d7660717628057fcff265995f79ff597293f"
+
+
+def test_full_mode_normalizers(full_lattice):
+    # every normalizer generator full mode traces candidates with maps K onto
+    # itself, and they generate a group of order |W| / |orbit(K)|, which is
+    # |N_W(K)| by the orbit-stabilizer theorem
+    n = 4
+    encs, index, right = right_regular_table(n)
+    ident = index[identity_enc(n)]
+
+    def conjugate(g, k):
+        return index[enc_mul(enc_mul(encs[g], encs[k]), enc_inv(encs[g]))]
+
+    ws = [index[w] for w in wdn_generators(n)]
+    moves = [(w, index[enc_inv(encs[w])], tuple(conjugate(w, q) for q in range(len(encs)))) for w in ws]
+    reps, _ = full_lattice(n)
+    for G in reps:
+        K = frozenset(index[e] for e in G.enc_set)
+        orbit, n_gens = _orbit_and_normalizer(K, [index[e] for e in G.spanning_encs], right, ident, moves)
+        assert orbit[0] == K and len(set(orbit)) == len(orbit)
+        for g in n_gens:
+            assert {conjugate(g, k) for k in K} == K
+        assert len(enc_closure([encs[g] for g in n_gens], n)) * len(orbit) == wdn_order(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
