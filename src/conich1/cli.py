@@ -53,8 +53,7 @@ def _report(command: str, inputs: dict, result, stats: dict | None = None) -> di
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_group(args) -> tuple:

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from operator import itemgetter
+from itertools import permutations, product
+from operator import itemgetter, or_
 
 from .classes import ClassSpec, build_group
 from .cohomology import h1_condition, h1_condition_cyclic
@@ -46,7 +47,6 @@ from .groups import (
     are_conjugate,
     canonical_form,
     closure,
-    enc_closure,
     enc_cycle_type,
     enc_mul,
     identity_enc,
@@ -69,17 +69,21 @@ def clean_elements(n: int) -> frozenset[Enc]:
 
     Whether <g> passes depends only on the Lambda counts of the powers of
     g, which depend only on its signed cycle type, so the condition is
-    evaluated once per cycle type, over the encodings of W(D_n) closed
-    from its generators.
+    evaluated once per cycle type.  W(D_n) is walked lazily, every
+    permutation with every even set of sign flips, and only the clean
+    elements are kept.
     """
     verdicts: dict[tuple, bool] = {}
+    even_flips = [f for f in product((0, 1), repeat=n) if not sum(f) % 2]
     out = []
-    for e in enc_closure(wdn_generators(n), n, cap=wdn_order(n)):
-        t = enc_cycle_type(e)
-        if t not in verdicts:
-            verdicts[t] = h1_condition_cyclic(SignedPerm.from_enc(n, e))[0]
-        if verdicts[t]:
-            out.append(e)
+    for perm in permutations(range(0, 2 * n, 2)):
+        for flips in even_flips:
+            e = tuple(map(or_, perm, flips))
+            t = enc_cycle_type(e)
+            if t not in verdicts:
+                verdicts[t] = h1_condition_cyclic(SignedPerm.from_enc(n, e))[0]
+            if verdicts[t]:
+                out.append(e)
     return frozenset(out)
 
 

@@ -13,6 +13,8 @@ of a conjugation-closed set of encodings (ConjugationLabels).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import isqrt
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
@@ -54,12 +56,22 @@ def enc_conjugation(t: Enc) -> Callable[[Enc], Enc]:
     return lambda q: tuple([T[q[k]] ^ f for k, f in ti])
 
 
+def symbol_tables(encs: Iterable[Enc], n: int) -> dict[Enc, tuple[int, ...]]:
+    """Each element h -> its symbol table, whose entry s is h(s).
+
+    Entry 2k is h[k], so h*y (y applied first) is the table gathered at
+    y's entries, itemgetter(*y)(table), one C-level call per product.
+    """
+    pair = [(s, s ^ 1) for s in range(2 * n)].__getitem__
+    return {h: tuple(chain.from_iterable(map(pair, h))) for h in encs}
+
+
 def enc_closure(
     gens: Iterable[Enc],
     n: int,
     cap: int = DEFAULT_CLOSURE_CAP,
     within: AbstractSet[Enc] | None = None,
-    subgroup: Iterable[Enc] | None = None,
+    subgroup: Iterable[Enc] | dict[Enc, tuple[int, ...]] | None = None,
     on_cap: Callable[[], None] | None = None,
 ) -> frozenset[Enc] | None:
     """The group generated by ``gens``, grown as a union of right cosets.
@@ -72,7 +84,9 @@ def enc_closure(
     ``subgroup`` the group grows from the trivial group one generator at a
     time (Dimino's algorithm); ``subgroup``, a closed subgroup of <gens>
     inside ``within`` (the walker passes <gens[:-1]>), is the start of a
-    single step.
+    single step.  Given as symbol_tables of its elements, its coset Hy is
+    one itemgetter(*y) call per table; otherwise each product reads y's
+    symbol pairs, as a table costs more to build than a few cosets save.
 
     Returns None as soon as the closure exceeds ``cap`` or leaves the set
     ``within`` (used as an early abort by enumeration); both are checked as
@@ -81,8 +95,11 @@ def enc_closure(
     """
     gens = list(gens)
     ident = identity_enc(n)
+    tables = None
     if subgroup is not None:
         K = set(subgroup)
+        if isinstance(subgroup, dict):
+            tables = subgroup.values()
         if len(K) > cap:
             if on_cap is not None:
                 on_cap()
@@ -104,7 +121,7 @@ def enc_closure(
                 y = s if r is ident else enc_mul(r, s)
                 if y in K:
                     continue
-                coset = _right_coset(H, y)
+                coset = _right_coset(H, y) if tables is None else list(map(itemgetter(*y), tables))
                 if within is not None and not within.issuperset(coset):
                     return None
                 K.update(coset)
@@ -338,7 +355,13 @@ def subgroup_walk(
     orbit that reaches a dropped candidate is dropped whole.  Each kept
     subgroup K = <H, x> inherits H's live candidates, those not dropped and
     whose orbit's closure did not abort (<H, y> inside <K, y> would stop it
-    too), and tests only the new cosets: k y for k in K outside H.
+    too), and tests only the new cosets: k y for k in K outside H.  The
+    products run on H's symbol tables (symbol_tables), built once per H
+    and handed to each of its closures.
+
+    A candidate x inside an earlier closure K = <H, x0> of the same H with
+    [K:H] prime is not closed: H < <H, x> <= K and [<H, x>:H] divides the
+    prime [K:H], so <H, x> = K.
 
     Given a ClassStore, only the first subgroup of each W(D_n)-class is
     kept and extended (the trivial group is not stored), and the orbits
@@ -402,17 +425,25 @@ def _walk_levels(
                 store.orbit_points += len(orbit)
                 conjugators = normalizer_generators(labels, H, gens, orbit)
             parent, candidates_left = inherited.pop(H)
+            tables = symbol_tables(H, n)
             conjugations = [enc_conjugation(g) for g in conjugators]
-            orbits = _live_orbits(H, parent, candidates_left, within, conjugations, cyclic)
+            orbits = _live_orbits(tables, parent, candidates_left, within, conjugations, cyclic)
             live: list[Enc] = []  # the members of orbits whose closure did not abort
             children = []
+            covered: set[Enc] = set()  # the elements of the closures K so far with [K:H] prime
             for x, orbit in sorted((min(orbit), orbit) for orbit in orbits):
+                if x in covered:
+                    live += orbit  # <H, x> is such a K, already closed
+                    continue
                 closures += 1
-                K = enc_closure(gens + [x], n, cap=cap, within=within, subgroup=H, on_cap=on_cap)
+                K = enc_closure(gens + [x], n, cap=cap, within=within, subgroup=tables, on_cap=on_cap)
                 if K is None:
                     aborted += 1
                     continue
                 live += orbit
+                index = len(K) // len(H)  # at least 2
+                if index < 4 or all(index % q for q in range(2, isqrt(index) + 1)):
+                    covered.update(K)
                 if K in seen:
                     continue
                 seen.add(K)
@@ -430,7 +461,7 @@ def _walk_levels(
 
 
 def _live_orbits(
-    H: frozenset[Enc],
+    H: dict[Enc, tuple[int, ...]],
     parent: frozenset[Enc],
     inherited: Sequence[Enc],
     within: AbstractSet[Enc] | None,
@@ -440,19 +471,20 @@ def _live_orbits(
     """The orbits, under ``conjugations``, of the candidates that may still
     extend H, each in tracing order.
 
+    ``H`` maps each element of H to its symbol table (symbol_tables), and
     ``inherited`` are the live candidates of ``parent``, the subgroup P
     that H extends (H itself for the trivial group).  A candidate in H
     drops, and, given ``within``, so does an x with h x outside it for
     some h in H outside P: P x was tested at P, so H x leaves ``within``.
-    An orbit that reaches a dropped candidate z drops whole, as each of
-    its members y gives a subgroup <H, y> conjugate to <H, z>.
+    Each h x is one itemgetter(*x) call on h's table.  An orbit that
+    reaches a dropped candidate z drops whole, as each of its members y
+    gives a subgroup <H, y> conjugate to <H, z>.
     """
     live = {x for x in inherited if x not in H}
     if within is not None:
-        for h in H:
-            if h not in parent:
-                image = [h[s >> 1] ^ (s & 1) for s in range(2 * len(h))]  # symbol s -> h(s)
-                live = {x for x in live if tuple(map(image.__getitem__, x)) in within}  # h x in within
+        fresh = [table for h, table in H.items() if h not in parent]
+        if fresh:
+            live = {x for x in live if within.issuperset(map(itemgetter(*x), fresh))}  # every h x in within
     traced: set[Enc] = set()
     orbits = []
     for x in inherited:

@@ -5,8 +5,8 @@ from itertools import combinations, permutations
 import pytest
 
 from conich1 import cohomology
-from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns
-from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, wdn_generators
+from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns, h1_condition_cyclic
+from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, enc_cycle_type, wdn_generators
 from conich1.intlinalg import IntMatrix, LatticeBasis, _pivot_min_abs, kernel_of_rows
 from conich1.picard import PicLattice, phi_of_enc
 from conich1.signedperm import SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
@@ -47,6 +47,21 @@ def iter_wdn(n):
     for img in permutations(indices):
         for minus in evens:
             yield SignedPerm(n, img, minus)
+
+
+def clean_elements_by_closure(n):
+    """The checker for enumeration.clean_elements: W(D_n) closed from its
+    generators, each element kept when its cyclic group satisfies (H1),
+    decided once per signed cycle type."""
+    verdicts = {}
+    out = set()
+    for e in enc_closure(wdn_generators(n), n, cap=wdn_order(n)):
+        t = enc_cycle_type(e)
+        if t not in verdicts:
+            verdicts[t] = h1_condition_cyclic(SignedPerm.from_enc(n, e))[0]
+        if verdicts[t]:
+            out.add(e)
+    return frozenset(out)
 
 
 def conjugacy_orbit_by_bfs(n, encs):

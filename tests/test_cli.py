@@ -212,8 +212,8 @@ FROZEN_REPORTS = [
     (["enumerate", "-n", "5"], EXIT_OK, "7d9539b670bb9206c4cc899df622a8c2f4d881071b1dbedccf3ce110829745e7"),
     (["verify-tables", "-n", "9"], EXIT_OK, "7663a265046c6f40ebc2faaa1c48bf2fbc2e47f748226028e84e5ebceddde836"),
     (["enumerate", "-n", "4", "--mode", "full"], EXIT_OK, "215c1bc01835982143621da8c26629047dbbe53464a793ae39bd2bdfada33c82"),
-    (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK, "b854f69dc86444c64a07bd13030aded0d52a72a53b6ebba88ede760e4fc0c4ea"),
-    (["enumerate", "-n", "5", "--mode", "generator_guided"], EXIT_OK, "f33b3dfc07b72c38f8691aec2228e8de7d2eab95625c7200253b4cab07d90f1f"),
+    (["enumerate", "-n", "4", "--mode", "generator_guided"], EXIT_OK, "99cba65b25ce3494980f33c0786a4c0fd3af9747d49fc45c990a12aa68e1e6ff"),
+    (["enumerate", "-n", "5", "--mode", "generator_guided"], EXIT_OK, "6283223b95842db4ace64c66492d2d11dfda61de4125d231790e7e91ab140127"),
     (["verify-tables", "-n", "4"], EXIT_OK, "e3a95bb212526acf911cb83b7a5bfea31bfb78638caa5baed40160e3924f2be5"),
     (["verify-tables", "-n", "5"], EXIT_OK, "c66b2b34169d73be115ce3cc4f548099161dc5095fad87d10fe0b14f2230121b"),
     (["verify-tables", "-n", "6"], EXIT_OK, "7b88f36b382940bf6863cffe6534a802508902647bf4e659e743a77e48b5a68f"),

@@ -18,9 +18,18 @@ from conich1.enumeration import (
     right_regular_table,
     verify_tables,
 )
-from conich1.groups import are_conjugate, canonical_form, closure, enc_closure, enc_mul, wdn_generators
-from conich1.signedperm import enc_inv, identity_enc, parse_element, wdn_order
-from helpers import iter_wdn
+from conich1.groups import (
+    are_conjugate,
+    canonical_form,
+    closure,
+    enc_closure,
+    enc_mul,
+    ordered_subgroups,
+    sylow2,
+    wdn_generators,
+)
+from conich1.signedperm import SignedPerm, enc_inv, identity_enc, parse_element, wdn_order
+from helpers import clean_elements_by_closure, iter_wdn
 
 
 def test_table_row_counts():
@@ -70,6 +79,13 @@ def test_clean_elements_match_per_element_evaluation(n):
     assert clean_elements(n) == {g.enc for g in iter_wdn(n) if h1_condition_cyclic(g)[0]}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_clean_elements_match_the_closure_route(n):
+    # the lazy walk over permutations and even flip sets keeps the same
+    # elements as filtering W(D_n) closed from its generators
+    assert clean_elements(n) == clean_elements_by_closure(n)
+
+
 def test_enumerate_4_both_modes():
     full = enumerate_wdn(4, "full")
     guided = enumerate_wdn(4, "generator_guided")
@@ -97,6 +113,18 @@ def test_full_search_is_pinned(full_lattice):
     reps, stats = full_lattice(5)
     assert stats == FULL_SEARCH_STATS[5]
     assert class_digest(reps) == "01a9f6183972e238bdc705995f30d7660717628057fcff265995f79ff597293f"
+
+
+def test_guided_walks_and_the_subgroup_stream_are_pinned(guided_walk):
+    # the classes with their generators of the guided rank-4/5 walks, and
+    # the subgroup stream of a Sylow 2-subgroup of W(D_4), as recorded before
+    # the walker stopped re-closing prime-index siblings: the skip changes
+    # the closure counts and nothing the walks return
+    assert class_digest(guided_walk(4)[0]) == "28ab3e9522186e8b7c7a2e8e3a40bd554c17d68ace992b2be1aba1c1217c1dd2"
+    assert class_digest(guided_walk(5)[0]) == "c15311a9653f33384a815fdfd1225466df692f4aba7e0a05c9bc6d0ef630f588"
+    wdn4 = closure([SignedPerm.from_enc(4, e) for e in wdn_generators(4)])
+    stream = ordered_subgroups(sylow2(wdn4))
+    assert class_digest(stream) == "36fb55ad914cd7b2d9e7966ecc21fd34086afe227b548deeb4efb6965917e31b"
 
 
 def test_full_mode_normalizers(full_lattice):
@@ -158,7 +186,7 @@ def test_enumerate_5_guided_matches_table(guided_enumeration):
     keys = ("closures", "aborted_closures", "capped_closures", "conjugacy_tests", "clean_subgroup_classes")
     stats = {k: res.stats[k] for k in keys}
     assert stats == {
-        "closures": 807, "aborted_closures": 178, "capped_closures": 0, "conjugacy_tests": 81, "clean_subgroup_classes": 60,
+        "closures": 650, "aborted_closures": 178, "capped_closures": 0, "conjugacy_tests": 81, "clean_subgroup_classes": 60,
     }
 
 
@@ -215,7 +243,7 @@ def test_enumerate_6_guided_matches_table(guided_enumeration):
     keys = ("closures", "aborted_closures", "capped_closures", "conjugacy_tests", "clean_subgroup_classes")
     stats = {k: res.stats[k] for k in keys}
     assert stats == {
-        "closures": 9533, "aborted_closures": 2076, "capped_closures": 0, "conjugacy_tests": 1076,
+        "closures": 7585, "aborted_closures": 2076, "capped_closures": 0, "conjugacy_tests": 1076,
         "clean_subgroup_classes": 281,
     }
 
@@ -249,7 +277,7 @@ def test_rank_7_order_cap_hides_no_passing_class(monkeypatch):
         assert not fiber_pair_condition(H)
     keys = ("clean_subgroup_classes", "closures", "aborted_closures", "conjugacy_tests", "orbit_points")
     assert {k: stats[k] for k in keys} == {
-        "clean_subgroup_classes": 475, "closures": 25473, "aborted_closures": 4917, "conjugacy_tests": 2159,
+        "clean_subgroup_classes": 475, "closures": 21691, "aborted_closures": 4917, "conjugacy_tests": 2159,
         "orbit_points": 1055702,
     }
 

@@ -1,5 +1,5 @@
 import random
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations, permutations
 from math import gcd
 from operator import mul
@@ -34,6 +34,7 @@ from conich1.groups import (
     prime_power_cyclics,
     subgroup_walk,
     identity_enc,
+    symbol_tables,
     sylow2,
     wdn_generators,
 )
@@ -347,7 +348,7 @@ def test_dropped_candidates_give_unclean_extensions(n, monkeypatch):
 
     def recording_live_orbits(H, *args, real=groups._live_orbits):
         orbits = real(H, *args)
-        traced.append((H, {y for orbit in orbits for y in orbit}))
+        traced.append((frozenset(H), {y for orbit in orbits for y in orbit}))
         return orbits
 
     monkeypatch.setattr(groups, "_live_orbits", recording_live_orbits)
@@ -570,17 +571,15 @@ def test_canonical_form_invariance_rank5_fixture():
         assert canonical_form(conjugate_group(grp, t)) == key
 
 
-@cache
-def wdn_cycle_types(n):
-    # every element of W(D_n), with its signed cycle type
-    return {g.enc: enc_cycle_type(g.enc) for g in iter_wdn(n)}
+BFS_LIMIT = 2000  # the largest cap drawn
 
 
-def bfs_closure(gens, n):
-    # the reference: plain breadth-first products from the identity
+def bfs_closure(gens, n, limit=None):
+    # the reference: plain breadth-first products from the identity, cut
+    # off once it holds more than ``limit`` elements
     seen = {identity_enc(n)}
     frontier = list(seen)
-    while frontier:
+    while frontier and (limit is None or len(seen) <= limit):
         frontier = [y for y in {enc_mul(x, g) for x in frontier for g in gens} if y not in seen]
         seen.update(frontier)
     return frozenset(seen)
@@ -589,37 +588,40 @@ def bfs_closure(gens, n):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_coset_closure_matches_bfs(data):
-    n = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(2, 7))
     gens = data.draw(st.lists(wdn_encs(n), min_size=1, max_size=3))
-    cap = data.draw(st.integers(1, 2000))
-    K = bfs_closure(gens, n)
+    cap = data.draw(st.integers(1, BFS_LIMIT))
+    K = bfs_closure(gens, n, limit=BFS_LIMIT)
+    whole = len(K) <= BFS_LIMIT  # otherwise K is cut off and <gens> outgrows every cap
     # keep the closure inside W(D_n) without a few elements, drawn from K or
     # from all of W(D_n), or without their cycle types, as guided mode keeps
-    # it inside the clean elements
+    # it inside the clean elements.  within is written down on K alone, as
+    # no closure of gens leaves <gens>; a cut-off K gives None either way
     bad = set(data.draw(st.lists(st.sampled_from(sorted(K)) | wdn_encs(n), max_size=2)))
-    types = wdn_cycle_types(n)
     if data.draw(st.booleans()):
-        bad_types = {types[e] for e in bad}
-        within = frozenset(e for e, t in types.items() if t not in bad_types)
+        bad_types = set(map(enc_cycle_type, bad))
+        within = frozenset(e for e in K if enc_cycle_type(e) not in bad_types)
     else:
-        within = frozenset(types).difference(bad)
+        within = K.difference(bad)
     if not bad:
         within = None
     expected = None if len(K) > cap or (within is not None and not K <= within) else K
     capped = []
     assert enc_closure(gens, n, cap=cap, within=within, on_cap=lambda: capped.append(cap)) == expected
-    if within is None or K <= within or len(K) <= cap:  # otherwise either check may stop it first
+    if within is None or (whole and K <= within) or len(K) <= cap:  # otherwise either check may stop it first
         assert bool(capped) == (len(K) > cap)
-    H = bfs_closure(gens[:-1], n)
-    if within is None or H <= within:  # the walker's H always lies inside within
+    H = bfs_closure(gens[:-1], n, limit=BFS_LIMIT)
+    if len(H) <= BFS_LIMIT and (within is None or H <= within):  # the walker's H always lies inside within
         assert enc_closure(gens, n, cap=cap, within=within, subgroup=H) == expected
+        # H handed over with its symbol tables, as the walker does
+        assert enc_closure(gens, n, cap=cap, within=within, subgroup=symbol_tables(H, n)) == expected
 
 
 def test_closure_extension_work_is_linear(monkeypatch):
     # K = <H, x> from a known H = <gens>: |H| products per added coset and
     # k + 1 per coset representative, against |K| (k + 1) for a closure
-    # from scratch
-    counts = {"products": 0}
+    # from scratch, whether H comes as its elements or its symbol tables
+    counts = {"products": 0, "table_products": 0}
 
     def counting_mul(a, b, real=groups.enc_mul):
         counts["products"] += 1
@@ -629,8 +631,19 @@ def test_closure_extension_work_is_linear(monkeypatch):
         counts["products"] += len(H)
         return real(H, y)
 
+    def counting_itemgetter(*items, real=groups.itemgetter):
+        get = real(*items)
+
+        def product(table):  # h*y, one call on h's symbol table
+            counts["products"] += 1
+            counts["table_products"] += 1
+            return get(table)
+
+        return product
+
     monkeypatch.setattr(groups, "enc_mul", counting_mul)
     monkeypatch.setattr(groups, "_right_coset", counting_coset)
+    monkeypatch.setattr(groups, "itemgetter", counting_itemgetter)
     cases = [build_group(spec) for cid in (3, 13, 18, 20, 22, 23) for spec in smallest_param_tuples(cid, count=1)]
     cases += [f7(), closure([SignedPerm.from_enc(5, e) for e in wdn_generators(5)])]  # W(D_5)
     extensions = 0
@@ -638,27 +651,31 @@ def test_closure_extension_work_is_linear(monkeypatch):
         gens = [g.enc for g in grp.generators]
         k = len(gens) - 1
         H = enc_closure(gens[:-1], grp.n)
-        counts["products"] = 0
-        K = enc_closure(gens, grp.n, subgroup=H)
-        assert K == grp.enc_set
-        if len(K) == len(H):
+        if len(H) == grp.order:
             continue  # the last generator is redundant: nothing to extend
         extensions += 1
-        assert len(K) - len(H) <= counts["products"] <= len(K) + len(K) // len(H) * (k + 1)
+        for subgroup in (H, symbol_tables(H, grp.n)):
+            counts["products"] = 0
+            K = enc_closure(gens, grp.n, subgroup=subgroup)
+            assert K == grp.enc_set
+            assert len(K) - len(H) <= counts["products"] <= len(K) + len(K) // len(H) * (k + 1)
     assert extensions == 7
-    # the walker extends each H it holds by passing it to enc_closure
+    assert counts["table_products"] > 0
+    # the walker extends each H it holds by passing its symbol tables to
+    # enc_closure, and every coset product comes from them
     base = sylow2(closure([SignedPerm.from_enc(4, e) for e in wdn_generators(4)]))
     walked = []
 
     def recording_closure(gens, n, cap, within=None, subgroup=None, on_cap=None, real=groups.enc_closure):
-        counts["products"] = 0
+        counts["products"] = counts["table_products"] = 0
         K = real(gens, n, cap=cap, within=within, subgroup=subgroup, on_cap=on_cap)
-        walked.append((len(gens) - 1, subgroup, K, counts["products"]))
+        walked.append((len(gens) - 1, subgroup, K, counts["products"], counts["table_products"]))
         return K
 
     monkeypatch.setattr(groups, "enc_closure", recording_closure)
     walk = subgroup_walk(4, prime_power_cyclics(base.enc_set), cap=base.order)
     assert len(walked) == walk.closures > 100
-    for k, H, K, products in walked:
-        assert H is not None and K is not None
+    for k, H, K, products, table_products in walked:
+        assert H == symbol_tables(H, 4) and K is not None
+        assert table_products == len(K) - len(H)
         assert products <= len(K) + len(K) // len(H) * (k + 1)
