@@ -31,6 +31,8 @@ from .intlinalg import IntMatrix, LatticeBasis, invariant_factors, quotient_inva
 from .picard import phi_of_enc
 from .signedperm import SignedPerm, sigma
 
+MAX_HALFSUM_NULLITY = 16  # h1_halfsum searches 2^k orbit combinations for k up to this
+
 
 class TorsionError(RuntimeError):
     """An H^1 invariant factor other than 2 appeared; something is badly wrong."""
@@ -185,7 +187,9 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
 
     Candidate classes are xi_I = (1/2) sum_{i in I} f_i for I a union of
     index orbits with even column sum; I -> [xi_I] is GF(2)-linear in I, so
-    a nullspace basis of the parity condition spans everything.
+    a nullspace basis of the parity condition spans everything.  Orbits of
+    zero column sum add nothing to xi_I and are left out; the witness search
+    over the 2^k basis combinations refuses k > MAX_HALFSUM_NULLITY.
     """
     n = G.n
     dim = n + 2
@@ -194,16 +198,17 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
         return H1Report((), 0, "halfsum", (), 0, True)
     cols = coboundary_columns(S, n)
     D = len(S) * dim
-    orbits = index_orbits(n, S)
-    k = len(orbits)
-
+    orbits: list[tuple[int, ...]] = []
     orbit_sums: list[list[int]] = []
-    for orb in orbits:
+    for orb in index_orbits(n, S):
         v = [0] * D
         for i in orb:
             for c, x in enumerate(cols[i]):
                 v[c] += x
-        orbit_sums.append(v)
+        if any(v):
+            orbits.append(orb)
+            orbit_sums.append(v)
+    k = len(orbits)
 
     # GF(2) nullspace of T -> sum of orbit columns (mod 2)
     def bits(v: list[int]) -> int:
@@ -251,28 +256,31 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
         raise RuntimeError("f_-1 lies outside F although the half-sum span adds nothing")
 
     # minimal-cardinality independent witnesses, ties broken lexicographically
-    candidates = []
-    for mask in range(1, 1 << len(null_combos)):
-        combo = 0
-        for b in range(len(null_combos)):
-            if mask >> b & 1:
-                combo ^= null_combos[b]
-        if combo == 0:
-            continue
-        I = tuple(sorted(i for t in range(k) if combo >> t & 1 for i in orbits[t]))
-        candidates.append((len(I), I, combo))
-    candidates.sort()
     witnesses: list[tuple[int, ...]] = []
-    grown = F
-    seen_I = set()
-    for _, I, combo in candidates:
-        if I in seen_I or len(witnesses) == dim_span:
-            continue
-        seen_I.add(I)
-        xi = xi_of(combo)
-        if not grown.member(xi):
-            witnesses.append(I)
-            grown = grown.sum_with([xi])
+    if dim_span:
+        if len(null_combos) > MAX_HALFSUM_NULLITY:
+            raise ValueError(
+                f"the half-sum search needs 2^{len(null_combos)} > 2^{MAX_HALFSUM_NULLITY} orbit combinations; use --method oracle"
+            )
+        candidates = []
+        for mask in range(1, 1 << len(null_combos)):
+            combo = 0
+            for b in range(len(null_combos)):
+                if mask >> b & 1:
+                    combo ^= null_combos[b]  # never 0: each basis vector has its own highest orbit
+            I = tuple(sorted(i for t in range(k) if combo >> t & 1 for i in orbits[t]))
+            candidates.append((len(I), I, combo))
+        candidates.sort()
+        grown = F
+        seen_I = set()
+        for _, I, combo in candidates:
+            if I in seen_I or len(witnesses) == dim_span:
+                continue
+            seen_I.add(I)
+            xi = xi_of(combo)
+            if not grown.member(xi):
+                witnesses.append(I)
+                grown = grown.sum_with([xi])
 
     return H1Report(
         invariant_factors=(2,) * rank,

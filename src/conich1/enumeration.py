@@ -180,7 +180,8 @@ def _orbit_and_normalizer(
     Q --w--> R onto a point already reached gives the Schreier element
     t_R^-1 w t_Q, which maps K onto itself; by Schreier's lemma these
     elements generate N_W(K).  N grows from K by one coset step for each
-    one not yet in it, so the generators are gens and those elements.
+    one not yet in it, so the generators are gens and those elements.  It
+    stops once |orbit| |N| = |W(D_n)|, which needs both to be complete.
     """
     transversal = {K: (ident, ident)}
     orbit = [K]
@@ -193,12 +194,14 @@ def _orbit_and_normalizer(
             if R not in transversal:
                 transversal[R] = (right[t][w], right[w_inv][t_inv])
                 orbit.append(R)
-                continue
-            s = right[t][right[w][transversal[R][1]]]
-            if s not in N:
-                n_gens.append(s)
-                N = _coset_closure(N, n_gens, right, ident)
-    return orbit, n_gens
+            else:
+                s = right[t][right[w][transversal[R][1]]]
+                if s not in N:
+                    n_gens.append(s)
+                    N = _coset_closure(N, n_gens, right, ident)
+            if len(orbit) * len(N) == len(right):
+                return orbit, n_gens
+    raise RuntimeError(f"the orbit ({len(orbit)}) and normalizer ({len(N)}) fall short of |W(D_n)| = {len(right)}")
 
 
 def _enumerate_full(n: int) -> tuple[list[FiniteGroup], dict]:

@@ -114,7 +114,8 @@ def enc_closure(
         S = gens[:k]
         if subgroup is None and S[-1] in K:
             continue  # K = <S[:-1]> already holds S[-1]
-        H = list(K)
+        if tables is None:
+            H = list(K)
         reps = [ident]
         for r in reps:  # reps grows while it is read
             for s in S:
@@ -421,9 +422,8 @@ def _walk_levels(
             if store is None:
                 conjugators = gens
             else:
-                orbit = conjugacy_orbit(labels, labels.of(H))
+                orbit, conjugators = conjugacy_orbit(labels, H, gens)
                 store.orbit_points += len(orbit)
-                conjugators = normalizer_generators(labels, H, gens, orbit)
             parent, candidates_left = inherited.pop(H)
             tables = symbol_tables(H, n)
             conjugations = [enc_conjugation(g) for g in conjugators]
@@ -768,66 +768,53 @@ class ConjugationLabels:
         return frozenset(map(self.index.__getitem__, encs))
 
 
-def conjugacy_orbit(labels: ConjugationLabels, start: frozenset[int]) -> dict[frozenset[int], Enc]:
-    """The W(D_n)-conjugates of a labelled element set, with a transversal.
+def conjugacy_orbit(labels: ConjugationLabels, H: frozenset[Enc], gens: Sequence[Enc]) -> tuple[list[frozenset[int]], list[Enc]]:
+    """The W(D_n)-conjugates of H = <gens>, as label sets of ``labels`` in
+    discovery order, H's first, and generators of N_W(H), from one search.
 
-    Maps each conjugate P of the set S labelled ``start`` to some u with
-    u S u^-1 = P, S to the identity, all as label sets of ``labels``.  A
-    breadth-first search under the label permutations of wdn_generators(n),
-    so the points come in discovery order, and u is the product of the
-    generators along the search tree.  Its length is |W(D_n)| / |N_W(S)|
-    (orbit-stabilizer; Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, section 4.1).
-    """
-    transversal = {start: identity_enc(labels.n)}
-    queue = [start]
-    for P in queue:  # queue grows while it is read
-        u = transversal[P]
-        take = itemgetter(next(iter(P)), *P)  # a repeated label keeps a tuple when |P| = 1
-        for w, perm in zip(labels.generators, labels.perms):
-            Q = frozenset(take(perm))
-            if Q not in transversal:
-                transversal[Q] = enc_mul(w, u)
-                queue.append(Q)
-    return transversal
-
-
-def normalizer_generators(
-    labels: ConjugationLabels, H: frozenset[Enc], gens: Sequence[Enc], orbit: dict[frozenset[int], Enc]
-) -> list[Enc]:
-    """Generators of N_W(H), the stabilizer of H in its conjugacy orbit.
-
-    ``H`` is a group generated by ``gens`` and ``orbit`` is
-    conjugacy_orbit(labels, labels.of(H)).  N starts as H and takes the
-    Schreier generators u_Q^-1 w u_P (w a generator of W(D_n), Q = w P
-    w^-1, u the transversal), each of which maps H to itself, in orbit
-    order; one already in N is skipped, and the others extend N by
-    enc_closure.  By Schreier's lemma they generate the stabilizer, so
-    the search stops when |N| = |W(D_n)| / |orbit|.  An orbit of one point
-    gives the generators of W(D_n) itself, with no closure.
+    A breadth-first search under the label permutations of
+    wdn_generators(n) keeps per point Q a transversal t_Q (t_Q H t_Q^-1 =
+    Q) and its inverse.  Each edge Q --w--> R onto a point already reached
+    gives the Schreier element t_R^-1 w t_Q; these generate N_W(H)
+    (Schreier's lemma), and N grows from H by enc_closure with each one not
+    in it yet.  By orbit-stabilizer (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.1) the orbit has at most
+    |W(D_n)| / 2|N| points unless N = N_W(H), so past that the rest is
+    walked with no products; the search stops once |orbit| |N| = |W(D_n)|.
+    A normal H gives W(D_n)'s generators.
     """
     n = labels.n
-    ws = labels.generators
-    if len(orbit) == 1:
-        return list(ws)
-    target = wdn_order(n) // len(orbit)
-    N_gens = list(gens)
-    N = H
-    if len(N) == target:
-        return N_gens
-    for P, u in orbit.items():
-        take = itemgetter(next(iter(P)), *P)
-        for w, perm in zip(ws, labels.perms):
-            s = enc_mul(enc_inv(orbit[frozenset(take(perm))]), enc_mul(w, u))
-            if s in N:
-                continue
-            N_gens.append(s)
-            N = enc_closure(N_gens, n, cap=target, subgroup=N)
-            if N is None:
-                raise RuntimeError(f"a Schreier generator outgrew |W(D_{n})| / |orbit| = {target}")
-            if len(N) == target:
-                return N_gens
-    raise RuntimeError(f"the Schreier generators close to order {len(N)}, short of {target}")
+    start = labels.of(H)
+    take = itemgetter(next(iter(start)), *start)  # a repeated label keeps a tuple when |H| = 1
+    if all(frozenset(take(perm)) == start for perm in labels.perms):
+        return [start], list(labels.generators)
+    total = wdn_order(n)
+    ident = identity_enc(n)
+    moves = [(w, enc_inv(w), perm) for w, perm in zip(labels.generators, labels.perms)]
+    transversal = {start: (ident, ident)}  # Q -> (t_Q, t_Q^-1), or None once N = N_W(H)
+    orbit = [start]
+    N, n_gens = H, list(gens)
+    for Q in orbit:  # orbit grows while it is read
+        take = itemgetter(next(iter(Q)), *Q)
+        if 2 * len(orbit) * len(N) <= total:
+            t, t_inv = transversal[Q]
+            for w, w_inv, perm in moves:
+                R = frozenset(take(perm))
+                if R not in transversal:
+                    transversal[R] = (enc_mul(w, t), enc_mul(t_inv, w_inv))
+                    orbit.append(R)
+                elif (s := enc_mul(transversal[R][1], enc_mul(w, t))) not in N:
+                    n_gens.append(s)
+                    N = enc_closure(n_gens, n, cap=total, subgroup=N)
+        else:
+            for perm in labels.perms:
+                R = frozenset(take(perm))
+                if R not in transversal:
+                    transversal[R] = None
+                    orbit.append(R)
+        if len(orbit) * len(N) == total:
+            return orbit, n_gens
+    raise RuntimeError(f"the orbit ({len(orbit)}) and normalizer ({len(N)}) fall short of |W(D_{n})| = {total}")
 
 
 def canonical_form(G: FiniteGroup) -> tuple:
@@ -848,5 +835,6 @@ def canonical_form(G: FiniteGroup) -> tuple:
             f"|W(D_{n})| = {total} conjugators exceed MAX_CONJUGATORS={MAX_CONJUGATORS}"
         )
     labels = ConjugationLabels(n, G.enc_set)
-    least = min(tuple(sorted(P)) for P in conjugacy_orbit(labels, labels.of(G.enc_set)))
+    orbit, _ = conjugacy_orbit(labels, G.enc_set, G.spanning_encs)
+    least = min(tuple(sorted(P)) for P in orbit)
     return (n, tuple(labels.encs[i] for i in least))

@@ -65,47 +65,20 @@ def clean_elements_by_closure(n):
 
 
 def conjugacy_orbit_by_bfs(n, encs):
-    """The checker for groups.conjugacy_orbit: the same breadth-first search
-    under conjugation by wdn_generators(n), on element sets instead of
-    labels.  Maps each conjugate P of set(encs) to the product u of the
-    generators along the search tree, with u S u^-1 = P."""
-    start = frozenset(encs)
-    ws = wdn_generators(n)
-    conjugations = [enc_conjugation(w) for w in ws]
-    transversal = {start: identity_enc(n)}
-    queue = [start]
-    for P in queue:  # queue grows while it is read
-        u = transversal[P]
-        for w, conj in zip(ws, conjugations):
+    """The checker for the points of groups.conjugacy_orbit: the same
+    breadth-first search under conjugation by wdn_generators(n), on element
+    sets instead of labels, walked to the end.  The conjugates of
+    set(encs), in discovery order."""
+    conjugations = [enc_conjugation(w) for w in wdn_generators(n)]
+    orbit = [frozenset(encs)]
+    seen = set(orbit)
+    for P in orbit:  # orbit grows while it is read
+        for conj in conjugations:
             Q = frozenset(map(conj, P))
-            if Q not in transversal:
-                transversal[Q] = enc_mul(w, u)
-                queue.append(Q)
-    return transversal
-
-
-def normalizer_generators_by_bfs(n, H, gens, orbit):
-    """The checker for groups.normalizer_generators, on an orbit of
-    conjugacy_orbit_by_bfs: the same Schreier generators in the same order,
-    each kept when it is not yet in N, until |N| = |W(D_n)| / |orbit|."""
-    ws = wdn_generators(n)
-    if len(orbit) == 1:
-        return list(ws)
-    target = wdn_order(n) // len(orbit)
-    N_gens = list(gens)
-    N = H
-    conjugations = [enc_conjugation(w) for w in ws]
-    for P, u in orbit.items():
-        if len(N) == target:
-            break
-        for w, conj in zip(ws, conjugations):
-            s = enc_mul(enc_inv(orbit[frozenset(map(conj, P))]), enc_mul(w, u))
-            if s not in N:
-                N_gens.append(s)
-                N = enc_closure(N_gens, n, cap=target)
-            if len(N) == target:
-                break
-    return N_gens
+            if Q not in seen:
+                seen.add(Q)
+                orbit.append(Q)
+    return orbit
 
 
 def elements(G):

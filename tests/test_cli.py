@@ -59,6 +59,24 @@ def test_h1_methods(capsys):
         assert rep["result"]["f2_rank"] == rank
 
 
+def test_h1_halfsum_search_leaves_out_zero_orbits_and_refuses_large_nullspaces(capsys):
+    # a transposition at rank 64 leaves 62 fixed indices, each an orbit with
+    # a zero column sum, which the half-sum search leaves out
+    start = time.perf_counter()
+    code, rep = run(capsys, "h1", "-n", "64", "(1,64)")
+    assert code == EXIT_OK and time.perf_counter() - start < 10
+    assert rep["result"]["agree"] is True and rep["result"]["h1_rank"] == 0
+    # twenty single flips leave a parity nullspace of dimension 19, whose
+    # 2^19 combinations the search refuses, naming the oracle
+    flips = " ".join(f"c{j}" for j in range(1, 21))
+    for method in ("cross", "halfsum"):
+        assert main(["h1", "-n", "20", "--method", method, flips]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--method oracle" in captured.err
+    code, rep = run(capsys, "h1", "-n", "20", "--method", "oracle", flips)
+    assert code == EXIT_OK
+
+
 def test_check_passing_group(capsys):
     code, rep = run(capsys, "check", "-n", "4", "c1 c2 c3 c4 (2,3)", "(1,2,3)")
     assert code == EXIT_OK

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -221,6 +222,37 @@ def test_halfsum_worked_example_3():
     assert rep.f2_rank == 0
     assert rep.witnesses == ((1, 2, 3, 4, 5, 6),)
     assert rep.f_minus1_in_span is False
+
+
+def _sparse_wdn(rng, n):
+    """An element of W(D_n) moving a random set of indices among themselves,
+    flipping an even subset of them, so that many indices are fixed."""
+    moved = rng.sample(range(1, n + 1), rng.randint(1, n))
+    img = list(range(1, n + 1))
+    for j, k in zip(moved, rng.sample(moved, len(moved))):
+        img[j - 1] = k
+    while True:
+        minus = [j for j in moved if rng.random() < 0.5]
+        if len(minus) % 2 == 0:
+            return SignedPerm(n, img, minus)
+
+
+def test_halfsum_reports_are_frozen():
+    # 40 seeded groups at each rank 2..9, the 48 smallest family instances
+    # and every reference-table row (414 groups, 191 with an index orbit of
+    # zero column sum): the digest was recorded before the half-sum search
+    # left such orbits out and skipped an empty span
+    rng = random.Random(22)
+    drawn = []
+    for n in range(2, 10):
+        while len(drawn) < 40 * (n - 1):
+            grp = bounded_closure([_sparse_wdn(rng, n) for _ in range(rng.randint(1, 3))], n, cap=1024)
+            if grp is not None:
+                drawn.append(grp)
+    reports = [h1_halfsum(grp) for grp in drawn + _catalog_and_table_groups()]
+    data = [(r.f2_rank, r.witnesses, r.z1_mod_f_rank, r.f_minus1_in_span) for r in reports]
+    assert len(data) == 414
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == "5fe8b74383ac3ac8f9fc231522b5e313bfca0e91805b97d0f8f418a238afad13"
 
 
 def test_witnesses_are_orbit_unions_without_minus_one():

@@ -19,9 +19,11 @@ from conich1.enumeration import (
     verify_tables,
 )
 from conich1.groups import (
+    ConjugationLabels,
     are_conjugate,
     canonical_form,
     closure,
+    conjugacy_orbit,
     enc_closure,
     enc_mul,
     ordered_subgroups,
@@ -127,19 +129,26 @@ def test_guided_walks_and_the_subgroup_stream_are_pinned(guided_walk):
     assert class_digest(stream) == "36fb55ad914cd7b2d9e7966ecc21fd34086afe227b548deeb4efb6965917e31b"
 
 
-def test_full_mode_normalizers(full_lattice):
-    # every normalizer generator full mode traces candidates with maps K onto
-    # itself, and they generate a group of order |W| / |orbit(K)|, which is
-    # |N_W(K)| by the orbit-stabilizer theorem
-    n = 4
+def _full_mode_table(n):
+    """What full mode's orbit walk reads: the right-regular table of W(D_n),
+    the identity's index and the moves (w, w^-1, q -> w q w^-1) for the
+    generators w, here by encoding arithmetic; and conjugation on indices."""
     encs, index, right = right_regular_table(n)
-    ident = index[identity_enc(n)]
 
     def conjugate(g, k):
         return index[enc_mul(enc_mul(encs[g], encs[k]), enc_inv(encs[g]))]
 
     ws = [index[w] for w in wdn_generators(n)]
     moves = [(w, index[enc_inv(encs[w])], tuple(conjugate(w, q) for q in range(len(encs)))) for w in ws]
+    return encs, index, right, index[identity_enc(n)], moves, conjugate
+
+
+def test_full_mode_normalizers(full_lattice):
+    # every normalizer generator full mode traces candidates with maps K onto
+    # itself, and they generate a group of order |W| / |orbit(K)|, which is
+    # |N_W(K)| by the orbit-stabilizer theorem
+    n = 4
+    encs, index, right, ident, moves, conjugate = _full_mode_table(n)
     reps, _ = full_lattice(n)
     for G in reps:
         K = frozenset(index[e] for e in G.enc_set)
@@ -148,6 +157,23 @@ def test_full_mode_normalizers(full_lattice):
         for g in n_gens:
             assert {conjugate(g, k) for k in K} == K
         assert len(enc_closure([encs[g] for g in n_gens], n)) * len(orbit) == wdn_order(n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_full_mode_orbit_walk_matches_conjugacy_orbit(n, full_lattice):
+    # full mode's walk on the right-regular table and groups.conjugacy_orbit
+    # labelled over all of W(D_n), whose labels are the table's indices, give
+    # the same orbit in the same order and the same normalizer on every class
+    encs, index, right, ident, moves, _ = _full_mode_table(n)
+    labels = ConjugationLabels(n, encs)
+    assert list(labels.encs) == encs
+    reps, _ = full_lattice(n)
+    for G in reps:
+        K = frozenset(index[e] for e in G.enc_set)
+        orbit, n_gens = _orbit_and_normalizer(K, [index[e] for e in G.spanning_encs], right, ident, moves)
+        labelled_orbit, gens = conjugacy_orbit(labels, G.enc_set, G.spanning_encs)
+        assert labelled_orbit == orbit, G
+        assert enc_closure(gens, n) == enc_closure([encs[g] for g in n_gens], n), G
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -29,7 +29,6 @@ from conich1.groups import (
     enc_mul,
     enc_order,
     fingerprint,
-    normalizer_generators,
     ordered_subgroups,
     prime_power_cyclics,
     subgroup_walk,
@@ -44,7 +43,6 @@ from helpers import (
     conjugacy_orbit_by_bfs,
     conjugate_group,
     iter_wdn,
-    normalizer_generators_by_bfs,
 )
 
 
@@ -278,23 +276,47 @@ def normalizer_by_brute_force(grp):
 
 
 @pytest.mark.parametrize("n, count", [(4, 98), (5, 61)])
-def test_normalizer_matches_brute_force(n, count, full_lattice):
-    # every class of W(D_4), and the clean classes of W(D_5) that guided
-    # mode walks (60 and the trivial group)
+def test_conjugacy_orbit_matches_bfs_and_brute_force_normalizer(n, count, full_lattice):
+    # every class of W(D_4), labelled over its own conjugation closure as
+    # canonical_form labels, and the clean classes of W(D_5) that guided
+    # mode walks (60 and the trivial group), labelled over the clean
+    # elements as guided mode does: the orbit's points in the order of the
+    # encoding BFS, and the normalizer of a brute-force scan of W(D_n)
     reps, _ = full_lattice(n)
     if n == 5:
         clean = clean_elements(5)
+        clean_labels = ConjugationLabels(5, clean)
         reps = [H for H in reps if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean]
     assert len(reps) == count
     for H in reps:
-        labels = ConjugationLabels(n, H.enc_set)
-        orbit = conjugacy_orbit(labels, labels.of(H.enc_set))
-        for P, u in orbit.items():
-            assert frozenset(map(enc_conjugation(u), H.enc_set)) == {labels.encs[i] for i in P}
-        gens = normalizer_generators(labels, H.enc_set, [g.enc for g in H.generators], orbit)
+        labels = ConjugationLabels(n, H.enc_set) if n == 4 else clean_labels
+        orbit, gens = conjugacy_orbit(labels, H.enc_set, H.spanning_encs)
+        assert [frozenset(labels.encs[i] for i in P) for P in orbit] == conjugacy_orbit_by_bfs(n, H.enc_set)
         N = enc_closure(gens, n)
         assert N == normalizer_by_brute_force(H), H
         assert len(N) * len(orbit) == wdn_order(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_normal_subgroups_give_the_wdn_generators_without_closure(n, monkeypatch):
+    # the trivial group, the even sign changes and W(D_n) itself are normal,
+    # so their orbit is one point and N_W is W(D_n), read off no closure
+    ident = identity_enc(n)
+    sign_changes = [tuple(2 * j + (j in (i, i + 1)) for j in range(n)) for i in range(n - 1)]
+    normal = [
+        (frozenset([ident]), []),
+        (enc_closure(sign_changes, n), sign_changes),
+        (enc_closure(wdn_generators(n), n), wdn_generators(n)),
+    ]
+    assert [len(H) for H, _ in normal] == [1, 2 ** (n - 1), wdn_order(n)]
+
+    def fail(*args, **kw):
+        raise AssertionError("a normal subgroup closed its normalizer")
+
+    monkeypatch.setattr(groups, "enc_closure", fail)
+    for H, gens in normal:
+        labels = ConjugationLabels(n, H)
+        assert conjugacy_orbit(labels, H, gens) == ([labels.of(H)], wdn_generators(n))
 
 
 def test_conjugation_labels():
@@ -309,31 +331,6 @@ def test_conjugation_labels():
     for w, perm in zip(wdn_generators(4), labels.perms):
         assert perm == tuple(labels.index[enc_conjugation(w)(e)] for e in labels.encs)
     assert labels.of(grp.enc_set) == frozenset(labels.index[e] for e in grp.enc_set)
-
-
-@pytest.mark.parametrize("n, count", [(4, 98), (5, 61)])
-def test_labelled_orbit_matches_encoding_bfs(n, count, full_lattice):
-    # the labelled orbit against the encoding BFS it replaced: the same
-    # points in the same order, the same transversal and the same normalizer
-    # generators; labelled over each group's own conjugation closure at n = 4,
-    # as canonical_form labels, and over the clean elements at n = 5, as
-    # guided mode does
-    reps, _ = full_lattice(n)
-    if n == 5:
-        clean = clean_elements(5)
-        clean_labels = ConjugationLabels(5, clean)
-        reps = [H for H in reps if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean]
-    assert len(reps) == count
-    for H in reps:
-        labels = ConjugationLabels(n, H.enc_set) if n == 4 else clean_labels
-        orbit = conjugacy_orbit(labels, labels.of(H.enc_set))
-        reference = conjugacy_orbit_by_bfs(n, H.enc_set)
-        assert [frozenset(labels.encs[i] for i in P) for P in orbit] == list(reference)
-        assert list(orbit.values()) == list(reference.values())
-        gens = list(H.spanning_encs)
-        assert normalizer_generators(labels, H.enc_set, gens, orbit) == normalizer_generators_by_bfs(
-            n, H.enc_set, gens, reference
-        )
 
 
 @pytest.mark.parametrize("n", [4, 5])
