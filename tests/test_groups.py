@@ -275,26 +275,45 @@ def normalizer_by_brute_force(grp):
     )
 
 
-@pytest.mark.parametrize("n, count", [(4, 98), (5, 61)])
-def test_conjugacy_orbit_matches_bfs_and_brute_force_normalizer(n, count, full_lattice):
-    # every class of W(D_4), labelled over its own conjugation closure as
-    # canonical_form labels, and the clean classes of W(D_5) that guided
-    # mode walks (60 and the trivial group), labelled over the clean
-    # elements as guided mode does: the orbit's points in the order of the
-    # encoding BFS, and the normalizer of a brute-force scan of W(D_n)
+def orbit_cases(n, full_lattice, count):
+    """Every class of W(D_4), and the clean classes of W(D_5) that guided
+    mode walks (60 and the trivial group), with the clean elements'
+    ConjugationLabels at n = 5."""
     reps, _ = full_lattice(n)
+    clean_labels = None
     if n == 5:
         clean = clean_elements(5)
         clean_labels = ConjugationLabels(5, clean)
         reps = [H for H in reps if H.order <= CLEAN_SUBGROUP_CAP and H.enc_set <= clean]
     assert len(reps) == count
+    return reps, clean_labels
+
+
+@pytest.mark.parametrize("n, count", [(4, 98), (5, 61)])
+def test_normalizer_matches_brute_force(n, count, full_lattice):
+    # each group labelled over its own conjugation closure, as
+    # canonical_form labels: the generators close to the normalizer of a
+    # brute-force scan of W(D_n), and orbit-stabilizer holds
+    reps, _ = orbit_cases(n, full_lattice, count)
     for H in reps:
-        labels = ConjugationLabels(n, H.enc_set) if n == 4 else clean_labels
+        labels = ConjugationLabels(n, H.enc_set)
         orbit, gens = conjugacy_orbit(labels, H.enc_set, H.spanning_encs)
-        assert [frozenset(labels.encs[i] for i in P) for P in orbit] == conjugacy_orbit_by_bfs(n, H.enc_set)
         N = enc_closure(gens, n)
         assert N == normalizer_by_brute_force(H), H
         assert len(N) * len(orbit) == wdn_order(n)
+
+
+@pytest.mark.parametrize("n, count", [(4, 98), (5, 61)])
+def test_labelled_orbit_matches_encoding_bfs(n, count, full_lattice):
+    # the labelled orbit against the encoding BFS: the same points in the
+    # same order; labelled over each group's own conjugation closure at
+    # n = 4, as canonical_form labels, and over the clean elements at
+    # n = 5, as guided mode does
+    reps, clean_labels = orbit_cases(n, full_lattice, count)
+    for H in reps:
+        labels = ConjugationLabels(n, H.enc_set) if n == 4 else clean_labels
+        orbit, _ = conjugacy_orbit(labels, H.enc_set, H.spanning_encs)
+        assert [frozenset(labels.encs[i] for i in P) for P in orbit] == conjugacy_orbit_by_bfs(n, H.enc_set)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
