@@ -461,11 +461,7 @@ def match_table_row(G: FiniteGroup) -> tuple[str, int | None, dict | None]:
     for row in rows:
         if row.order != G.order:
             continue
-        try:
-            H = row.build(G.n)
-        except ValueError:
-            continue
-        if are_conjugate(G, H):
+        if are_conjugate(G, row.build(G.n)):
             params = dict(row.class_params) if row.class_params is not None else None
             return row.name, row.class_id, params
     inv = abelian_invariants(G)

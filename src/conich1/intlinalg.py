@@ -1,13 +1,14 @@
 """Exact integer linear algebra: Smith/Hermite normal forms, kernels, lattices.
 
 Everything here works over plain Python ints (arbitrary precision); no
-floating point is used anywhere.  Matrices are small and dense, so the
-classical pivoting algorithms are fine.
+floating point is used anywhere.  The Hermite form, the Smith form and
+the kernel all eliminate with one extended-gcd step on a pair of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -22,7 +23,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(int(x) for x in entries)
+        self.entries = tuple(map(int, entries))
         if rows < 0 or cols < 0 or rows * cols != len(self.entries):
             raise ValueError("entry count inconsistent with shape")
 
@@ -46,7 +47,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_rows([list(self.column(j)) for j in range(self.cols)])
@@ -97,94 +98,38 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _pivot_min_abs(m: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, int] | None:
-    """Smallest-magnitude nonzero entry in the trailing submatrix.
-
-    Scans column by column, so ties break leftmost-topmost; this fixes the
-    order of the elimination deterministically.
+def _gcd_step(u: Sequence[int], v: Sequence[int], k: int) -> tuple[Sequence[int], Sequence[int]]:
+    """The unimodular pair of rows u, v whose entries at position k are
+    gcd(u[k], v[k]) (up to sign) and 0: the extended Euclidean algorithm,
+    run on the rows themselves.  The one elimination step behind the
+    Hermite form, the Smith form and the kernel.
     """
-    best = None
-    best_abs = None
-    for j in range(k, cols):
-        for i in range(k, rows):
-            v = m[i][j]
-            if v:
-                a = -v if v < 0 else v
-                if best_abs is None or a < best_abs:
-                    best, best_abs = (i, j), a
-                    if a == 1:
-                        return best
-    return best
+    while v[k]:
+        q = u[k] // v[k]
+        u, v = v, [x - q * y for x, y in zip(u, v)]
+    return u, v
 
 
 def smith_normal_form(A: IntMatrix) -> IntMatrix:
     """The Smith form S = U A V of A: diagonal with d_1 | d_2 | ..., for
-    unimodular U and V that are not built (tests/helpers.py runs the same
-    elimination with them as the checker).  Total function: the zero and
-    empty matrices are their own Smith forms.
+    unimodular U and V that are not built.  Alternating Hermite forms of the
+    columns and of the rows (Kannan and Bachem, SIAM J. Comput. 8, 1979)
+    leave at most one nonzero entry in each row and column; one gcd/lcm pass
+    over those entries then orders them into the divisor chain.  Total
+    function: the zero and empty matrices are their own Smith forms.
     """
-    rows, cols = A.rows, A.cols
-    m = A.to_rows()
-
-    def row_op(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        mi, mj = m[i], m[j]
-        for c in range(cols):
-            mi[c] -= q * mj[c]
-
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        loc = _pivot_min_abs(m, k, rows, cols)
-        if loc is None:
-            break
-        i, j = loc
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-        if j != k:
-            for r in m:
-                r[k], r[j] = r[j], r[k]
-        if m[k][k] < 0:
-            m[k] = [-x for x in m[k]]
-
-        dirty = False
-        for i in range(k + 1, rows):
-            if m[i][k]:
-                q = m[i][k] // m[k][k]
-                if q:
-                    row_op(i, k, q)
-                if m[i][k]:
-                    dirty = True
-        for j in range(k + 1, cols):
-            if m[k][j]:
-                q = m[k][j] // m[k][k]
-                if q:
-                    # col_j -= q * col_k
-                    for r in m:
-                        r[j] -= q * r[k]
-                if m[k][j]:
-                    dirty = True
-        if dirty:
-            continue
-
-        # Pivot divides everything in its row/column; enforce divisibility
-        # of the remaining block so the diagonal chain d_k | d_{k+1} holds.
-        p = m[k][k]
-        fix = None
-        for i in range(k + 1, rows):
-            mi = m[i]
-            for j in range(k + 1, cols):
-                if mi[j] % p:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            row_op(k, fix, -1)  # add offending row onto the pivot row
-            continue
-        k += 1
-
-    return IntMatrix.from_rows(m) if rows else IntMatrix(0, cols, [])
+    m = _hnf_reduce([A.column(j) for j in range(A.cols)], A.rows)
+    while any(len(r) - r.count(0) > 1 for r in m):
+        m = _hnf_reduce(zip(*m), len(m))
+    d = [sum(r) for r in m]  # the one nonzero entry of each row
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    entries = [0] * (A.rows * A.cols)
+    for i, x in enumerate(d):
+        entries[i * A.cols + i] = x
+    return IntMatrix(A.rows, A.cols, entries)
 
 
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
@@ -192,50 +137,35 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return tuple(d for d in smith_normal_form(A).diagonal() if d != 0)
 
 
-def _hnf_reduce(rows: list[list[int]], dim: int) -> list[Vector]:
+def _hnf_reduce(rows: Iterable[Sequence[int]], dim: int) -> list[Vector]:
     """Row-style Hermite normal form of the span of ``rows``.
 
-    Pivots are positive and strictly right-down; entries above each pivot
-    are reduced into [0, pivot).  The output depends only on the row span,
-    which makes lattice equality a tuple comparison.
+    Each row is inserted into a running echelon basis: while the basis has
+    a row with the same leading column, one extended-gcd step keeps their
+    gcd there and passes the remainder, zero in that column, on.  Pivots
+    are then made positive and entries above each pivot are reduced into
+    [0, pivot).  The output depends only on the row span, which makes
+    lattice equality a tuple comparison.
     """
-    work = [list(r) for r in rows if any(r)]
-    result: list[list[int]] = []
-    for col in range(dim):
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            rest = []
-            for r in live[1:]:
-                q = r[col] // base[col]
-                if q:
-                    for c in range(col, dim):
-                        r[c] -= q * base[c]
-                if r[col]:
-                    rest.append(r)
-            live = [base] + rest
-        pivot_row = live[0]
-        if pivot_row[col] < 0:
-            for c in range(dim):
-                pivot_row[c] = -pivot_row[c]
-        work = [r for r in work if r is not pivot_row and any(r)]
-        result.append(pivot_row)
-    # reduce entries above each pivot
-    pivots = []
-    for r in result:
-        pc = next(c for c in range(dim) if r[c] != 0)
-        pivots.append(pc)
-    for idx in range(len(result)):
-        for jdx in range(idx):
-            pc = pivots[idx]
-            q = result[jdx][pc] // result[idx][pc]
+    at: dict[int, Sequence[int]] = {}  # the basis row of each pivot column
+    for v in rows:
+        c = next((j for j, x in enumerate(v) if x), dim)
+        while c in at:
+            at[c], v = _gcd_step(v, at[c], c)
+            c = next((j for j in range(c + 1, dim) if v[j]), dim)
+        if c < dim:
+            at[c] = v
+    pivots = sorted(at)
+    basis = [at[c] for c in pivots]
+    for i, c in enumerate(pivots):
+        if basis[i][c] < 0:
+            basis[i] = [-x for x in basis[i]]
+        b = basis[i]
+        for j in range(i):
+            q = basis[j][c] // b[c]
             if q:
-                for c in range(dim):
-                    result[jdx][c] -= q * result[idx][c]
-    return [tuple(r) for r in result]
+                basis[j] = [x - q * y for x, y in zip(basis[j], b)]
+    return [tuple(b) for b in basis]
 
 
 @dataclass(frozen=True)
@@ -251,7 +181,7 @@ class LatticeBasis:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        return cls(ambient_dim, tuple(_hnf_reduce([list(v) for v in vecs], ambient_dim)))
+        return cls(ambient_dim, tuple(_hnf_reduce(vecs, ambient_dim)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "LatticeBasis":
@@ -302,36 +232,24 @@ def kernel_of_rows(rows: Iterable[Sequence[int]], dim: int) -> list[Vector]:
     lattice and refines it per constraint.  The basis stays unimodularly
     complementable, so the final span is the full (saturated) kernel.
     """
-    basis: list[list[int]] = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    # each basis vector carries its dot product with the current row at
+    # position dim, so the step sweeps the dots like any other entry
+    basis = [[1 if i == j else 0 for j in range(dim + 1)] for i in range(dim)]
     for row in rows:
         if not basis:
             break
-        if not any(row):
-            continue
         support = [c for c, x in enumerate(row) if x]
-        dots = []
         for b in basis:
-            dots.append(sum(row[c] * b[c] for c in support))
-        if not any(dots):
+            b[dim] = sum(row[c] * b[c] for c in support)
+        live = [i for i, b in enumerate(basis) if b[dim]]
+        if not live:
             continue
         # Sweep to a single nonzero dot by unimodular column-style ops.
-        live = [i for i, d in enumerate(dots) if d]
         anchor = live[0]
         for i in live[1:]:
-            a, b = dots[anchor], dots[i]
-            # extended gcd combination of basis[anchor], basis[i]
-            x0, y0, x1, y1 = 1, 0, 0, 1
-            while b:
-                q = a // b
-                a, b = b, a - q * b
-                x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
-            va, vb = basis[anchor], basis[i]
-            new_a = [x0 * p + y0 * q_ for p, q_ in zip(va, vb)]
-            new_b = [x1 * p + y1 * q_ for p, q_ in zip(va, vb)]
-            basis[anchor], basis[i] = new_a, new_b
-            dots[anchor], dots[i] = a, 0
+            basis[anchor], basis[i] = _gcd_step(basis[anchor], basis[i], dim)
         basis.pop(anchor)
-    return [tuple(b) for b in basis]
+    return [tuple(b[:dim]) for b in basis]
 
 
 def quotient_invariants(Z: LatticeBasis, B: LatticeBasis) -> tuple[tuple[int, ...], int]:

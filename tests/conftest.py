@@ -11,9 +11,9 @@ _full_cache = {}
 @pytest.fixture(scope="session")
 def guided_walk():
     """Memoized enumeration._enumerate_guided: the rank 6/7 walks take about
-    8 s and 80 s, so the tests of the clean classes at each rank and the
-    guided enumeration share one walk.  Each call returns fresh containers,
-    as enumerate_wdn adds to the stats it gets."""
+    5-7 s and 50-70 s of CPU, so the tests of the clean classes at each
+    rank and the guided enumeration share one walk.  Each call returns
+    fresh containers, as enumerate_wdn adds to the stats it gets."""
 
     def run(n):
         if n not in _walk_cache:

@@ -5,9 +5,11 @@ from itertools import combinations, permutations
 import pytest
 
 from conich1 import cohomology
+from conich1.classes import build_group, smallest_param_tuples
 from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns, h1_condition_cyclic
+from conich1.enumeration import TABLE_ROWS
 from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, enc_cycle_type, wdn_generators
-from conich1.intlinalg import IntMatrix, LatticeBasis, _pivot_min_abs, kernel_of_rows
+from conich1.intlinalg import IntMatrix, LatticeBasis, kernel_of_rows
 from conich1.picard import PicLattice, phi_of_enc
 from conich1.signedperm import SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
 
@@ -243,11 +245,32 @@ def is_diagonal(A):
     return all(A[i, j] == 0 for i in range(A.rows) for j in range(A.cols) if i != j)
 
 
+def _pivot_min_abs(m, k, rows, cols):
+    """Smallest-magnitude nonzero entry in the trailing submatrix.
+
+    Scans column by column, so ties break leftmost-topmost; this fixes the
+    order of the elimination deterministically.
+    """
+    best = None
+    best_abs = None
+    for j in range(k, cols):
+        for i in range(k, rows):
+            v = m[i][j]
+            if v:
+                a = -v if v < 0 else v
+                if best_abs is None or a < best_abs:
+                    best, best_abs = (i, j), a
+                    if a == 1:
+                        return best
+    return best
+
+
 def smith_normal_form_with_transforms(A):
-    """The checker for intlinalg.smith_normal_form: the same elimination,
-    with the same pivot order, applied to identity matrices alongside A.
-    Returns (S, U, V) after asserting U A V = S, |det U| = |det V| = 1, S
-    diagonal and d_1 | d_2 | ... on its nonzero diagonal."""
+    """The checker for intlinalg.smith_normal_form: an independent
+    elimination that pivots on the smallest entry and fixes divisibility as
+    it goes, applied to identity matrices alongside A.  Returns (S, U, V)
+    after asserting U A V = S, |det U| = |det V| = 1, S diagonal and
+    d_1 | d_2 | ... on its nonzero diagonal."""
     rows, cols = A.rows, A.cols
     m = A.to_rows()
     u = IntMatrix.identity(rows).to_rows()
@@ -306,6 +329,15 @@ def smith_normal_form_with_transforms(A):
     assert all(d > 0 for d in diag)
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
     return S, U, V
+
+
+def catalog_and_table_groups():
+    """The 48 smallest family instances (two per class) and the 46 rows of
+    the reference tables for W(D_4)..W(D_9)."""
+    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=2)]
+    tables = [row.build(n) for n in range(4, 10) for row in TABLE_ROWS[n]]
+    assert len(families) == 48 and len(tables) == 46
+    return families + tables
 
 
 def abelian_invariants_by_counting(G):

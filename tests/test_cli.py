@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 
@@ -257,6 +259,34 @@ def test_readme_reports_are_frozen(capsys, monkeypatch, full_lattice):
         assert main(argv) == code, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _leading_literal(text):
+    # the longest prefix of text that is a Python literal
+    for end in range(len(text), 0, -1):
+        try:
+            return ast.literal_eval(text[:end])
+        except (SyntaxError, ValueError):
+            continue
+    raise AssertionError(f"no literal starts {text!r}")
+
+
+def test_readme_library_block_values():
+    # run the README's ## Library block: every `expr  # value` line must
+    # evaluate to the literal its comment starts with
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    checked = []
+    for line in block.splitlines():
+        expr, _, comment = line.partition("  # ")
+        if not comment:
+            exec(line, namespace)
+            continue
+        value, expected = eval(expr, namespace), _leading_literal(comment.strip())
+        assert value == expected and type(value) is type(expected), line
+        checked.append(expected)
+    assert checked == [(2,), ((5, 6), (1, 2, 3, 4)), False]
 
 
 def test_rank_below_1_exit_2(capsys):

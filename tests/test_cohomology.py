@@ -18,7 +18,7 @@ from conich1.cohomology import (
     h1_halfsum,
     h1_oracle,
 )
-from conich1.enumeration import TABLE_ROWS, _enumerate_full
+from conich1.enumeration import _enumerate_full
 from conich1.groups import (
     FiniteGroup,
     _cyclic_encs,
@@ -39,6 +39,7 @@ from conich1.signedperm import SignedPerm, lambda_count, parse_element
 from helpers import (
     CHECKED_CLASS_MAX_ORDER,
     bounded_closure,
+    catalog_and_table_groups,
     conjugate_group,
     elements,
     h1_by_cocycle_system,
@@ -249,7 +250,7 @@ def test_halfsum_reports_are_frozen():
             grp = bounded_closure([_sparse_wdn(rng, n) for _ in range(rng.randint(1, 3))], n, cap=1024)
             if grp is not None:
                 drawn.append(grp)
-    reports = [h1_halfsum(grp) for grp in drawn + _catalog_and_table_groups()]
+    reports = [h1_halfsum(grp) for grp in drawn + catalog_and_table_groups()]
     data = [(r.f2_rank, r.witnesses, r.z1_mod_f_rank, r.f_minus1_in_span) for r in reports]
     assert len(data) == 414
     assert hashlib.sha256(repr(data).encode()).hexdigest() == "5fe8b74383ac3ac8f9fc231522b5e313bfca0e91805b97d0f8f418a238afad13"
@@ -507,17 +508,10 @@ def test_h1_condition_matches_full_scan_wdn4_classes():
         assert memo is None or False in memo.values() and True in memo.values()
 
 
-def _catalog_and_table_groups():
-    families = [build_group(spec) for cid in range(1, 25) for spec in smallest_param_tuples(cid, count=2)]
-    tables = [row.build(n) for n in range(4, 10) for row in TABLE_ROWS[n]]
-    assert len(families) == 48 and len(tables) == 46
-    return families + tables
-
-
 def test_h1_condition_matches_full_scan_catalog_and_tables():
     # the 48 smallest family instances and every reference-table row, all of
     # which pass, so every subgroup of their Sylow 2-subgroups is checked
-    groups = _catalog_and_table_groups()
+    groups = catalog_and_table_groups()
     for memo in (None, {}):
         for grp in groups:
             assert _matches_full_scan(grp, memo=memo).ok is True
@@ -535,7 +529,7 @@ def test_h1_condition_oracle_calls_are_the_undecided_noncyclic_subgroups(monkeyp
     oracle = cohomology.h1_oracle
     monkeypatch.setattr(cohomology, "h1_oracle", lambda H, **kw: calls.append(H.enc_set) or oracle(H, **kw))
     reps, _ = _enumerate_full(4)
-    groups = reps + _catalog_and_table_groups()
+    groups = reps + catalog_and_table_groups()
     for memo in (None, {}):
         decided = set()
         total_checked = total_calls = 0

@@ -12,6 +12,7 @@ from conich1.enumeration import (
     _enumerate_full,
     _enumerate_guided,
     _orbit_and_normalizer,
+    _row,
     clean_elements,
     enumerate_wdn,
     match_table_row,
@@ -201,6 +202,15 @@ def test_match_table_row():
     unknown = closure([parse_element("c1 c2", 4)])
     name, cid, params = match_table_row(unknown)
     assert cid is None and "order 2" in name
+
+
+def test_match_table_row_raises_on_a_broken_row(monkeypatch):
+    # a row of the right order that cannot be built (no class, no fixture)
+    # is an error in the table, not a reason to fall back to a generic name
+    grp = closure([parse_element(t, 4) for t in ("c1 c2 c3 c4 (2,3)", "(1,2,3)")])
+    monkeypatch.setitem(TABLE_ROWS, 4, [_row("D4(broken)", "S_3", 6)])
+    with pytest.raises(ValueError, match="missing fixture generators"):
+        match_table_row(grp)
 
 
 def test_enumerate_5_guided_matches_table(guided_enumeration):

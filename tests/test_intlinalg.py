@@ -5,13 +5,16 @@ in this file: brute-force kernel scans and coset counting by BFS; the
 Smith form is checked against tests/helpers.py's elimination with transforms.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conich1.cohomology import _generating_set, coboundary_columns
+from conich1 import intlinalg
+from conich1.cohomology import _generating_set, coboundary_columns, h1_halfsum, h1_oracle
+from conich1.groups import abelian_invariants
 from conich1.intlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -20,7 +23,12 @@ from conich1.intlinalg import (
     quotient_invariants,
     smith_normal_form,
 )
-from helpers import CHECKED_CLASS_MAX_ORDER, lattice_equal, smith_normal_form_with_transforms
+from helpers import (
+    CHECKED_CLASS_MAX_ORDER,
+    catalog_and_table_groups,
+    lattice_equal,
+    smith_normal_form_with_transforms,
+)
 
 
 def snf_postconditions(A):
@@ -67,6 +75,38 @@ def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
         for lattice in (F, F.sum_with([cob[-1]])):
             A = IntMatrix.from_rows(lattice.rows)
             assert smith_normal_form(A) == smith_normal_form_with_transforms(A)[0], H
+
+
+def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
+    # the HNF rows of every LatticeBasis.from_vectors call and the Smith
+    # diagonal of every smith_normal_form call that h1_oracle, h1_halfsum and
+    # abelian_invariants make on the full-mode classes at ranks 4 and 5, the
+    # 48 smallest family instances and the 46 table rows; both forms are
+    # unique, and the digests were recorded with the pivoting elimination
+    groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
+    assert len(groups) == 98 + 197 + 94
+    hnf, snf = [], []
+    from_vectors = LatticeBasis.from_vectors.__func__
+    smith = intlinalg.smith_normal_form
+
+    def record_hnf(cls, dim, vectors):
+        L = from_vectors(cls, dim, vectors)
+        hnf.append(L.rows)
+        return L
+
+    def record_snf(A):
+        S = smith(A)
+        snf.append((A.rows, A.cols, S.diagonal()))
+        return S
+
+    monkeypatch.setattr(LatticeBasis, "from_vectors", classmethod(record_hnf))
+    monkeypatch.setattr(intlinalg, "smith_normal_form", record_snf)
+    for reduce in (h1_oracle, h1_halfsum, abelian_invariants):
+        for grp in groups:
+            reduce(grp)
+    assert (len(hnf), len(snf)) == (2351, 1550)
+    assert hashlib.sha256(repr(hnf).encode()).hexdigest() == "e721aff53ca6121437ee81bd895e9bc046a127fd961a60a77204383c17fde6bb"
+    assert hashlib.sha256(repr(snf).encode()).hexdigest() == "6405b2516c10a22a82224ac878731f281d7ad22ebfcc2f30e16534cb785babc5"
 
 
 def test_snf_2x2_coprime_diagonal():
