@@ -11,8 +11,8 @@ instance must pass verify_class; a reading that fails is a bug here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .conditions import relative_minimality
 from .cohomology import h1_condition
@@ -33,8 +33,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldLabeling:
+class FieldLabeling(NamedTuple):
     """F_{p^r} as (Z/p)[x]/(h) with the base-p labeling of residues.
 
     lab(0) = p^r and lab(a0 + a1 x + ...) = a0 + a1 p + ... otherwise, so
@@ -192,25 +191,29 @@ def field_labeling(p: int, r: int) -> FieldLabeling:
     raise RuntimeError("no multiplicative generator found")
 
 
-@dataclass(frozen=True)
-class ClassSpec:
-    """One of the 24 families, instantiated at concrete parameters."""
+class ClassSpec(NamedTuple("ClassSpec", [("id", int), ("params", dict)])):
+    """One of the 24 families, instantiated at concrete parameters.
 
-    id: int
-    params: dict = field(default_factory=dict, hash=False)
+    Validated on construction and immutable; it hashes by key(), so equal
+    specs hash alike whatever the order of ``params``.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.id <= 24:
+    __slots__ = ()
+
+    def __new__(cls, id: int, params: dict | None = None) -> ClassSpec:
+        params = {} if params is None else params
+        if not 1 <= id <= 24:
             raise ValueError("class id must be 1..24")
-        required = PARAM_KINDS[self.id]
-        if set(self.params) != set(required):
-            raise ValueError(f"class {self.id} needs parameters {required}, got {sorted(self.params)}")
-        for key, val in self.params.items():
+        required = PARAM_KINDS[id]
+        if set(params) != set(required):
+            raise ValueError(f"class {id} needs parameters {required}, got {sorted(params)}")
+        for key, val in params.items():
             if not isinstance(val, int) or val < 1:
                 raise ValueError(f"parameter {key} must be a positive integer")
-        if "p" in self.params:
-            if not _is_prime(self.params["p"]) or self.params["p"] == 2:
+        if "p" in params:
+            if not _is_prime(params["p"]) or params["p"] == 2:
                 raise ValueError("p must be an odd prime")
+        return super().__new__(cls, id, params)
 
     def key(self) -> tuple:
         return (self.id, tuple(sorted(self.params.items())))
@@ -480,8 +483,7 @@ def build_group(spec: ClassSpec) -> FiniteGroup:
     return closure(gens, n=N)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     spec: ClassSpec
     rank: int
     order: int

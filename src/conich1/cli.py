@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 from functools import cache
 
 from . import __version__
@@ -128,7 +127,7 @@ def cmd_check(args) -> int:
     G, _ = _parse_group(args)
     rep = check_conditions(G)
     dec = orbits(G)
-    result = asdict(rep) | {
+    result = rep._asdict() | {
         "orbit_profile": list(rep.orbit_profile),
         "orbits": [list(o) for o in dec.orbits],
     }
@@ -179,7 +178,7 @@ def cmd_project(args) -> int:
         "appended_flag": proj.appended_flag,
         "order": proj.group.order,
         "generators": [format_element(g) for g in proj.group.generators],
-        "conditions": asdict(cond) | {"orbit_profile": list(cond.orbit_profile)},
+        "conditions": cond._asdict() | {"orbit_profile": list(cond.orbit_profile)},
     }
     _emit(_report("project", {"n": args.n, "generators": list(args.generators), "orbit": args.orbit}, result))
     return EXIT_OK
@@ -229,7 +228,7 @@ def cmd_verify_tables(args) -> int:
         stats["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
     result = {
         "n": args.n,
-        "rows": [asdict(r) | {"all_ok": r.all_ok} for r in rep.rows],
+        "rows": [r._asdict() | {"all_ok": r.all_ok} for r in rep.rows],
         "pairwise_distinct": rep.pairwise_distinct,
         "all_ok": rep.all_ok,
     }

@@ -14,7 +14,7 @@ tests/helpers.py as h1_by_cocycle_system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import (
     DEFAULT_SUBGROUP_BOUND,
@@ -38,8 +38,7 @@ class TorsionError(RuntimeError):
     """An H^1 invariant factor other than 2 appeared; something is badly wrong."""
 
 
-@dataclass(frozen=True)
-class H1Report:
+class H1Report(NamedTuple):
     """Outcome of one H^1 computation."""
 
     invariant_factors: tuple[int, ...]
@@ -292,14 +291,14 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
     )
 
 
-@dataclass(frozen=True)
-class H1ConditionResult:
+class H1ConditionResult(NamedTuple):
     """Verdict of the all-subgroups (H1) check."""
 
     ok: bool
     witness: FiniteGroup | None
     subgroups_checked: int
 
+    # a tuple of three fields is always true; the verdict must read False
     def __bool__(self) -> bool:
         return self.ok
 

@@ -4,14 +4,13 @@ projection of a group onto one orbit of its index action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import h1_condition
 from .groups import Enc, FiniteGroup, enc_closure, enc_mul, index_orbits, pair_orbits
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(NamedTuple):
     """Orbits on the indices {1..n} and on the 2n fiber-component symbols."""
 
     n: int
@@ -75,8 +74,7 @@ def orbit_count_filter(G: FiniteGroup) -> bool:
     return len(pair_orbits(G.n, G.spanning_encs)) <= 3
 
 
-@dataclass(frozen=True)
-class ProjectedGroup:
+class ProjectedGroup(NamedTuple):
     """Image of a group under the restriction to one index orbit."""
 
     source_orbit: tuple[int, ...]
@@ -137,8 +135,7 @@ def project(G: FiniteGroup, orbit: tuple[int, ...] | frozenset[int]) -> Projecte
     return ProjectedGroup(O, rank, H, appended)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     order: int
     degree: int
     h1_ok: bool

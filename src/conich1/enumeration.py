@@ -31,10 +31,10 @@ Two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, product
 from operator import itemgetter, or_
+from typing import NamedTuple
 
 from .classes import ClassSpec, build_group
 from .cohomology import h1_condition, h1_condition_cyclic
@@ -87,8 +87,7 @@ def clean_elements(n: int) -> frozenset[Enc]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class EnumEntry:
+class EnumEntry(NamedTuple):
     """One conjugacy class in the filtered output."""
 
     order: int
@@ -101,12 +100,11 @@ class EnumEntry:
     canonical_key: tuple | None
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     n: int
     mode: str
     entries: list[EnumEntry]
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
 
 def _passes_filters(G: FiniteGroup, h1_memo: dict[frozenset[Enc], bool]) -> bool:
@@ -344,8 +342,7 @@ def enumerate_wdn(n: int, mode: str = "full") -> EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     row_id: str
     name: str
     order: int
@@ -469,8 +466,7 @@ def match_table_row(G: FiniteGroup) -> tuple[str, int | None, dict | None]:
     return f"order {G.order} (ab {ab})", None, None
 
 
-@dataclass(frozen=True)
-class TableRowReport:
+class TableRowReport(NamedTuple):
     row_id: str
     name: str
     order_ok: bool
@@ -484,8 +480,7 @@ class TableRowReport:
         return self.order_ok and self.h1_ok and self.relmin_ok and self.fiber_pairs_ok and self.orbit_count_ok
 
 
-@dataclass
-class TablesReport:
+class TablesReport(NamedTuple):
     n: int
     rows: list[TableRowReport]
     pairwise_distinct: bool

@@ -12,11 +12,10 @@ of a conjugation-closed set of encodings (ConjugationLabels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intlinalg import IntMatrix, LatticeBasis, invariant_factors
 from .signedperm import (
@@ -230,8 +229,9 @@ class FiniteGroup:
 
 
 def closure(gens: Sequence[SignedPerm], n: int | None = None) -> FiniteGroup:
-    """Group generated by the given W(D_n) elements (breadth-first saturation);
-    one of more than DEFAULT_CLOSURE_CAP elements raises ValueError."""
+    """Group generated by the given W(D_n) elements, grown as a union of right
+    cosets by enc_closure; one of more than DEFAULT_CLOSURE_CAP elements
+    raises ValueError."""
     if not gens:
         if n is None:
             raise ValueError("empty generator list needs an explicit rank n")
@@ -250,8 +250,7 @@ def closure(gens: Sequence[SignedPerm], n: int | None = None) -> FiniteGroup:
     return FiniteGroup.from_enc_set(n0, encs, [g.enc for g in gens])
 
 
-@dataclass(frozen=True)
-class SubgroupList:
+class SubgroupList(NamedTuple):
     parent: FiniteGroup
     subgroups: tuple[FiniteGroup, ...]
 
@@ -326,8 +325,7 @@ class ClassStore:
 _LevelEntry = tuple[frozenset[Enc], list[Enc], FiniteGroup | None]
 
 
-@dataclass(frozen=True)
-class SubgroupWalk:
+class SubgroupWalk(NamedTuple):
     subgroups: tuple[FiniteGroup, ...]  # in discovery order, the trivial group first
     closures: int
     aborted: int

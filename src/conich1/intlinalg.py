@@ -7,9 +7,8 @@ the kernel all eliminate with one extended-gcd step on a pair of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 Vector = tuple[int, ...]
@@ -168,8 +167,7 @@ def _hnf_reduce(rows: Iterable[Sequence[int]], dim: int) -> list[Vector]:
     return [tuple(b) for b in basis]
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     """A sublattice of Z^d, stored as the rows of its canonical HNF."""
 
     ambient_dim: int

@@ -15,11 +15,10 @@ order as their encodings do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # An element's encoding: entry j-1 is the image of the symbol j^+, where
 # symbol k^+ is 2(k-1) and k^- is 2(k-1)+1, so pairing is XOR 1.
@@ -183,8 +182,7 @@ def sigma(a: SignedPerm) -> int:
     return -1 if sum(s & 1 for s in a.enc) % 2 else 1
 
 
-@dataclass(frozen=True)
-class SignedCycle:
+class SignedCycle(NamedTuple):
     """One cycle of the underlying permutation plus the flips it carries."""
 
     support: tuple[int, ...]

@@ -53,14 +53,30 @@ def test_field_labeling_rejects_bad_p():
 
 
 def test_class_spec_validation():
-    with pytest.raises(ValueError):
-        ClassSpec(25, {"n": 1})
-    with pytest.raises(ValueError):
-        ClassSpec(1, {"p": 3})
-    with pytest.raises(ValueError):
-        ClassSpec(2, {"p": 4, "r": 1})
-    with pytest.raises(ValueError):
-        ClassSpec(1, {"n": 0})
+    for args, message in (
+        ((25, {"n": 1}), "class id must be 1..24"),
+        ((0,), "class id must be 1..24"),
+        ((1, {"p": 3}), "class 1 needs parameters ('n',), got ['p']"),
+        ((1,), "class 1 needs parameters ('n',), got []"),
+        ((2, {"p": 4, "r": 1}), "p must be an odd prime"),
+        ((2, {"p": 2, "r": 1}), "p must be an odd prime"),
+        ((1, {"n": 0}), "parameter n must be a positive integer"),
+        ((2, {"p": 3, "r": "1"}), "parameter r must be a positive integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClassSpec(*args)
+
+
+def test_class_spec_is_immutable_and_hashes_by_key():
+    a = ClassSpec(4, {"n": 1, "p": 3, "r": 1})
+    b = ClassSpec(4, {"r": 1, "p": 3, "n": 1})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.key() == (4, (("n", 1), ("p", 3), ("r", 1)))
+    assert a != ClassSpec(4, {"n": 2, "p": 3, "r": 1}) and a != ClassSpec(6, {"n": 1, "p": 3, "r": 1})
+    for name, value in (("id", 6), ("params", {})):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert (a.id, a.params) == (4, {"n": 1, "p": 3, "r": 1})
 
 
 def test_class1_generators_catalog_form():

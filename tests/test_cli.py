@@ -191,6 +191,17 @@ def test_invariant_checks_survive_python_O(capsys):
         assert proc.stdout == in_process
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI query is a fresh process, so start-up is part of its cost;
+    # dataclasses (which pulls in inspect) and its generated code would be most of it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conich1.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, conich1, conich1.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: a site hook (a .pth file of some installed package) may import either module itself
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_tables_command(capsys):
     code, rep = run(capsys, "verify-tables", "-n", "8")
     assert code == EXIT_OK

@@ -412,6 +412,14 @@ def test_h1_condition_examples():
     assert h1_condition(grp).ok is True
 
 
+def test_h1_condition_truth_is_its_verdict():
+    # the README's group fails (H1); the truth of a result must read its verdict
+    readme = G(6, "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6")
+    for grp, ok in ((readme, False), (G(4, "c1 c2 c3 c4 (2,3)", "(1,2,3)"), True)):
+        res = h1_condition(grp)
+        assert res.ok is ok and bool(res) is ok
+
+
 def test_h1_condition_routes_agree():
     rng = random.Random(4)
     fixtures = [example1(), example3(), G(4, "c1 c2 c3 c4 (2,3)", "(1,2,3)")]
