@@ -14,10 +14,10 @@ import time
 from functools import cache
 
 from . import __version__
-from .classes import ClassSpec, PARAM_KINDS, verify_class
+from .classes import ClassSpec, verify_class
 from .cohomology import h1_cyclic, h1_halfsum, h1_oracle
 from .conditions import check_conditions, orbits, project
-from .enumeration import enumerate_wdn, verify_tables
+from .enumeration import FULL_MODE_MAX_RANK, enumerate_wdn, verify_tables
 from .groups import closure
 from .picard import phi
 from .signedperm import format_element, lambda_count, parse_element, sigma, signed_cycles
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 MAX_RANK = 64  # well above every rank the tables (<= 9) and the families' smallest instances (<= 15) use
+CLASS_PARAMETERS = ("n", "n1", "n2", "n3", "p", "r")
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -61,18 +62,7 @@ def _parse_group(args) -> tuple:
 
 
 def _h1_report_dict(rep) -> dict:
-    out = {
-        "invariant_factors": list(rep.invariant_factors),
-        "f2_rank": rep.f2_rank,
-        "method": rep.method,
-    }
-    if rep.witnesses is not None:
-        out["witnesses"] = [list(w) for w in rep.witnesses]
-    if rep.z1_mod_f_rank is not None:
-        out["z1_mod_f_rank"] = rep.z1_mod_f_rank
-    if rep.f_minus1_in_span is not None:
-        out["f_minus1_in_span"] = rep.f_minus1_in_span
-    return out
+    return {k: v for k, v in rep._asdict().items() if v is not None}
 
 
 def cmd_eval(args) -> int:
@@ -83,8 +73,7 @@ def cmd_eval(args) -> int:
         "lambda": lambda_count(g),
         "order": g.order(),
         "signed_cycles": [
-            {"support": list(c.support), "minus_indices": sorted(c.minus_indices), "trivial": c.trivial}
-            for c in signed_cycles(g)
+            c._asdict() | {"minus_indices": sorted(c.minus_indices), "trivial": c.trivial} for c in signed_cycles(g)
         ],
     }
     if sigma(g) == 1:
@@ -94,12 +83,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_h1(args) -> int:
+    if args.method == "cyclic" and len(args.generators) != 1:
+        raise ValueError("--method cyclic needs exactly one generator")
     G, gens = _parse_group(args)
-    inputs = {"n": args.n, "generators": list(args.generators), "method": args.method}
+    inputs = {"n": args.n, "generators": args.generators, "method": args.method}
     stats = {"group_order": G.order}
     if args.method == "cyclic":
-        if len(gens) != 1:
-            raise ValueError("--method cyclic needs exactly one generator")
         result = _h1_report_dict(h1_cyclic(gens[0]))
     elif args.method == "oracle":
         result = _h1_report_dict(h1_oracle(G))
@@ -126,19 +115,14 @@ def cmd_h1(args) -> int:
 def cmd_check(args) -> int:
     G, _ = _parse_group(args)
     rep = check_conditions(G)
-    dec = orbits(G)
-    result = rep._asdict() | {
-        "orbit_profile": list(rep.orbit_profile),
-        "orbits": [list(o) for o in dec.orbits],
-    }
     ok = rep.h1_ok and rep.relatively_minimal and rep.fiber_pairs_joined and rep.at_most_three_orbits
-    result["all_conditions"] = ok
-    _emit(_report("check", {"n": args.n, "generators": list(args.generators)}, result))
+    result = rep._asdict() | {"orbits": orbits(G).orbits, "all_conditions": ok}
+    _emit(_report("check", {"n": args.n, "generators": args.generators}, result))
     return EXIT_OK if ok else EXIT_FAILED
 
 
 def cmd_class(args) -> int:
-    params = {k: getattr(args, k) for k in PARAM_KINDS.get(args.id, ()) if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in CLASS_PARAMETERS if getattr(args, k) is not None}
     for key, val in params.items():
         # every family's rank exceeds each of its parameters
         if val > MAX_RANK:
@@ -147,77 +131,45 @@ def cmd_class(args) -> int:
     if spec.rank > MAX_RANK:
         raise ValueError(f"rank n must be at most {MAX_RANK}, got {spec.rank}")
     rep = verify_class(spec)
-    result = {
-        "class_id": args.id,
-        "params": params,
-        "rank": rep.rank,
-        "order": rep.order,
-        "orbit_profile": list(rep.orbit_profile),
-        "expected_profile": list(rep.expected_profile),
-        "orbit_profile_ok": rep.orbit_profile_ok,
-        "h1_ok": rep.h1_ok,
-        "relmin_ok": rep.relmin_ok,
-        "sylow2_order": rep.sylow2_order,
-        "verified": rep.all_ok,
-    }
+    result = rep._asdict() | {"class_id": args.id, "params": params, "verified": rep.all_ok}
+    del result["spec"]
     _emit(_report("class", {"id": args.id, "params": params}, result))
     return EXIT_OK if rep.all_ok else EXIT_FAILED
 
 
 def cmd_project(args) -> int:
     G, _ = _parse_group(args)
-    dec = orbits(G)
-    orbit = next((o for o in dec.orbits if args.orbit in o), None)
+    orbit = next((o for o in orbits(G).orbits if args.orbit in o), None)
     if orbit is None:
         raise ValueError(f"index {args.orbit} is out of range 1..{args.n}")
     proj = project(G, orbit)
-    cond = check_conditions(proj.group)
-    result = {
-        "source_orbit": list(proj.source_orbit),
-        "rank": proj.rank,
-        "appended_flag": proj.appended_flag,
+    result = proj._asdict() | {
         "order": proj.group.order,
         "generators": [format_element(g) for g in proj.group.generators],
-        "conditions": cond._asdict() | {"orbit_profile": list(cond.orbit_profile)},
+        "conditions": check_conditions(proj.group)._asdict(),
     }
-    _emit(_report("project", {"n": args.n, "generators": list(args.generators), "orbit": args.orbit}, result))
+    del result["group"]
+    _emit(_report("project", {"n": args.n, "generators": args.generators, "orbit": args.orbit}, result))
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    mode = args.mode or ("full" if args.n <= 5 else "generator_guided")
+    mode = args.mode or ("full" if args.n <= FULL_MODE_MAX_RANK else "generator_guided")
     t0 = time.monotonic()
     res = enumerate_wdn(args.n, mode)
-    stats = dict(res.stats)
+    result = res._asdict() | {
+        "count": len(res.entries),
+        "entries": [e._asdict() | {"canonical_key": _key_json(e.canonical_key)} for e in res.entries],
+    }
+    stats = dict(result.pop("stats"))
     if args.timing:
         stats["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
-    result = {
-        "n": args.n,
-        "mode": mode,
-        "count": len(res.entries),
-        "entries": [
-            {
-                "order": e.order,
-                "orbit_profile": list(e.orbit_profile),
-                "abelian_invariants": list(e.abelian_invariants),
-                "name": e.name,
-                "class_id": e.class_id,
-                "class_params": e.class_params,
-                "generators": list(e.generators),
-                "canonical_key": _key_json(e.canonical_key),
-            }
-            for e in res.entries
-        ],
-    }
     _emit(_report("enumerate", {"n": args.n, "mode": mode}, result, stats))
     return EXIT_OK
 
 
 def _key_json(key):
-    if key is None:
-        return None
-    n, rows = key
-    return {"n": n, "rows": [list(r) for r in rows]}
+    return None if key is None else {"n": key[0], "rows": key[1]}
 
 
 def cmd_verify_tables(args) -> int:
@@ -226,12 +178,7 @@ def cmd_verify_tables(args) -> int:
     stats = {}
     if args.timing:
         stats["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
-    result = {
-        "n": args.n,
-        "rows": [r._asdict() | {"all_ok": r.all_ok} for r in rep.rows],
-        "pairwise_distinct": rep.pairwise_distinct,
-        "all_ok": rep.all_ok,
-    }
+    result = rep._asdict() | {"rows": [r._asdict() | {"all_ok": r.all_ok} for r in rep.rows], "all_ok": rep.all_ok}
     _emit(_report("verify-tables", {"n": args.n}, result, stats))
     return EXIT_OK if rep.all_ok else EXIT_FAILED
 
@@ -271,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", help="build and verify one of the 24 parametric families")
     p.add_argument("--id", type=int, required=True)
-    for key in ("n", "n1", "n2", "n3", "p", "r"):
+    for key in CLASS_PARAMETERS:
         p.add_argument(f"--{key}", type=int)
     p.set_defaults(func=cmd_class)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 
 import conich1
-from conich1 import classes, enumeration
+from conich1 import classes, cli, enumeration
 from conich1.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, MAX_RANK, REPORT_SCHEMA, main
 
 
@@ -59,6 +59,17 @@ def test_h1_methods(capsys):
         code, rep = run(capsys, "h1", "-n", "4", "--method", method, "c1 c2 c3 c4")
         assert code == EXIT_OK
         assert rep["result"]["f2_rank"] == rank
+
+
+def test_h1_cyclic_counts_its_generators_before_closing_the_group(capsys, monkeypatch):
+    # the two generators span S_9, whose 9! elements are above the closure cap
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(cli, "closure", no_closure)
+    assert main(["h1", "-n", "9", "--method", "cyclic", "(1,2)", "(1,2,3,4,5,6,7,8,9)"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--method cyclic needs exactly one generator" in captured.err
 
 
 def test_h1_halfsum_search_leaves_out_zero_orbits_and_refuses_large_nullspaces(capsys):
@@ -113,6 +124,10 @@ def test_class_command_bad_params(capsys):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "class", "--id", "1")
     assert code == EXIT_USAGE
+    # a parameter the family does not take is refused, not dropped
+    assert main(["class", "--id", "2", "--p", "5", "--r", "1", "--n", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "class 2 needs parameters ('p', 'r'), got ['n', 'p', 'r']" in captured.err
 
 
 def test_class_command_refuses_unknown_id_and_rank_above_max(capsys, monkeypatch):
@@ -231,11 +246,17 @@ def test_enumerate_determinism(capsys):
 
 
 # exit code and sha256 of the stdout of each CLI command in the README, of
-# enumerate -n 4/5 in both modes, of verify-tables -n 4..9 and of two failing
-# checks; a change to any of these reports must come with new digests here
+# enumerate -n 4/5 in both modes, of verify-tables -n 4..9, of two failing
+# checks and of the report paths no README command reaches; a change to any
+# of these reports must come with new digests here
 FROZEN_REPORTS = [
     (["eval", "-n", "4", "(1,2) c1"], EXIT_OK, "932c2789a54137ab4a8ae3cc8a41ac7ce607fc3687dc34785b0e82cf80c5a439"),
+    # sigma = 1, so the report holds the phi rows
+    (["eval", "-n", "4", "c1 c2 (1,2,3)"], EXIT_OK, "f9459ece292b0b4e93af3c51cc239a73a82cee257f62b2bc3ae7c537cb708fba"),
     (["h1", "-n", "6", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6"], EXIT_OK, "40c6b681e1b73c07483c6066d88ec3c36988c172a72b48aa97bcb55b5ba59930"),
+    # --method oracle and halfsum print one H1Report at the top level, not nested in the cross report
+    (["h1", "-n", "6", "--method", "oracle", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6"], EXIT_OK, "aae9e0be3830152bc02ad76013997f35e58ef000e2898bdea48dc8f303ae2bf9"),
+    (["h1", "-n", "6", "--method", "halfsum", "c1 c2 (1,2)(3,4)", "c1 c3", "c5 c6"], EXIT_OK, "7978642d3452ba8771c5fa66d77c396508b715f7050a859098a39109bacc844a"),
     (["h1", "-n", "4", "--method", "cyclic", "c1 c2 c3 c4"], EXIT_OK, "12dc387a845244d49e1f33bb37d370e4e95c0324f2f3232eb3f58d65e113fe8a"),
     (["check", "-n", "4", "c1 c2 c3 c4 (2,3)", "(1,2,3)"], EXIT_OK, "8d0474ade8973e55ac53407bc868a117dd89209d05e2a49d78267d596a6b5beb"),
     (["class", "--id", "2", "--p", "5", "--r", "1"], EXIT_OK, "04a575d308083449ec00d3898fd813d1096ae2a08d74f1b4ba2c06384b577d14"),
