@@ -21,6 +21,8 @@ from .signedperm import SignedPerm, sigma
 
 Poly = tuple[int, ...]
 
+MAX_RANK = 64  # well above every rank the tables (<= 9) and the families' smallest instances (<= 15) use
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -210,10 +212,17 @@ class ClassSpec(NamedTuple("ClassSpec", [("id", int), ("params", dict)])):
         for key, val in params.items():
             if not isinstance(val, int) or val < 1:
                 raise ValueError(f"parameter {key} must be a positive integer")
+            # every family's rank exceeds each of its parameters, so this
+            # bound keeps a huge p from reaching the primality test
+            if val > MAX_RANK:
+                raise ValueError(f"parameter {key} must be at most MAX_RANK = {MAX_RANK}, got {val}")
         if "p" in params:
             if not _is_prime(params["p"]) or params["p"] == 2:
                 raise ValueError("p must be an odd prime")
-        return super().__new__(cls, id, params)
+        spec = super().__new__(cls, id, params)
+        if spec.rank > MAX_RANK:
+            raise ValueError(f"rank n must be at most {MAX_RANK}, got {spec.rank}")
+        return spec
 
     def key(self) -> tuple:
         return (self.id, tuple(sorted(self.params.items())))

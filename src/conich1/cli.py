@@ -14,7 +14,7 @@ import time
 from functools import cache
 
 from . import __version__
-from .classes import ClassSpec, verify_class
+from .classes import MAX_RANK, ClassSpec, verify_class
 from .cohomology import h1_cyclic, h1_halfsum, h1_oracle
 from .conditions import check_conditions, orbits, project
 from .enumeration import FULL_MODE_MAX_RANK, enumerate_wdn, verify_tables
@@ -25,7 +25,6 @@ from .signedperm import format_element, lambda_count, parse_element, sigma, sign
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
-MAX_RANK = 64  # well above every rank the tables (<= 9) and the families' smallest instances (<= 15) use
 CLASS_PARAMETERS = ("n", "n1", "n2", "n3", "p", "r")
 
 REPORT_SCHEMA = {
@@ -123,14 +122,7 @@ def cmd_check(args) -> int:
 
 def cmd_class(args) -> int:
     params = {k: getattr(args, k) for k in CLASS_PARAMETERS if getattr(args, k) is not None}
-    for key, val in params.items():
-        # every family's rank exceeds each of its parameters
-        if val > MAX_RANK:
-            raise ValueError(f"parameter {key} must be at most MAX_RANK = {MAX_RANK}, got {val}")
-    spec = ClassSpec(args.id, params)
-    if spec.rank > MAX_RANK:
-        raise ValueError(f"rank n must be at most {MAX_RANK}, got {spec.rank}")
-    rep = verify_class(spec)
+    rep = verify_class(ClassSpec(args.id, params))
     result = rep._asdict() | {"class_id": args.id, "params": params, "verified": rep.all_ok}
     del result["spec"]
     _emit(_report("class", {"id": args.id, "params": params}, result))

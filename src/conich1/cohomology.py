@@ -27,7 +27,7 @@ from .groups import (
     ordered_subgroups,
     sylow2,
 )
-from .intlinalg import IntMatrix, LatticeBasis, invariant_factors, quotient_invariants
+from .intlinalg import LatticeBasis, quotient_invariants
 from .picard import phi_of_enc
 from .signedperm import SignedPerm, sigma
 
@@ -65,7 +65,7 @@ def _finite_quotient(lattice: LatticeBasis, sub: LatticeBasis) -> tuple[int, ...
 
 def _torsion(sub: LatticeBasis) -> tuple[int, ...]:
     """Invariant factors of the torsion of Z^D/sub, which must be 2-torsion."""
-    factors = tuple(d for d in invariant_factors(IntMatrix.from_rows(sub.rows)) if d > 1)
+    factors = sub.torsion()
     _check_torsion(factors)
     return factors
 

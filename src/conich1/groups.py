@@ -17,7 +17,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .intlinalg import IntMatrix, LatticeBasis, invariant_factors
+from .intlinalg import LatticeBasis
 from .signedperm import (
     Enc,
     SignedPerm,
@@ -557,7 +557,8 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     gens: list[Enc] = []
     elems = G.enc_sorted
     while len(P) < two_part:
-        # normalizer scan; P < Sylow guarantees a 2-element of N outside P
+        # normalizer scan; P < Sylow guarantees a 2-element of N outside P.
+        # P = <gens>, so e normalizes P iff it conjugates every generator into P
         candidate = None
         for e in elems:
             if e in P:
@@ -565,7 +566,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
             k = enc_order(e)
             if k & (k - 1):
                 continue  # not a 2-power
-            if all(q in P for q in map(enc_conjugation(e), P)):
+            if all(q in P for q in map(enc_conjugation(e), gens)):
                 candidate = e
                 break
         if candidate is None:
@@ -604,8 +605,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
                 words.append(step)
             else:
                 relations.add(tuple([a - b for a, b in zip(step, words[d])]))
-    L = LatticeBasis.from_vectors(len(gens), relations)
-    return tuple(d for d in invariant_factors(IntMatrix.from_rows(L.rows)) if d > 1)
+    return LatticeBasis.from_vectors(len(gens), relations).torsion()
 
 
 def fingerprint(G: FiniteGroup) -> tuple:

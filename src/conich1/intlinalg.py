@@ -175,7 +175,7 @@ class LatticeBasis(NamedTuple):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        vecs = [tuple(int(x) for x in v) for v in vectors]
+        vecs = [tuple(map(int, v)) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
@@ -209,6 +209,19 @@ class LatticeBasis(NamedTuple):
         if any(residue):
             return None
         return tuple(coeffs)
+
+    def torsion(self) -> tuple[int, ...]:
+        """Invariant factors (> 1) of the torsion of Z^d / L, off the HNF rows.
+
+        The Hermite form reduces the entries above each pivot into [0, pivot),
+        so a row with pivot 1 holds the only nonzero entry of its pivot column:
+        column operations clear the rest of that row without touching the
+        others, and it adds a factor 1.  The Smith form runs on the rest.
+        """
+        rest = [r for r in self.rows if next(filter(None, r)) != 1]
+        if not rest:
+            return ()
+        return tuple(d for d in invariant_factors(IntMatrix.from_rows(rest)) if d > 1)
 
     def member(self, v: Sequence[int]) -> bool:
         return self.coefficients(v) is not None

@@ -62,6 +62,10 @@ def test_class_spec_validation():
         ((2, {"p": 2, "r": 1}), "p must be an odd prime"),
         ((1, {"n": 0}), "parameter n must be a positive integer"),
         ((2, {"p": 3, "r": "1"}), "parameter r must be a positive integer"),
+        # the names are checked before the bound, the bound before primality
+        ((2, {"p": 5, "r": 1, "n": 100}), "class 2 needs parameters ('p', 'r'), got ['n', 'p', 'r']"),
+        ((2, {"p": 10**30, "r": 1}), f"parameter p must be at most MAX_RANK = 64, got {10**30}"),
+        ((2, {"p": 3, "r": 4}), "rank n must be at most 64, got 82"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ClassSpec(*args)

@@ -124,10 +124,12 @@ def test_class_command_bad_params(capsys):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "class", "--id", "1")
     assert code == EXIT_USAGE
-    # a parameter the family does not take is refused, not dropped
-    assert main(["class", "--id", "2", "--p", "5", "--r", "1", "--n", "3"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == "" and "class 2 needs parameters ('p', 'r'), got ['n', 'p', 'r']" in captured.err
+    # a parameter the family does not take is refused, not dropped, and
+    # named as such also when it is above MAX_RANK
+    for n in ("3", "100"):
+        assert main(["class", "--id", "2", "--p", "5", "--r", "1", "--n", n]) == EXIT_USAGE, n
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("class 2 needs parameters ('p', 'r'), got ['n', 'p', 'r']\n"), n
 
 
 def test_class_command_refuses_unknown_id_and_rank_above_max(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import reduce
 from itertools import combinations, permutations
@@ -40,6 +41,7 @@ from conich1.groups import (
 from conich1.signedperm import SignedPerm, enc_dn_class, parse_element, wdn_order
 from helpers import (
     abelian_invariants_by_counting,
+    catalog_and_table_groups,
     conjugacy_orbit_by_bfs,
     conjugate_group,
     iter_wdn,
@@ -191,6 +193,17 @@ def test_sylow2_is_the_least_conjugate():
         assert P.order == grp.order & -grp.order and P.enc_set <= grp.enc_set
         assert closure(P.generators, n=grp.n).enc_set == P.enc_set
         assert tuple(sorted(P.enc_set)) == least_sylow2_by_brute_force(grp)
+
+
+def test_sylow2_is_frozen(full_lattice):
+    # the element set and the generators of the Sylow 2-subgroup the climb
+    # lands on, for the 48 smallest family instances, the 46 table rows and
+    # the full-mode classes at ranks 4 and 5; recorded when each candidate
+    # was tested against every element of P rather than its generators
+    cases = catalog_and_table_groups() + full_lattice(4)[0] + full_lattice(5)[0]
+    assert len(cases) == 94 + 98 + 197
+    climbed = [(sorted(P.enc_set), P.spanning_encs) for P in map(sylow2, cases)]
+    assert hashlib.sha256(repr(climbed).encode()).hexdigest() == "5a4477c9bde7f788de0ccfd7b7dcc6ec2d422afe6196df36a024add1da5c9506"
 
 
 def test_canonical_form_conjugation_invariance():

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conich1 import intlinalg
+from conich1 import cohomology
 from conich1.cohomology import _generating_set, coboundary_columns, h1_halfsum, h1_oracle
 from conich1.groups import abelian_invariants
 from conich1.intlinalg import (
@@ -74,39 +74,78 @@ def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
         F = LatticeBasis.from_vectors(len(S) * (n + 2), [cob[i] for i in range(1, n + 1)])
         for lattice in (F, F.sum_with([cob[-1]])):
             A = IntMatrix.from_rows(lattice.rows)
-            assert smith_normal_form(A) == smith_normal_form_with_transforms(A)[0], H
+            S = smith_normal_form_with_transforms(A)[0]
+            assert smith_normal_form(A) == S, H
+            assert lattice.torsion() == tuple(d for d in S.diagonal() if d > 1), H
+
+
+def test_torsion_matches_checker_on_random_hermite_bases():
+    # seeded random lattices in Hermite form, among them the zero lattice,
+    # Z^d, unit-pivot rows with nonzero entries after the pivot and rows
+    # with negative entries; torsion() drops the unit-pivot rows before the
+    # Smith form, the checker eliminates the whole matrix
+    rng = random.Random(11)
+    cases = [LatticeBasis.from_vectors(3, []), LatticeBasis.full(4)]
+    for _ in range(400):
+        d = rng.randint(1, 6)
+        vecs = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(rng.randint(1, d + 1))]
+        if rng.random() < 0.5:
+            # a unit pivot at a random column, with a random tail after it
+            c = rng.randrange(d)
+            vecs.append([0] * c + [1] + [rng.randint(-6, 6) for _ in range(d - c - 1)])
+        cases.append(LatticeBasis.from_vectors(d, vecs))
+    seen = set()
+    for L in cases:
+        S = smith_normal_form_with_transforms(IntMatrix.from_rows(L.rows or [[0] * L.ambient_dim]))[0]
+        assert L.torsion() == tuple(d for d in S.diagonal() if d > 1), L
+        if L.rank == 0:
+            seen.add("zero")
+        if L.rows == LatticeBasis.full(L.ambient_dim).rows:
+            seen.add("full")
+        for r in L.rows:
+            c = next(j for j, x in enumerate(r) if x)
+            if r[c] == 1 and any(r[c + 1 :]):
+                seen.add("unit pivot with tail")
+            if min(r) < 0:
+                seen.add("negative")
+    assert seen == {"zero", "full", "unit pivot with tail", "negative"}
 
 
 def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
-    # the HNF rows of every LatticeBasis.from_vectors call and the Smith
-    # diagonal of every smith_normal_form call that h1_oracle, h1_halfsum and
-    # abelian_invariants make on the full-mode classes at ranks 4 and 5, the
-    # 48 smallest family instances and the 46 table rows; both forms are
-    # unique, and the digests were recorded with the pivoting elimination
+    # the HNF rows of every LatticeBasis.from_vectors call, and the torsion
+    # factors h1_oracle, h1_halfsum and abelian_invariants get for each
+    # lattice they reduce, on the full-mode classes at ranks 4 and 5, the 48
+    # smallest family instances and the 46 table rows; the HNF digest was
+    # recorded with the pivoting elimination, the torsion digest with a full
+    # Smith form of every Hermite basis
     groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
     assert len(groups) == 98 + 197 + 94
-    hnf, snf = [], []
+    hnf, torsion = [], []
     from_vectors = LatticeBasis.from_vectors.__func__
-    smith = intlinalg.smith_normal_form
 
     def record_hnf(cls, dim, vectors):
         L = from_vectors(cls, dim, vectors)
         hnf.append(L.rows)
         return L
 
-    def record_snf(A):
-        S = smith(A)
-        snf.append((A.rows, A.cols, S.diagonal()))
-        return S
+    def recording(reduce):
+        def record(*args):
+            out = reduce(*args)
+            torsion.append(out)
+            return out
+
+        return record
 
     monkeypatch.setattr(LatticeBasis, "from_vectors", classmethod(record_hnf))
-    monkeypatch.setattr(intlinalg, "smith_normal_form", record_snf)
-    for reduce in (h1_oracle, h1_halfsum, abelian_invariants):
+    monkeypatch.setattr(cohomology, "_torsion", recording(cohomology._torsion))
+    monkeypatch.setattr(cohomology, "quotient_invariants", recording(cohomology.quotient_invariants))
+    for reduce in (h1_oracle, h1_halfsum):
         for grp in groups:
             reduce(grp)
-    assert (len(hnf), len(snf)) == (2351, 1550)
+    torsion.extend(abelian_invariants(grp) for grp in groups)
+    assert (len(hnf), len(torsion)) == (2351, 1550)
     assert hashlib.sha256(repr(hnf).encode()).hexdigest() == "e721aff53ca6121437ee81bd895e9bc046a127fd961a60a77204383c17fde6bb"
-    assert hashlib.sha256(repr(snf).encode()).hexdigest() == "6405b2516c10a22a82224ac878731f281d7ad22ebfcc2f30e16534cb785babc5"
+    assert hashlib.sha256(repr(torsion).encode()).hexdigest() == "0413d7ee2fd009bed7ac10597df201044b39f0b598fdc87acc4eeec4baecbfd9"
 
 
 def test_snf_2x2_coprime_diagonal():
