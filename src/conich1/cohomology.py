@@ -27,7 +27,7 @@ from .groups import (
     ordered_subgroups,
     sylow2,
 )
-from .intlinalg import LatticeBasis, quotient_invariants
+from .intlinalg import LatticeBasis
 from .picard import phi_of_enc
 from .signedperm import SignedPerm, sigma
 
@@ -49,24 +49,11 @@ class H1Report(NamedTuple):
     f_minus1_in_span: bool | None = None
 
 
-def _check_torsion(factors: tuple[int, ...]) -> None:
-    if any(d != 2 for d in factors):
-        raise TorsionError(f"H^1 invariant factors {factors} are not all 2")
-
-
-def _finite_quotient(lattice: LatticeBasis, sub: LatticeBasis) -> tuple[int, ...]:
-    """Invariant factors of lattice/sub, which must be finite and 2-torsion."""
-    factors, free = quotient_invariants(lattice, sub)
-    if free:
-        raise RuntimeError(f"the quotient has free rank {free}; H^1 of a finite group must be finite")
-    _check_torsion(factors)
-    return factors
-
-
 def _torsion(sub: LatticeBasis) -> tuple[int, ...]:
     """Invariant factors of the torsion of Z^D/sub, which must be 2-torsion."""
     factors = sub.torsion()
-    _check_torsion(factors)
+    if any(d != 2 for d in factors):
+        raise TorsionError(f"H^1 invariant factors {factors} are not all 2")
     return factors
 
 
@@ -108,10 +95,11 @@ def h1_oracle(G: FiniteGroup) -> H1Report:
     Cor. III.10.2), so B^1 has finite index in Z^1, and Z^1 = sat(B^1).
     Hence Z^1/B^1 is the torsion of Z^D/B^1, and likewise Z^1/F is the
     torsion of Z^D/F for F = <f_1..f_n>, since the half-sum identity puts
-    f_-1 in the rational span of F.  Nothing walks G: phi is evaluated
-    once per generator.  tests/helpers.py keeps the full cocycle system
-    over the Cayley graph as the slow ground truth.  The cost does not
-    grow with |G|, so no order bound applies.
+    f_-1 in the rational span of F.  Hermite forms are canonical, so f_-1
+    lies in F exactly when B == F.  Nothing walks G: phi is evaluated once
+    per generator.  tests/helpers.py keeps the full cocycle system over the
+    Cayley graph as the slow ground truth.  The cost does not grow with
+    |G|, so no order bound applies.
     """
     n = G.n
     S = _generating_set(G)
@@ -126,7 +114,7 @@ def h1_oracle(G: FiniteGroup) -> H1Report:
 
     factors = _torsion(B)
     f_factors = _torsion(F)
-    f_minus1_in_f = F.member(cob[-1])
+    f_minus1_in_f = B == F
     if len(f_factors) != len(factors) + (0 if f_minus1_in_f else 1):
         raise RuntimeError("Z^1/F and Z^1/B^1 disagree on whether f_-1 lies in F")
 
@@ -189,6 +177,8 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
     a nullspace basis of the parity condition spans everything.  Orbits of
     zero column sum add nothing to xi_I and are left out; the witness search
     over the 2^k basis combinations refuses k > MAX_HALFSUM_NULLITY.
+    Each 2 xi_I lies in F, so F <= W = F + <xi_I> <= sat(F), and dim W/F
+    is how many torsion factors, all 2, Z^D/W has fewer than Z^D/F.
     """
     n = G.n
     dim = n + 2
@@ -246,7 +236,9 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
 
     xis = [xi_of(cm) for cm in null_combos]
     W = F.sum_with(xis)
-    dim_span = len(_finite_quotient(W, F))
+    if W.rank != F.rank:
+        raise RuntimeError("the half-sum span outgrew the saturation of F")
+    dim_span = len(_torsion(F)) - len(_torsion(W))
 
     f_minus1 = cols[-1]
     in_f = F.member(f_minus1)
@@ -309,11 +301,10 @@ def h1_condition(G: FiniteGroup, memo: dict[frozenset[Enc], bool] | None = None)
     It is decided on the subgroups of one Sylow 2-subgroup P = sylow2(G),
     which is equivalent; the tests check that against the subgroups of G
     itself.  When P has more than groups.DEFAULT_SUBGROUP_BOUND elements,
-    its subgroups are not enumerated: its cyclic subgroups are scanned in
-    the order of P.enc_sorted, and a failing one is a definitive False
-    verdict with that subgroup, generated by the least failing encoding,
-    as the witness.  If none fails, (H1) is not decided above the bound,
-    and ValueError is raised.
+    its subgroups are not enumerated: its cyclic subgroups are scanned, and
+    a failing one is a definitive False verdict with that subgroup,
+    generated by the least failing encoding, as the witness.  If none
+    fails, (H1) is not decided above the bound, and ValueError is raised.
 
     Within the bound the subgroups are checked in the order of
     groups.ordered_subgroups, (order, sorted element encodings), and the
@@ -332,9 +323,9 @@ def h1_condition(G: FiniteGroup, memo: dict[frozenset[Enc], bool] | None = None)
     """
     base = sylow2(G)
     if base.order > DEFAULT_SUBGROUP_BOUND:
-        for e in base.enc_sorted:
-            if cyclic_h1_fails(e):
-                return H1ConditionResult(False, FiniteGroup.from_enc_set(G.n, _cyclic_encs(e), [e]), 0)
+        e = min(filter(cyclic_h1_fails, base.enc_set), default=None)
+        if e is not None:
+            return H1ConditionResult(False, FiniteGroup.from_enc_set(G.n, _cyclic_encs(e), [e]), 0)
         raise ValueError(
             f"(H1) is not decided above the subgroup bound {DEFAULT_SUBGROUP_BOUND}: "
             f"no cyclic subgroup fails in the Sylow 2-subgroup of order {base.order}"

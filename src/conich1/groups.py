@@ -179,14 +179,11 @@ class FiniteGroup:
     it.  The one constructor, from_enc_set, is called only with an element
     set closed from (or conjugated along with) the generators it gets, so
     nothing re-derives or re-checks them; the trivial group may have none.
-    The SignedPerm tuple ``generators``, the sorted encodings
-    ``enc_sorted`` and the fingerprint are built on first access.
+    The SignedPerm tuple ``generators`` is built on each access, the
+    fingerprint on the first.
     """
 
-    __slots__ = (
-        "n", "spanning_encs", "enc_set", "order", "_generators", "_enc_sorted", "_fingerprint", "_pair_size",
-        "_by_type",
-    )
+    __slots__ = ("n", "spanning_encs", "enc_set", "order", "_fingerprint", "_pair_size", "_by_type")
 
     @classmethod
     def from_enc_set(cls, n: int, encs: Iterable[Enc], gens_enc: Sequence[Enc]) -> "FiniteGroup":
@@ -196,8 +193,6 @@ class FiniteGroup:
         G.spanning_encs = tuple(gens_enc)
         G.enc_set = frozenset(encs)
         G.order = len(G.enc_set)
-        G._generators = None
-        G._enc_sorted = None
         G._fingerprint = None
         G._pair_size = None
         G._by_type = None
@@ -205,15 +200,7 @@ class FiniteGroup:
 
     @property
     def generators(self) -> tuple[SignedPerm, ...]:
-        if self._generators is None:
-            self._generators = tuple(SignedPerm.from_enc(self.n, e) for e in self.spanning_encs)
-        return self._generators
-
-    @property
-    def enc_sorted(self) -> tuple[Enc, ...]:
-        if self._enc_sorted is None:
-            self._enc_sorted = tuple(sorted(self.enc_set))
-        return self._enc_sorted
+        return tuple(SignedPerm.from_enc(self.n, e) for e in self.spanning_encs)
 
     def __len__(self) -> int:
         return self.order
@@ -543,8 +530,9 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     """A Sylow 2-subgroup of G: G itself when its order is a power of 2,
     else the subgroup climbed to, with the generators it was climbed with.
 
-    Each step adds the first 2-element of G.enc_sorted that normalizes P
-    without lying in it, so the result depends only on G's element set.
+    Each step adds the least 2-element of G, in encoding order, that
+    normalizes P without lying in it, and grows P by one coset step of
+    enc_closure, so the result depends only on G's element set.
     Which conjugate comes back is otherwise unspecified: callers may rely
     only on conjugation-invariant facts, such as the order and H^1 verdicts
     (phi(t) maps the H-module Pic to the tHt^-1-module).
@@ -555,7 +543,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
     n = G.n
     P: frozenset[Enc] = frozenset({identity_enc(n)})
     gens: list[Enc] = []
-    elems = G.enc_sorted
+    elems = sorted(G.enc_set)
     while len(P) < two_part:
         # normalizer scan; P < Sylow guarantees a 2-element of N outside P.
         # P = <gens>, so e normalizes P iff it conjugates every generator into P
@@ -572,7 +560,7 @@ def sylow2(G: FiniteGroup) -> FiniteGroup:
         if candidate is None:
             raise RuntimeError(f"Sylow climb stalled at order {len(P)} below {two_part}")
         gens.append(candidate)
-        closed = enc_closure(gens, n, cap=two_part)
+        closed = enc_closure(gens, n, cap=two_part, subgroup=P)
         if closed is None:
             raise RuntimeError(f"Sylow climb outgrew the 2-part {two_part}")
         P = closed

@@ -136,17 +136,19 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return tuple(d for d in smith_normal_form(A).diagonal() if d != 0)
 
 
-def _hnf_reduce(rows: Iterable[Sequence[int]], dim: int) -> list[Vector]:
-    """Row-style Hermite normal form of the span of ``rows``.
+def _hnf_reduce(rows: Iterable[Sequence[int]], dim: int, basis: Sequence[Vector] = ()) -> list[Vector]:
+    """Row-style Hermite normal form of the span of ``basis``, rows of a
+    Hermite form, and ``rows``.
 
-    Each row is inserted into a running echelon basis: while the basis has
-    a row with the same leading column, one extended-gcd step keeps their
-    gcd there and passes the remainder, zero in that column, on.  Pivots
-    are then made positive and entries above each pivot are reduced into
-    [0, pivot).  The output depends only on the row span, which makes
-    lattice equality a tuple comparison.
+    Each row is inserted into a running echelon basis, seeded with
+    ``basis``: while it has a row with the same leading column, one
+    extended-gcd step keeps their gcd there and passes the remainder, zero
+    in that column, on.  Pivots are then made positive and entries above
+    each pivot are reduced into [0, pivot).  The output depends only on the
+    row span, which makes lattice equality a tuple comparison.
     """
-    at: dict[int, Sequence[int]] = {}  # the basis row of each pivot column
+    # the basis row of each pivot column
+    at: dict[int, Sequence[int]] = {next(j for j, x in enumerate(b) if x): b for b in basis}
     for v in rows:
         c = next((j for j, x in enumerate(v) if x), dim)
         while c in at:
@@ -175,11 +177,7 @@ class LatticeBasis(NamedTuple):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        vecs = [tuple(map(int, v)) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        return cls(ambient_dim, tuple(_hnf_reduce(vecs, ambient_dim)))
+        return cls(ambient_dim, ()).sum_with(vectors)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "LatticeBasis":
@@ -227,7 +225,11 @@ class LatticeBasis(NamedTuple):
         return self.coefficients(v) is not None
 
     def sum_with(self, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        return LatticeBasis.from_vectors(self.ambient_dim, list(self.rows) + [tuple(v) for v in vectors])
+        """L + <vectors>, by inserting only the new vectors into L's Hermite rows."""
+        vecs = [tuple(map(int, v)) for v in vectors]
+        if any(len(v) != self.ambient_dim for v in vecs):
+            raise ValueError("vector length does not match ambient dimension")
+        return LatticeBasis(self.ambient_dim, tuple(_hnf_reduce(vecs, self.ambient_dim, self.rows)))
 
 
 def integer_kernel(A: IntMatrix) -> LatticeBasis:

@@ -15,9 +15,8 @@ order as their encodings do.
 from __future__ import annotations
 
 import re
-from functools import cache, reduce
+from functools import cache
 from math import factorial, lcm
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 # An element's encoding: entry j-1 is the image of the symbol j^+, where
@@ -222,9 +221,10 @@ _CYCLE_INT = re.compile(r"\d+")
 
 
 def parse_element(text: str, n: int) -> SignedPerm:
-    """Parse the element grammar: factors are c<int> or (i,j,...), product right-first."""
+    """Parse the element grammar: factors are c<int> or (i,j,...), product
+    right-first, multiplied as encodings into one SignedPerm."""
     pos = 0
-    factors: list[SignedPerm] = []
+    out = identity_enc(n)
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
@@ -232,11 +232,12 @@ def parse_element(text: str, n: int) -> SignedPerm:
                 break
             raise ValueError(f"syntax error at position {pos}: {text[pos:]!r}")
         tok = m.group(1)
+        factor = list(identity_enc(n))
         if tok.startswith("c"):
             j = int(m.group(2))
             if not 1 <= j <= n:
                 raise ValueError(f"index {j} out of range 1..{n}")
-            factors.append(SignedPerm(n, range(1, n + 1), (j,)))
+            factor[j - 1] |= 1
         else:
             idx = [int(s) for s in _CYCLE_INT.findall(tok)]
             for j in idx:
@@ -244,9 +245,11 @@ def parse_element(text: str, n: int) -> SignedPerm:
                     raise ValueError(f"index {j} out of range 1..{n}")
             if len(set(idx)) != len(idx):
                 raise ValueError(f"repeated index inside cycle {tok}")
-            factors.append(SignedPerm.from_cycles(n, [idx]))
+            for a, b in zip(idx, idx[1:] + idx[:1]):
+                factor[a - 1] = 2 * (b - 1)
+        out = enc_mul(out, factor)
         pos = m.end()
-    return reduce(mul, factors, SignedPerm.identity(n))
+    return SignedPerm.from_enc(n, out)
 
 
 def format_element(a: SignedPerm) -> str:

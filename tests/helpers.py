@@ -1,17 +1,19 @@
 """Test-only helpers: independent constructions the library itself does not need."""
 
+from functools import reduce
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 
 from conich1 import cohomology
 from conich1.classes import build_group, smallest_param_tuples
-from conich1.cohomology import H1Report, _finite_quotient, _generating_set, coboundary_columns, h1_condition_cyclic
+from conich1.cohomology import H1Report, TorsionError, _generating_set, coboundary_columns, h1_condition_cyclic
 from conich1.enumeration import TABLE_ROWS
 from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, enc_cycle_type, wdn_generators
-from conich1.intlinalg import IntMatrix, LatticeBasis, kernel_of_rows
+from conich1.intlinalg import IntMatrix, LatticeBasis, kernel_of_rows, quotient_invariants
 from conich1.picard import PicLattice, phi_of_enc
-from conich1.signedperm import SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
+from conich1.signedperm import _CYCLE_INT, _TOKEN, SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
 
 
 # the classes of W(D_4) and W(D_5) the H^1 cross-checks run on: all 98 of
@@ -39,6 +41,38 @@ def bounded_closure(gens, n, cap):
     it has more than ``cap`` elements."""
     encs = enc_closure([g.enc for g in gens], n, cap=cap)
     return None if encs is None else FiniteGroup.from_enc_set(n, encs, [g.enc for g in gens])
+
+
+def parse_element_by_factors(text, n):
+    """The checker for signedperm.parse_element, on the same grammar: each
+    factor built as a SignedPerm, c<j> as the flip SignedPerm(n, 1..n, (j,))
+    and (i,j,...) by SignedPerm.from_cycles, and the factors multiplied
+    right-first through SignedPerm.__mul__.  Raises the same ValueError
+    messages."""
+    pos = 0
+    factors = []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"syntax error at position {pos}: {text[pos:]!r}")
+        tok = m.group(1)
+        if tok.startswith("c"):
+            j = int(m.group(2))
+            if not 1 <= j <= n:
+                raise ValueError(f"index {j} out of range 1..{n}")
+            factors.append(SignedPerm(n, range(1, n + 1), (j,)))
+        else:
+            idx = [int(s) for s in _CYCLE_INT.findall(tok)]
+            for j in idx:
+                if not 1 <= j <= n:
+                    raise ValueError(f"index {j} out of range 1..{n}")
+            if len(set(idx)) != len(idx):
+                raise ValueError(f"repeated index inside cycle {tok}")
+            factors.append(SignedPerm.from_cycles(n, [idx]))
+        pos = m.end()
+    return reduce(mul, factors, SignedPerm.identity(n))
 
 
 def iter_wdn(n):
@@ -126,6 +160,18 @@ def h1_condition_direct(G, memo=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cohomology, "sylow2", lambda grp: grp)
         return cohomology.h1_condition(G, memo=memo)
+
+
+def _finite_quotient(lattice, sub):
+    """Invariant factors of lattice/sub, which must be finite and 2-torsion,
+    by quotient_invariants: coordinates of sub's rows in lattice's basis and
+    one Smith form, independent of the torsion counts the library reads."""
+    factors, free = quotient_invariants(lattice, sub)
+    if free:
+        raise RuntimeError(f"the quotient has free rank {free}; H^1 of a finite group must be finite")
+    if any(d != 2 for d in factors):
+        raise TorsionError(f"H^1 invariant factors {factors} are not all 2")
+    return factors
 
 
 def h1_by_cocycle_system(G, generators=None):
@@ -347,12 +393,12 @@ def abelian_invariants_by_counting(G):
     and stored generator s, which generate it with no normal-closure
     argument."""
     comms = {
-        enc_mul(enc_mul(a, b), enc_mul(enc_inv(a), enc_inv(b))) for a in G.enc_sorted for b in G.spanning_encs
+        enc_mul(enc_mul(a, b), enc_mul(enc_inv(a), enc_inv(b))) for a in G.enc_set for b in G.spanning_encs
     }
     derived = enc_closure(sorted(comms), G.n, cap=G.order)
     assert derived is not None, f"derived subgroup outgrew its group of order {G.order}"
     rep = {}
-    for e in G.enc_sorted:
+    for e in sorted(G.enc_set):
         if e not in rep:
             coset = sorted(enc_mul(e, d) for d in derived)
             rep.update(dict.fromkeys(coset, coset[0]))

@@ -10,6 +10,7 @@ from conich1.classes import build_group, smallest_param_tuples
 from conich1.cli import EXIT_OK, main
 from conich1.cohomology import (
     TorsionError,
+    _generating_set,
     coboundary_columns,
     cyclic_h1_fails,
     h1_condition,
@@ -34,10 +35,12 @@ from conich1.groups import (
     sylow2,
     wdn_generators,
 )
+from conich1.intlinalg import LatticeBasis
 from conich1.picard import phi_of_enc
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
 from helpers import (
     CHECKED_CLASS_MAX_ORDER,
+    _finite_quotient,
     bounded_closure,
     catalog_and_table_groups,
     conjugate_group,
@@ -256,6 +259,35 @@ def test_halfsum_reports_are_frozen():
     assert hashlib.sha256(repr(data).encode()).hexdigest() == "5fe8b74383ac3ac8f9fc231522b5e313bfca0e91805b97d0f8f418a238afad13"
 
 
+def test_halfsum_span_dimension_matches_the_quotient(monkeypatch, full_lattice):
+    # h1_halfsum reads dim W/F as the drop in torsion from Z^D/F to Z^D/W;
+    # the helpers route takes the Smith form of W's coordinates in F's basis.
+    # The first two Hermite bases h1_halfsum builds are F and W = F + <xi_I>
+    groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
+    assert len(groups) == 389
+    built = []
+    sum_with = LatticeBasis.sum_with
+
+    def record(self, vectors):
+        L = sum_with(self, vectors)
+        built.append((self, L))
+        return L
+
+    monkeypatch.setattr(LatticeBasis, "sum_with", record)
+    spans = 0
+    for grp in groups:
+        built.clear()
+        rep = h1_halfsum(grp)
+        if not _generating_set(grp):
+            assert rep.z1_mod_f_rank == 0
+            continue
+        (zero, F), (F_again, W) = built[:2]
+        assert zero.rank == 0 and F_again is F
+        assert rep.z1_mod_f_rank == len(_finite_quotient(W, F)), grp
+        spans += rep.z1_mod_f_rank > 0
+    assert spans > 0
+
+
 def test_witnesses_are_orbit_unions_without_minus_one():
     from conich1.groups import index_orbits
 
@@ -376,7 +408,7 @@ def test_oracle_evaluates_phi_once_per_generator(monkeypatch):
 
 def _generated_by_all(grp):
     # the same group, with every element as a stored generator
-    return FiniteGroup.from_enc_set(grp.n, grp.enc_set, grp.enc_sorted)
+    return FiniteGroup.from_enc_set(grp.n, grp.enc_set, sorted(grp.enc_set))
 
 
 def test_generating_set_independence():
@@ -466,7 +498,7 @@ def _checked_in_order(base):
     # (order, sorted encodings), the order h1_condition checks them in
     if base.enc_set not in _subgroup_lists:
         walk = subgroup_walk(base.n, prime_power_cyclics(base.enc_set), cap=base.order)
-        subs = sorted(walk.subgroups, key=lambda H: (H.order, H.enc_sorted))
+        subs = sorted(walk.subgroups, key=lambda H: (H.order, sorted(H.enc_set)))
         _subgroup_lists[base.enc_set] = [H for H in subs if H.order > 1]
     return _subgroup_lists[base.enc_set]
 
@@ -585,10 +617,9 @@ def test_two_torsion_enforced():
     # the enforcement itself raises TorsionError on anything else
     rep = h1_oracle(example1())
     assert set(rep.invariant_factors) <= {2}
-    with pytest.raises(TorsionError):
-        from conich1.cohomology import _check_torsion
-
-        _check_torsion((2, 4))
+    assert cohomology._torsion(LatticeBasis.from_vectors(2, [(2, 0)])) == (2,)
+    with pytest.raises(TorsionError, match=r"\(4,\) are not all 2"):
+        cohomology._torsion(LatticeBasis.from_vectors(1, [(4,)]))
 
 
 def test_h1_condition_sampling_fallback(monkeypatch):
@@ -597,7 +628,7 @@ def test_h1_condition_sampling_fallback(monkeypatch):
     bad = G(4, "c1 c2 c3 c4", "(1,2) (3,4)")
     monkeypatch.setattr(cohomology, "DEFAULT_SUBGROUP_BOUND", 2)
     res = h1_condition(bad)
-    first = next(e for e in sylow2(bad).enc_sorted if cyclic_h1_fails(e))
+    first = next(e for e in sorted(sylow2(bad).enc_set) if cyclic_h1_fails(e))
     assert res.ok is False and res.witness.enc_set == frozenset(_cyclic_encs(first))
     # a group that does satisfy (H1) is refused past the bound, never
     # given a clean True

@@ -253,7 +253,7 @@ def canonical_form_by_scan(grp):
             key = tuple(
                 sorted(
                     tuple(T[h[Tinv[2 * j] >> 1] ^ (Tinv[2 * j] & 1)] for j in range(n))
-                    for h in grp.enc_sorted
+                    for h in grp.enc_set
                 )
             )
             if best is None or key < best:
@@ -578,8 +578,8 @@ def test_ordered_subgroups_is_the_sorted_walk(monkeypatch):
     wdn = closure(list(iter_wdn(4)), n=4)
     for base in (sylow2(wdn), d41()):
         walk = subgroup_walk(4, prime_power_cyclics(base.enc_set), cap=base.order)
-        want = sorted((H.order, H.enc_sorted, H.spanning_encs) for H in walk.subgroups)
-        assert [(H.order, H.enc_sorted, H.spanning_encs) for H in ordered_subgroups(base)] == want
+        want = sorted((H.order, sorted(H.enc_set), H.spanning_encs) for H in walk.subgroups)
+        assert [(H.order, sorted(H.enc_set), H.spanning_encs) for H in ordered_subgroups(base)] == want
     # it walks a level only when the next subgroup asks for it: the trivial
     # group needs no closure, and the subgroups of order 2 and 3 need one
     # per prime-power cyclic candidate, 101 in W(D_4)

@@ -12,7 +12,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conich1 import cohomology
 from conich1.cohomology import _generating_set, coboundary_columns, h1_halfsum, h1_oracle
 from conich1.groups import abelian_invariants
 from conich1.intlinalg import (
@@ -80,13 +79,48 @@ def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
 
 
 def test_torsion_matches_checker_on_random_hermite_bases():
-    # seeded random lattices in Hermite form, among them the zero lattice,
-    # Z^d, unit-pivot rows with nonzero entries after the pivot and rows
-    # with negative entries; torsion() drops the unit-pivot rows before the
-    # Smith form, the checker eliminates the whole matrix
-    rng = random.Random(11)
+    # torsion() drops the unit-pivot rows before the Smith form, the
+    # checker eliminates the whole matrix
+    seen = set()
+    for L in _random_hermite_bases(random.Random(11), 400):
+        S = smith_normal_form_with_transforms(IntMatrix.from_rows(L.rows or [[0] * L.ambient_dim]))[0]
+        assert L.torsion() == tuple(d for d in S.diagonal() if d > 1), L
+        seen |= _shapes(L)
+    assert seen == {"zero", "full", "unit pivot with tail", "negative"}
+
+
+def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
+    # the HNF rows of every Hermite basis the library builds (from_vectors
+    # is the zero lattice's sum_with, so sum_with sees them all), and what
+    # the callers receive: the oracle and half-sum H1Reports and the
+    # abelian invariants, on the full-mode classes at ranks 4 and 5, the 48
+    # smallest family instances and the 46 table rows.  The HNF digest was
+    # recorded with the pivoting elimination, the report digest while the
+    # half-sum read dim W/F off a Smith form of W's coordinates in F
+    groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
+    assert len(groups) == 98 + 197 + 94
+    hnf = []
+    sum_with = LatticeBasis.sum_with
+
+    def record_hnf(self, vectors):
+        L = sum_with(self, vectors)
+        hnf.append(L.rows)
+        return L
+
+    monkeypatch.setattr(LatticeBasis, "sum_with", record_hnf)
+    reports = [reduce(grp) for reduce in (h1_oracle, h1_halfsum) for grp in groups]
+    reports += [abelian_invariants(grp) for grp in groups]
+    assert len(hnf) == 2351
+    assert hashlib.sha256(repr(hnf).encode()).hexdigest() == "e721aff53ca6121437ee81bd895e9bc046a127fd961a60a77204383c17fde6bb"
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == "9256caef3af3f9239e0162cec0220e0853e62b2a98e31dc2a6b3296b98071e88"
+
+
+def _random_hermite_bases(rng, count):
+    """Seeded random lattices in Hermite form, among them the zero lattice,
+    Z^d, unit-pivot rows with nonzero entries after the pivot and rows
+    with negative entries."""
     cases = [LatticeBasis.from_vectors(3, []), LatticeBasis.full(4)]
-    for _ in range(400):
+    for _ in range(count):
         d = rng.randint(1, 6)
         vecs = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(rng.randint(1, d + 1))]
         if rng.random() < 0.5:
@@ -94,58 +128,46 @@ def test_torsion_matches_checker_on_random_hermite_bases():
             c = rng.randrange(d)
             vecs.append([0] * c + [1] + [rng.randint(-6, 6) for _ in range(d - c - 1)])
         cases.append(LatticeBasis.from_vectors(d, vecs))
+    return cases
+
+
+def _shapes(L):
+    """Which of the shapes _random_hermite_bases promises L has."""
     seen = set()
-    for L in cases:
-        S = smith_normal_form_with_transforms(IntMatrix.from_rows(L.rows or [[0] * L.ambient_dim]))[0]
-        assert L.torsion() == tuple(d for d in S.diagonal() if d > 1), L
-        if L.rank == 0:
-            seen.add("zero")
-        if L.rows == LatticeBasis.full(L.ambient_dim).rows:
-            seen.add("full")
-        for r in L.rows:
-            c = next(j for j, x in enumerate(r) if x)
-            if r[c] == 1 and any(r[c + 1 :]):
-                seen.add("unit pivot with tail")
-            if min(r) < 0:
-                seen.add("negative")
+    if L.rank == 0:
+        seen.add("zero")
+    if L.rows == LatticeBasis.full(L.ambient_dim).rows:
+        seen.add("full")
+    for r in L.rows:
+        c = next(j for j, x in enumerate(r) if x)
+        if r[c] == 1 and any(r[c + 1 :]):
+            seen.add("unit pivot with tail")
+        if min(r) < 0:
+            seen.add("negative")
+    return seen
+
+
+def test_sum_with_inserts_into_the_hermite_rows():
+    # inserting vectors into stored Hermite rows gives the Hermite form of
+    # the whole generating set, and one vector leaves the rows unchanged
+    # exactly when it is a member
+    rng = random.Random(27)
+    seen = set()
+    for L in _random_hermite_bases(rng, 400):
+        d = L.ambient_dim
+        seen |= _shapes(L)
+        for k in (0, 1, 2, 3):
+            vs = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)]
+            assert L.sum_with(vs) == LatticeBasis.from_vectors(d, L.rows + tuple(vs)), (L, vs)
+        coeffs = [[rng.randint(-2, 2) for _ in L.rows] for _ in range(2)]
+        members = [tuple(sum(a * r[j] for a, r in zip(cs, L.rows)) for j in range(d)) for cs in coeffs]
+        others = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(3)]
+        for v in members + others:
+            assert (L.sum_with([v]) == L) == L.member(v), (L, v)
+        assert all(L.member(v) for v in members)
     assert seen == {"zero", "full", "unit pivot with tail", "negative"}
-
-
-def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
-    # the HNF rows of every LatticeBasis.from_vectors call, and the torsion
-    # factors h1_oracle, h1_halfsum and abelian_invariants get for each
-    # lattice they reduce, on the full-mode classes at ranks 4 and 5, the 48
-    # smallest family instances and the 46 table rows; the HNF digest was
-    # recorded with the pivoting elimination, the torsion digest with a full
-    # Smith form of every Hermite basis
-    groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
-    assert len(groups) == 98 + 197 + 94
-    hnf, torsion = [], []
-    from_vectors = LatticeBasis.from_vectors.__func__
-
-    def record_hnf(cls, dim, vectors):
-        L = from_vectors(cls, dim, vectors)
-        hnf.append(L.rows)
-        return L
-
-    def recording(reduce):
-        def record(*args):
-            out = reduce(*args)
-            torsion.append(out)
-            return out
-
-        return record
-
-    monkeypatch.setattr(LatticeBasis, "from_vectors", classmethod(record_hnf))
-    monkeypatch.setattr(cohomology, "_torsion", recording(cohomology._torsion))
-    monkeypatch.setattr(cohomology, "quotient_invariants", recording(cohomology.quotient_invariants))
-    for reduce in (h1_oracle, h1_halfsum):
-        for grp in groups:
-            reduce(grp)
-    torsion.extend(abelian_invariants(grp) for grp in groups)
-    assert (len(hnf), len(torsion)) == (2351, 1550)
-    assert hashlib.sha256(repr(hnf).encode()).hexdigest() == "e721aff53ca6121437ee81bd895e9bc046a127fd961a60a77204383c17fde6bb"
-    assert hashlib.sha256(repr(torsion).encode()).hexdigest() == "0413d7ee2fd009bed7ac10597df201044b39f0b598fdc87acc4eeec4baecbfd9"
+    with pytest.raises(ValueError):
+        LatticeBasis.full(2).sum_with([(1, 2, 3)])
 
 
 def test_snf_2x2_coprime_diagonal():

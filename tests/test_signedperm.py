@@ -17,7 +17,7 @@ from conich1.signedperm import (
     sigma,
     signed_cycles,
 )
-from helpers import act_symbol
+from helpers import act_symbol, parse_element_by_factors
 
 
 def reassemble(n, cycles):
@@ -58,6 +58,51 @@ def test_parse_identity_and_errors():
         parse_element("(1,2,1)", 4)
     with pytest.raises(ValueError):
         parse_element("x3", 4)
+
+
+def _random_element_text(rng, n):
+    """A seeded element text: flips and cycles with indices up to n + 1
+    (0 and n + 1 out of range), cycles that may repeat an index, stray
+    characters that break the grammar, and random spacing."""
+    def idx():
+        return str(rng.choice([0, n + 1]) if rng.random() < 0.05 else rng.randint(1, n))
+
+    def space():
+        return rng.choice(["", "", " ", "  "])
+
+    def factor():
+        roll = rng.random()
+        if roll < 0.4:
+            return "c" + space() + idx()
+        if roll < 0.9:
+            body = (space() + "," + space()).join(idx() for _ in range(rng.randint(2, 4)))
+            return "(" + space() + body + space() + ")"
+        return rng.choice(["x", "(1)", "(1,", ",", "c", "c-1", "()", "7", "(2,3"])
+
+    return space() + space().join(factor() + rng.choice(["", " "]) for _ in range(rng.randint(0, 5))) + space()
+
+
+def test_parse_element_matches_the_factor_products():
+    # the parser multiplies factor encodings and builds one SignedPerm; the
+    # checker builds every factor as a SignedPerm and multiplies them
+    rng = random.Random(27)
+    outcomes = {}
+    for _ in range(20000):
+        n = rng.randint(1, 7)
+        text = _random_element_text(rng, n)
+        try:
+            want = parse_element_by_factors(text, n).enc
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = parse_element(text, n).enc
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (text, n)
+        kind = "parsed" if isinstance(want, tuple) else want.split(" ")[0]
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {"parsed", "index", "repeated", "syntax"}
+    assert min(outcomes.values()) >= 1000, outcomes
 
 
 def test_multiply_examples():
