@@ -11,7 +11,9 @@ instance must pass verify_class; a reading that fails is a bug here.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import product as iproduct
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .conditions import relative_minimality
@@ -67,9 +69,6 @@ class FieldLabeling(NamedTuple):
             label //= self.p
         return tuple(out)
 
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
     def mul(self, a: Poly, b: Poly) -> Poly:
         p, r = self.p, self.r
         prod = [0] * (2 * r - 1)
@@ -85,16 +84,6 @@ class FieldLabeling(NamedTuple):
                 for i, m in enumerate(self.modulus):
                     prod[d - r + i] = (prod[d - r + i] - c * m) % p
         return tuple(prod[:r])
-
-    def pow(self, a: Poly, k: int) -> Poly:
-        out = self.one
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
 
     @property
     def one(self) -> Poly:
@@ -112,24 +101,14 @@ class FieldLabeling(NamedTuple):
         return out
 
     def addition_cycles(self) -> list[list[int]]:
-        """Cycles of the label permutation x -> x + 1."""
-        succ = {}
-        for label in range(1, self.q + 1):
-            succ[label] = self.lab(self.add(self.elem(label), self.one))
-        seen: set[int] = set()
-        cycles = []
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = succ[start]
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = succ[j]
-            cycles.append(cyc)
-        return cycles
+        """Cycles of the label permutation x -> x + 1.
+
+        Adding 1 steps the lowest base-p digit, so each block of p labels
+        sharing the higher digits is one cycle; zero (label q) closes the
+        block of 1..p-1.
+        """
+        p, q = self.p, self.q
+        return [[*range(1, p), q]] + [list(range(b, b + p)) for b in range(p, q, p)]
 
 
 def _poly_divisible(num: list[int], den: list[int], p: int) -> bool:
@@ -174,30 +153,26 @@ def field_labeling(p: int, r: int) -> FieldLabeling:
     if modulus is None:
         raise RuntimeError(f"no monic irreducible polynomial of degree {r} over F_{p}")
     lab = FieldLabeling(p, r, modulus, (0,) * r)
-    q = p**r
-    prime_divs = []
-    m = q - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            prime_divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        prime_divs.append(m)
+    one, q = lab.one, lab.q
+    # F_q^* is cyclic of order q - 1, so the first label whose powers first
+    # return to 1 after q - 1 steps is the generator with the smallest label
     for label in range(1, q):
-        g = lab.elem(label)
-        if all(lab.pow(g, (q - 1) // pd) != lab.one for pd in prime_divs):
-            return FieldLabeling(p, r, modulus, g)
+        g = x = lab.elem(label)
+        order = 1
+        while x != one:
+            x = lab.mul(x, g)
+            order += 1
+        if order == q - 1:
+            return lab._replace(gamma=g)
     raise RuntimeError("no multiplicative generator found")
 
 
-class ClassSpec(NamedTuple("ClassSpec", [("id", int), ("params", dict)])):
+class ClassSpec(NamedTuple("ClassSpec", [("id", int), ("params", Mapping[str, int])])):
     """One of the 24 families, instantiated at concrete parameters.
 
-    Validated on construction and immutable; it hashes by key(), so equal
-    specs hash alike whatever the order of ``params``.
+    Validated on construction and immutable: ``params`` is a read-only copy
+    of the caller's dict, which still compares equal to a dict.  It hashes
+    by key(), so equal specs hash alike whatever the order of ``params``.
     """
 
     __slots__ = ()
@@ -219,10 +194,13 @@ class ClassSpec(NamedTuple("ClassSpec", [("id", int), ("params", dict)])):
         if "p" in params:
             if not _is_prime(params["p"]) or params["p"] == 2:
                 raise ValueError("p must be an odd prime")
-        spec = super().__new__(cls, id, params)
+        spec = super().__new__(cls, id, MappingProxyType(dict(params)))
         if spec.rank > MAX_RANK:
             raise ValueError(f"rank n must be at most {MAX_RANK}, got {spec.rank}")
         return spec
+
+    def __getnewargs__(self) -> tuple:  # pickle and copy rebuild from a plain dict
+        return self.id, dict(self.params)
 
     def key(self) -> tuple:
         return (self.id, tuple(sorted(self.params.items())))
@@ -531,19 +509,15 @@ def verify_class(spec: ClassSpec) -> ClassReport:
 def smallest_param_tuples(cid: int, count: int = 2) -> list[ClassSpec]:
     """The ``count`` smallest parameter choices, ordered by total size."""
     kind = PARAM_KINDS[cid]
-    qs = [(3, 1), (5, 1), (7, 1), (9, 2)]  # (p^r, r) with q <= 9
-    cands: list[tuple[int, tuple, dict]] = []
     npart = [k for k in kind if k.startswith("n")]
+    cands: list[tuple[int, tuple, dict]] = []
     if "p" in kind:
-        for q, r in qs:
-            p = q if r == 1 else 3
+        for p, r in [(3, 1), (5, 1), (7, 1), (3, 2)]:  # every q = p^r <= 9
+            q = p**r
             for ns in iproduct(range(1, 4), repeat=len(npart)):
-                size = q + sum(ns)
-                params = dict(zip(npart, ns)) | {"p": p, "r": r}
-                cands.append((size, tuple(ns) + (q,), params))
+                cands.append((q + sum(ns), ns + (q,), dict(zip(npart, ns)) | {"p": p, "r": r}))
     else:
         for ns in iproduct(range(1, 5), repeat=len(npart)):
-            params = dict(zip(npart, ns))
-            cands.append((sum(ns), tuple(ns), params))
+            cands.append((sum(ns), ns, dict(zip(npart, ns))))
     cands.sort(key=lambda t: (t[0], t[1]))
     return [ClassSpec(cid, params) for _, _, params in cands[:count]]

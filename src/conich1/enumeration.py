@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .classes import ClassSpec, build_group
 from .cohomology import h1_condition, h1_condition_cyclic
-from .conditions import fiber_pair_condition, orbit_count_filter, relative_minimality
+from .conditions import fiber_pair_condition, orbit_count_filter
 from .groups import (
     ClassStore,
     Enc,
@@ -346,15 +346,13 @@ class TableRow(NamedTuple):
     row_id: str
     name: str
     order: int
-    class_id: int | None = None
-    class_params: tuple[tuple[str, int], ...] | None = None
+    spec: ClassSpec | None = None
     fixture_generators: tuple[str, ...] | None = None
     note: str = ""
 
     def build(self, n: int) -> FiniteGroup:
-        if self.class_id is not None:
-            spec = ClassSpec(self.class_id, dict(self.class_params or ()))
-            G = build_group(spec)
+        if self.spec is not None:
+            G = build_group(self.spec)
             if G.n != n:
                 raise ValueError(f"{self.row_id}: class instance has rank {G.n}, table is for rank {n}")
             return G
@@ -364,15 +362,8 @@ class TableRow(NamedTuple):
 
 
 def _row(row_id, name, order, cls=None, note="", fixture=None, **params) -> TableRow:
-    return TableRow(
-        row_id=row_id,
-        name=name,
-        order=order,
-        class_id=cls,
-        class_params=tuple(sorted(params.items())) if cls is not None else None,
-        fixture_generators=tuple(fixture) if fixture is not None else None,
-        note=note,
-    )
+    spec = ClassSpec(cls, params) if cls is not None else None
+    return TableRow(row_id, name, order, spec, fixture, note)
 
 
 # Fixture generators for the rows carrying no class number were found
@@ -459,8 +450,9 @@ def match_table_row(G: FiniteGroup) -> tuple[str, int | None, dict | None]:
         if row.order != G.order:
             continue
         if are_conjugate(G, row.build(G.n)):
-            params = dict(row.class_params) if row.class_params is not None else None
-            return row.name, row.class_id, params
+            if row.spec is None:
+                return row.name, None, None
+            return row.name, row.spec.id, dict(row.spec.params)
     inv = abelian_invariants(G)
     ab = "x".join(f"C_{d}" for d in inv) if inv else "1"
     return f"order {G.order} (ab {ab})", None, None
@@ -502,14 +494,15 @@ def verify_tables(n: int) -> TablesReport:
         G = row.build(n)
         built.append(G)
         cond = h1_condition(G, memo=h1_memo)
+        joined = fiber_pair_condition(G)  # relative_minimality is this condition
         reports.append(
             TableRowReport(
                 row_id=row.row_id,
                 name=row.name,
                 order_ok=G.order == row.order,
                 h1_ok=cond.ok,
-                relmin_ok=relative_minimality(G),
-                fiber_pairs_ok=fiber_pair_condition(G),
+                relmin_ok=joined,
+                fiber_pairs_ok=joined,
                 orbit_count_ok=orbit_count_filter(G),
             )
         )

@@ -446,3 +446,49 @@ def abelian_invariants_by_counting(G):
                 f *= vals[i]
         factors.append(f)
     return tuple(sorted(factors))
+
+
+def addition_cycles_by_walk(L):
+    """The checker for FieldLabeling.addition_cycles: the successor map
+    x -> x + 1 on labels, the polynomials added coefficientwise mod p,
+    walked into cycles from each least unvisited label."""
+    succ = {}
+    for label in range(1, L.q + 1):
+        succ[label] = L.lab(tuple((x + y) % L.p for x, y in zip(L.elem(label), L.one)))
+    seen = set()
+    cycles = []
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        j = succ[start]
+        while j != start:
+            cyc.append(j)
+            seen.add(j)
+            j = succ[j]
+        cycles.append(cyc)
+    return cycles
+
+
+def least_generator_by_prime_divisors(L):
+    """The checker for field_labeling's gamma: the least label g with
+    g^((q-1)/d) != 1 for every prime d dividing q - 1, the powers taken by
+    square-and-multiply."""
+    q = L.q
+    prime_divs = [d for d in range(2, q) if (q - 1) % d == 0 and all(d % e for e in range(2, d))]
+
+    def fpow(a, k):
+        out, base = L.one, a
+        while k:
+            if k & 1:
+                out = L.mul(out, base)
+            base = L.mul(base, base)
+            k >>= 1
+        return out
+
+    for label in range(1, q):
+        g = L.elem(label)
+        if all(fpow(g, (q - 1) // d) != L.one for d in prime_divs):
+            return g
+    raise AssertionError(f"F_{q}^* has no generator")

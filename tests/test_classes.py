@@ -1,13 +1,18 @@
 import ast
+import copy
+import hashlib
 import math
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 
 from conich1.classes import (
+    MAX_RANK,
     PARAM_KINDS,
     ClassSpec,
+    _is_prime,
     build_group,
     class_generators,
     field_labeling,
@@ -17,6 +22,8 @@ from conich1.classes import (
 from conich1.conditions import relative_minimality
 from conich1.groups import abelian_invariants, all_subgroups, are_conjugate, closure, enc_mul, enc_order, sylow2
 from conich1.signedperm import format_element, parse_element
+
+from helpers import addition_cycles_by_walk, least_generator_by_prime_divisors
 
 CATALOG_DOC = Path(__file__).resolve().parent.parent / "docs" / "class_catalog.md"
 
@@ -41,6 +48,30 @@ def test_field_labeling_f9():
     assert L.lab((1, 1)) == 4  # the class of 1 + x
     labels = sorted(L.lab(L.elem(k)) for k in range(1, 10))
     assert labels == list(range(1, 10))
+
+
+# the 89 fields F_{p^r} with p an odd prime and p^r <= 400
+FIELDS = [(p, r) for p in range(3, 401, 2) if _is_prime(p) for r in range(1, 6) if p**r <= 400]
+# (p, r, modulus, gamma, gamma_labels(), addition_cycles()) over FIELDS,
+# taken when gamma was found by the prime-divisor test and the cycles by
+# walking the successor map
+FIELD_MODEL_DIGEST = "abf7878a338040e0f08483e246985903c8a509edd7298acc5cff41bfa14a0b1d"
+
+
+def test_field_model_digest():
+    assert len(FIELDS) == 89
+    h = hashlib.sha256()
+    for p, r in FIELDS:
+        L = field_labeling(p, r)
+        h.update(repr((p, r, L.modulus, L.gamma, L.gamma_labels(), L.addition_cycles())).encode())
+    assert h.hexdigest() == FIELD_MODEL_DIGEST
+
+
+def test_field_model_matches_the_checkers():
+    for p, r in FIELDS:
+        L = field_labeling(p, r)
+        assert L.gamma == least_generator_by_prime_divisors(L), (p, r)
+        assert L.addition_cycles() == addition_cycles_by_walk(L), (p, r)
 
 
 def test_field_labeling_rejects_bad_p():
@@ -81,6 +112,22 @@ def test_class_spec_is_immutable_and_hashes_by_key():
         with pytest.raises(AttributeError):
             setattr(a, name, value)
     assert (a.id, a.params) == (4, {"n": 1, "p": 3, "r": 1})
+
+
+def test_class_spec_keeps_a_read_only_copy_of_params():
+    d = {"n": 1}
+    spec = ClassSpec(1, d)
+    d["n"] = 100  # rank 202, past MAX_RANK, had the spec kept the caller's dict
+    assert spec.params == {"n": 1} and spec.rank == 4 <= MAX_RANK
+    assert hash(spec) == hash(ClassSpec(1, {"n": 1}))
+    with pytest.raises(TypeError):
+        spec.params["n"] = 500
+    assert spec.params == {"n": 1} and spec.rank == 4
+    # the read-only params do not stop a spec from pickling or copying
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert twin == spec and hash(twin) == hash(spec) and twin.rank == 4
+        with pytest.raises(TypeError):
+            twin.params["n"] = 500
 
 
 def test_class1_generators_catalog_form():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -199,6 +200,10 @@ def test_match_table_row():
     grp = closure([parse_element(t, 4) for t in ("c1 c2 c3 c4 (2,3)", "(1,2,3)")])
     name, cid, params = match_table_row(grp)
     assert name == "S_3" and cid == 1 and params == {"n": 1}
+    # a plain dict, not the row's read-only spec params, so reports serialize
+    assert type(params) is dict and json.dumps(params) == '{"n": 1}'
+    params["n"] = 2
+    assert match_table_row(grp)[2] == {"n": 1}
     unknown = closure([parse_element("c1 c2", 4)])
     name, cid, params = match_table_row(unknown)
     assert cid is None and "order 2" in name
