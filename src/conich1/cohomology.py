@@ -7,13 +7,18 @@ cocycle is the stacked vector (f(s))_{s in S} of length D = |S|(n+2), and
 the coboundary columns are f_i = ((phi(s) - I) e_i)_{s in S}.  The oracle
 takes Z^1/B^1 as the torsion of Z^D/B^1.  That is exact because Z^1 is
 saturated in Z^D and |G| annihilates H^1 (Brown, Cohomology of Groups,
-GTM 87, 1982, Cor. III.10.2), so Z^1 is the saturation of B^1.  The full
-cocycle system over the Cayley graph of G, the slow ground truth, lives in
-tests/helpers.py as h1_by_cocycle_system.
+GTM 87, 1982, Cor. III.10.2), so Z^1 is the saturation of B^1.  It reads
+that torsion, and the torsion of Z^D/F for F = <f_1..f_n>, off one
+unit-pivot elimination of the nonzero rows of the phi(s) - I
+(intlinalg.unit_pivot_torsion), with no Hermite basis.  The full cocycle
+system over the Cayley graph of G, the slow ground truth, and the Hermite
+route the oracle replaced live in tests/helpers.py as h1_by_cocycle_system
+and h1_oracle_by_hermite.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
 from .groups import (
@@ -27,7 +32,7 @@ from .groups import (
     ordered_subgroups,
     sylow2,
 )
-from .intlinalg import LatticeBasis
+from .intlinalg import LatticeBasis, unit_pivot_torsion
 from .picard import phi_of_enc
 from .signedperm import SignedPerm, sigma
 
@@ -49,12 +54,16 @@ class H1Report(NamedTuple):
     f_minus1_in_span: bool | None = None
 
 
-def _torsion(sub: LatticeBasis) -> tuple[int, ...]:
-    """Invariant factors of the torsion of Z^D/sub, which must be 2-torsion."""
-    factors = sub.torsion()
+def _two_torsion(factors: tuple[int, ...]) -> tuple[int, ...]:
+    """``factors``, after checking that they are all 2, as H^1 is 2-torsion."""
     if any(d != 2 for d in factors):
         raise TorsionError(f"H^1 invariant factors {factors} are not all 2")
     return factors
+
+
+def _torsion(sub: LatticeBasis) -> tuple[int, ...]:
+    """Invariant factors of the torsion of Z^D/sub, which must be 2-torsion."""
+    return _two_torsion(sub.torsion())
 
 
 def _generating_set(G: FiniteGroup) -> list[Enc]:
@@ -94,28 +103,52 @@ def h1_oracle(G: FiniteGroup) -> H1Report:
     annihilates H^1(G, Pic) (Brown, Cohomology of Groups, GTM 87, 1982,
     Cor. III.10.2), so B^1 has finite index in Z^1, and Z^1 = sat(B^1).
     Hence Z^1/B^1 is the torsion of Z^D/B^1, and likewise Z^1/F is the
-    torsion of Z^D/F for F = <f_1..f_n>, since the half-sum identity puts
-    f_-1 in the rational span of F.  Hermite forms are canonical, so f_-1
-    lies in F exactly when B == F.  Nothing walks G: phi is evaluated once
-    per generator.  tests/helpers.py keeps the full cocycle system over the
-    Cayley graph as the slow ground truth.  The cost does not grow with
-    |G|, so no order bound applies.
+    torsion of Z^D/F for F = <f_1..f_n>.  f_0 = 0, since phi fixes l_0.
+
+    Both are read off one matrix: the D x (n+1) matrix with columns f_-1,
+    f_1..f_n, whose row (s, r) is row r of phi(s) - I.  Its zero rows add
+    no torsion and are skipped, and each nonzero row is checked against
+    the half-sum identity f_-1 = (1/2) sum f_i, coordinate by coordinate.
+    intlinalg.unit_pivot_torsion eliminates the unit entries in the
+    f_1..f_n columns, which are invariant factors 1 of F and B alike, and
+    gives the torsion of Z^D/F off those columns and of Z^D/B^1 off all.
+
+    The identity puts 2 f_-1 in F, so rank B = rank F and [B:F] <= 2, and
+    |tors Z^D/F| = [B:F] |tors Z^D/B^1|.  Every factor is 2 (TorsionError
+    otherwise), so the two factor counts differ by 0 or 1 (RuntimeError
+    otherwise), and f_-1 lies in F exactly when they are equal.  Nothing
+    walks G: phi is evaluated once per generator.  tests/helpers.py keeps
+    the full cocycle system over the Cayley graph as the slow ground truth.
+    The cost does not grow with |G|, so no order bound applies.
     """
     n = G.n
     S = _generating_set(G)
     if not S:
         return H1Report((), 0, "oracle", None, 0, True)
-    D = len(S) * (n + 2)
+    dim = n + 2
 
-    # f_0 = 0 because phi fixes l_0, so B^1 is spanned by f_-1 and f_1..f_n
-    cob = coboundary_columns(S, n)
-    F = LatticeBasis.from_vectors(D, [cob[i] for i in range(1, n + 1)])
-    B = F.sum_with([cob[-1]])
-
-    factors = _torsion(B)
-    f_factors = _torsion(F)
-    f_minus1_in_f = B == F
-    if len(f_factors) != len(factors) + (0 if f_minus1_in_f else 1):
+    # column k of a row is l_{k-1}; column 0 is l_-1, the one side column
+    rows = []
+    for e in S:
+        m = phi_of_enc(e).entries
+        by_row: list[dict[int, int]] = [{} for _ in range(dim)]
+        for k in compress(range(dim * dim), m):
+            by_row[k // dim][k % dim] = m[k]
+        for r, row in enumerate(by_row):
+            x = row.pop(r, 0) - 1
+            if x:
+                row[r] = x
+            row.pop(1, None)  # f_0 = 0
+            if row:
+                minus1 = row.get(0, 0)
+                if 2 * minus1 != sum(row.values()) - minus1:
+                    raise RuntimeError("half-sum identity f_-1 = (1/2) sum f_i failed")
+                rows.append(row)
+    f_factors, factors = unit_pivot_torsion(rows, side=(0,))
+    _two_torsion(factors)
+    _two_torsion(f_factors)
+    gap = len(f_factors) - len(factors)
+    if gap not in (0, 1):
         raise RuntimeError("Z^1/F and Z^1/B^1 disagree on whether f_-1 lies in F")
 
     return H1Report(
@@ -124,7 +157,7 @@ def h1_oracle(G: FiniteGroup) -> H1Report:
         method="oracle",
         witnesses=None,
         z1_mod_f_rank=len(f_factors),
-        f_minus1_in_span=f_minus1_in_f,
+        f_minus1_in_span=gap == 0,
     )
 
 

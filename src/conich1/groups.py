@@ -275,20 +275,26 @@ def _cyclic_encs(e: Enc) -> list[Enc]:
 
 
 class ClassStore:
-    """Conjugacy-class dedup via fingerprint buckets + exact backtracking.
+    """Conjugacy-class dedup by order, fingerprint and exact backtracking.
 
-    A bucket holds the stored groups of one fingerprint, which counts
-    elements per W(D_n)-class (enc_dn_class), so twins that only an odd
-    element of W(B_n) conjugates, such as H and c1 H c1 when the key
-    splits them (Carter, Compositio Math. 25, 1972), meet no test.
-    ``count`` is the number of classes stored and ``tests`` the number of
-    conjugacy tests made.  A walker given a store extends each stored class
-    once per orbit of its normalizer, adds the size of each conjugacy orbit
-    it traced for those normalizers to ``orbit_points``, and counts in
+    The first stored group of each order waits in ``first`` with no
+    fingerprint, since a group whose order no other stored group shares
+    meets no test.  When a second group of that order arrives, both go to
+    the buckets, which hold the stored groups of one fingerprint; the
+    fingerprint counts elements per W(D_n)-class (enc_dn_class), so twins
+    that only an odd element of W(B_n) conjugates, such as H and c1 H c1
+    when the key splits them (Carter, Compositio Math. 25, 1972), meet no
+    test.  ``count`` is the number of classes stored and ``tests`` the
+    number of conjugacy tests made, one per stored group of an equal
+    fingerprint.  A walker given a store extends each stored class once
+    per orbit of its normalizer, adds the size of each conjugacy orbit it
+    traced for those normalizers to ``orbit_points``, and counts in
     ``capped`` the closures its order cap stopped.
     """
 
     def __init__(self) -> None:
+        # order -> its one stored group, or None once that order has buckets
+        self.first: dict[int, FiniteGroup | None] = {}
         self.buckets: dict[tuple, list[FiniteGroup]] = {}
         self.count = 0
         self.tests = 0
@@ -297,6 +303,14 @@ class ClassStore:
 
     def add(self, G: FiniteGroup) -> bool:
         """Store G and return True unless it is W(D_n)-conjugate to a stored group."""
+        if G.order not in self.first:
+            self.first[G.order] = G
+            self.count += 1
+            return True
+        alone = self.first[G.order]
+        if alone is not None:
+            self.first[G.order] = None
+            self.buckets[fingerprint(alone)] = [alone]
         bucket = self.buckets.setdefault(fingerprint(G), [])
         for rep in bucket:
             self.tests += 1

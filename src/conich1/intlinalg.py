@@ -3,12 +3,15 @@
 Everything here works over plain Python ints (arbitrary precision); no
 floating point is used anywhere.  The Hermite form, the Smith form and
 the kernel all eliminate with one extended-gcd step on a pair of rows.
+Torsion is read by one routine, unit_pivot_torsion, which drops the unit
+entries of a sparse matrix before the Smith form.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 
 Vector = tuple[int, ...]
@@ -136,6 +139,63 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return tuple(d for d in smith_normal_form(A).diagonal() if d != 0)
 
 
+def _smith_torsion(rows: list[dict[int, int]]) -> tuple[int, ...]:
+    """Invariant factors > 1 of the sparse rows, by the Smith form."""
+    if not rows:
+        return ()
+    cols = sorted(set().union(*rows))
+    A = IntMatrix.from_rows([[r.get(c, 0) for c in cols] for r in rows])
+    return tuple(d for d in invariant_factors(A) if d > 1)
+
+
+def unit_pivot_torsion(rows: Iterable[dict[int, int]], side: Container[int] = ()) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The torsion of the cokernel of the integer matrix A with these sparse
+    rows ({column: entry}, zeros left out), as its invariant factors > 1:
+    first of A without its ``side`` columns, then of all of A.
+
+    While some row has an entry +-1 in a column c outside ``side``, row
+    operations on whole rows clear column c from the other rows.  Column
+    operations with c then clear the rest of that row without touching any
+    other row, so the entry is an invariant factor 1 of A with and without
+    its side columns, and the row and column c are dropped.  The Smith form
+    runs on what is left, once if no side column is left in it.  The row
+    dicts are consumed.
+    """
+    rows = [r for r in rows if r]
+    live = set(range(len(rows)))
+    todo = list(reversed(range(len(rows))))  # rows to scan for a unit, least on top
+    while todo:
+        k = todo.pop()
+        if k not in live:
+            continue
+        p = rows[k]
+        for c, x in p.items():
+            if (x == 1 or x == -1) and c not in side:
+                break
+        else:
+            continue
+        live.remove(k)
+        u = p.pop(c)
+        for i in live:
+            r = rows[i]
+            x = r.pop(c, 0)
+            if x:
+                q = x * u  # x / u, as u = +-1
+                for j, y in p.items():
+                    z = r.get(j, 0) - q * y
+                    if z:
+                        r[j] = z
+                    else:
+                        del r[j]
+                todo.append(i)
+    rest = [rows[i] for i in sorted(live) if rows[i]]
+    if not any(c in side for r in rest for c in r):
+        torsion = _smith_torsion(rest)
+        return torsion, torsion
+    trimmed = [{c: x for c, x in r.items() if c not in side} for r in rest]
+    return _smith_torsion([r for r in trimmed if r]), _smith_torsion(rest)
+
+
 def _hnf_reduce(rows: Iterable[Sequence[int]], dim: int, basis: Sequence[Vector] = ()) -> list[Vector]:
     """Row-style Hermite normal form of the span of ``basis``, rows of a
     Hermite form, and ``rows``.
@@ -209,17 +269,17 @@ class LatticeBasis(NamedTuple):
         return tuple(coeffs)
 
     def torsion(self) -> tuple[int, ...]:
-        """Invariant factors (> 1) of the torsion of Z^d / L, off the HNF rows.
+        """Invariant factors (> 1) of the torsion of Z^d / L, by
+        unit_pivot_torsion on the HNF rows.
 
         The Hermite form reduces the entries above each pivot into [0, pivot),
         so a row with pivot 1 holds the only nonzero entry of its pivot column:
-        column operations clear the rest of that row without touching the
-        others, and it adds a factor 1.  The Smith form runs on the rest.
+        unit_pivot_torsion would drop it with no row operation, and it is left
+        out before the sparse rows are built.
         """
-        rest = [r for r in self.rows if next(filter(None, r)) != 1]
-        if not rest:
-            return ()
-        return tuple(d for d in invariant_factors(IntMatrix.from_rows(rest)) if d > 1)
+        cols = range(self.ambient_dim)
+        rest = (r for r in self.rows if next(filter(None, r)) != 1)
+        return unit_pivot_torsion(dict(zip(compress(cols, r), filter(None, r))) for r in rest)[1]
 
     def member(self, v: Sequence[int]) -> bool:
         return self.coefficients(v) is not None

@@ -8,10 +8,10 @@ import pytest
 
 from conich1 import cohomology
 from conich1.classes import build_group, smallest_param_tuples
-from conich1.cohomology import H1Report, TorsionError, _generating_set, coboundary_columns, h1_condition_cyclic
+from conich1.cohomology import H1Report, TorsionError, _generating_set, _two_torsion, coboundary_columns, h1_condition_cyclic
 from conich1.enumeration import TABLE_ROWS
 from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, enc_cycle_type, wdn_generators
-from conich1.intlinalg import IntMatrix, LatticeBasis, kernel_of_rows, quotient_invariants
+from conich1.intlinalg import IntMatrix, LatticeBasis, invariant_factors, kernel_of_rows, quotient_invariants
 from conich1.picard import PicLattice, phi_of_enc
 from conich1.signedperm import _CYCLE_INT, _TOKEN, SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
 
@@ -258,6 +258,36 @@ def h1_by_cocycle_system(G, generators=None):
         z1_mod_f_rank=len(f_factors),
         f_minus1_in_span=f_minus1_in_f,
     )
+
+
+def _hermite_torsion(L):
+    """Invariant factors > 1 of Z^d/L: the Smith form of all of L's Hermite
+    rows, with no unit entry dropped first."""
+    if not L.rows:
+        return ()
+    return tuple(d for d in invariant_factors(IntMatrix.from_rows(L.rows)) if d > 1)
+
+
+def h1_oracle_by_hermite(G):
+    """The checker for cohomology.h1_oracle: the route it replaced.  The
+    coboundary columns are reduced to the Hermite bases of F = <f_1..f_n>
+    and B = F + <f_-1>, the torsion of Z^D/F and Z^D/B^1 is read off their
+    Smith forms, and f_-1 lies in F exactly when B == F, as Hermite forms
+    are canonical.  Returns the oracle's H1Report."""
+    n = G.n
+    S = _generating_set(G)
+    if not S:
+        return H1Report((), 0, "oracle", None, 0, True)
+    D = len(S) * (n + 2)
+    cob = coboundary_columns(S, n)
+    F = LatticeBasis.from_vectors(D, [cob[i] for i in range(1, n + 1)])
+    B = F.sum_with([cob[-1]])
+    factors = _two_torsion(_hermite_torsion(B))
+    f_factors = _two_torsion(_hermite_torsion(F))
+    f_minus1_in_f = B == F
+    if len(f_factors) != len(factors) + (0 if f_minus1_in_f else 1):
+        raise RuntimeError("Z^1/F and Z^1/B^1 disagree on whether f_-1 lies in F")
+    return H1Report(factors, len(factors), "oracle", None, len(f_factors), f_minus1_in_f)
 
 
 def determinant(A):

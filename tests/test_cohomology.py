@@ -47,6 +47,7 @@ from helpers import (
     elements,
     h1_by_cocycle_system,
     h1_condition_direct,
+    h1_oracle_by_hermite,
     iter_wdn,
     random_subgroup,
 )
@@ -389,20 +390,46 @@ def test_oracle_matches_cocycle_system_on_random_subgroups():
     assert ranks >= {0, 1, 2}
 
 
+def test_oracle_matches_hermite_route(full_lattice):
+    # the unit-pivot elimination against the Hermite bases of F and B, field
+    # by field, on the 389 groups of test_reduced_lattices_are_frozen and on
+    # seeded random groups at ranks 2..9
+    groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
+    assert len(groups) == 389
+    rng = random.Random(29)
+    for n in range(2, 10):
+        drawn = 0
+        while drawn < 40:
+            grp = bounded_closure([_sparse_wdn(rng, n) for _ in range(rng.randint(1, 3))], n, cap=512)
+            if grp is not None:
+                groups.append(grp)
+                drawn += 1
+    outside_f = nonzero = 0
+    for grp in groups:
+        rep = h1_oracle(grp)
+        assert rep == h1_oracle_by_hermite(grp), grp
+        outside_f += rep.f_minus1_in_span is False
+        nonzero += rep.f2_rank > 0
+    assert (len(groups), outside_f, nonzero) == (389 + 8 * 40, 490, 61)
+
+
 def test_oracle_evaluates_phi_once_per_generator(monkeypatch):
     # a guard against per-element work in the oracle: phi is evaluated on
-    # the stored generators only, and no element product is formed
+    # the stored generators only, no element product is formed and no
+    # Hermite basis is built
     grp = G(6, "c1 c2 c3 c4", "(1,2)(3,4,5)")
     assert grp.order == 48 and len(grp.spanning_encs) == 2
-    phi_calls, mul_calls = [], []
+    phi_calls, mul_calls, hnf_calls = [], [], []
     monkeypatch.setattr(cohomology, "phi_of_enc", lambda e: phi_calls.append(e) or phi_of_enc(e))
+    sum_with = LatticeBasis.sum_with
+    monkeypatch.setattr(LatticeBasis, "sum_with", lambda L, vs: hnf_calls.append(1) or sum_with(L, vs))
     for name, module in list(sys.modules.items()):
         if name.startswith("conich1") and hasattr(module, "enc_mul"):
             orig = module.enc_mul
             monkeypatch.setattr(module, "enc_mul", lambda a, b, orig=orig: mul_calls.append(1) or orig(a, b))
     rep = h1_oracle(grp)
     assert phi_calls == list(grp.spanning_encs)
-    assert mul_calls == []
+    assert mul_calls == hnf_calls == []
     assert rep.invariant_factors == (2,) == h1_halfsum(grp).invariant_factors
 
 

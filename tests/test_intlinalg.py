@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conich1 import intlinalg
 from conich1.cohomology import _generating_set, coboundary_columns, h1_halfsum, h1_oracle
 from conich1.groups import abelian_invariants
 from conich1.intlinalg import (
@@ -21,6 +22,7 @@ from conich1.intlinalg import (
     kernel_of_rows,
     quotient_invariants,
     smith_normal_form,
+    unit_pivot_torsion,
 )
 from helpers import (
     CHECKED_CLASS_MAX_ORDER,
@@ -60,8 +62,9 @@ def test_snf_builds_one_intmatrix(monkeypatch):
 
 @pytest.mark.parametrize("n, count", [(4, 98), (5, 195)])
 def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
-    # the HNF rows of F = <f_1..f_n> and B = F + <f_-1> that h1_oracle
-    # reduces, for every class of order at most CHECKED_CLASS_MAX_ORDER
+    # the HNF rows of F = <f_1..f_n> and B = F + <f_-1> that the Hermite
+    # route (helpers.h1_oracle_by_hermite) reduces, for every class of
+    # order at most CHECKED_CLASS_MAX_ORDER
     reps, _ = full_lattice(n)
     reps = [H for H in reps if H.order <= CHECKED_CLASS_MAX_ORDER]
     assert len(reps) == count
@@ -79,14 +82,75 @@ def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
 
 
 def test_torsion_matches_checker_on_random_hermite_bases():
-    # torsion() drops the unit-pivot rows before the Smith form, the
+    # torsion() eliminates the unit entries before the Smith form, the
     # checker eliminates the whole matrix
     seen = set()
     for L in _random_hermite_bases(random.Random(11), 400):
-        S = smith_normal_form_with_transforms(IntMatrix.from_rows(L.rows or [[0] * L.ambient_dim]))[0]
-        assert L.torsion() == tuple(d for d in S.diagonal() if d > 1), L
+        assert L.torsion() == _checker_torsion(L.rows or [[0] * L.ambient_dim]), L
         seen |= _shapes(L)
     assert seen == {"zero", "full", "unit pivot with tail", "negative"}
+
+
+def _random_sparse_matrices(rng, count):
+    """Seeded sparse integer matrices, entries drawn from units only, from
+    no units or from both, among them zero rows."""
+    pools = [(-1, 1), (-4, -2, 2, 3, 6), (-3, -2, -1, 1, 2, 3)]
+    cases = []
+    for _ in range(count):
+        pool = rng.choice(pools)
+        m, w = rng.randint(1, 7), rng.randint(2, 6)
+        density = rng.choice([0.2, 0.4, 0.7])
+        cases.append([[rng.choice(pool) if rng.random() < density else 0 for _ in range(w)] for _ in range(m)])
+    return cases
+
+
+def _sparse_shapes(rows, reduced):
+    """Which shapes of a sparse matrix with side column 0 these rows show."""
+    entries = [x for r in rows for x in r if x]
+    seen = set()
+    if not any(abs(x) == 1 for x in entries):
+        seen.add("no unit")
+    if entries and all(abs(x) == 1 for x in entries):
+        seen.add("only units")
+    if -1 in entries:
+        seen.add("negative unit")
+    if any(not any(r) for r in rows):
+        seen.add("zero row")
+    if any(abs(r[0]) == 1 and all(abs(x) != 1 for x in r[1:]) for r in rows):
+        seen.add("unit only in the side column")
+    if reduced:
+        seen.add("remainder for the Smith form")
+    return seen
+
+
+def _checker_torsion(rows):
+    S = smith_normal_form_with_transforms(IntMatrix.from_rows(rows))[0]
+    return tuple(d for d in S.diagonal() if d > 1)
+
+
+def test_unit_pivot_torsion_matches_checker_on_sparse_matrices(monkeypatch):
+    # the torsion without and with side column 0 against the checker's
+    # Smith forms of the matrix without and with that column
+    snf_calls = []
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda A: snf_calls.append(A) or snf(A))
+    seen = set()
+    for rows in _random_sparse_matrices(random.Random(29), 400):
+        want = (_checker_torsion([r[1:] for r in rows]), _checker_torsion(rows))
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
+        del snf_calls[:]
+        assert unit_pivot_torsion(sparse, side=(0,)) == want, rows
+        seen |= _sparse_shapes(rows, bool(snf_calls))
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
+        assert unit_pivot_torsion(sparse) == (want[1], want[1]), rows
+    assert seen == {
+        "no unit",
+        "only units",
+        "negative unit",
+        "zero row",
+        "unit only in the side column",
+        "remainder for the Smith form",
+    }
 
 
 def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
@@ -94,9 +158,11 @@ def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
     # is the zero lattice's sum_with, so sum_with sees them all), and what
     # the callers receive: the oracle and half-sum H1Reports and the
     # abelian invariants, on the full-mode classes at ranks 4 and 5, the 48
-    # smallest family instances and the 46 table rows.  The HNF digest was
-    # recorded with the pivoting elimination, the report digest while the
-    # half-sum read dim W/F off a Smith form of W's coordinates in F
+    # smallest family instances and the 46 table rows.  The oracle builds
+    # no Hermite basis, so the bases are the half-sum's and the abelian
+    # invariants'; their count and digest were recorded while the oracle
+    # still built Hermite bases, and the report digest while the half-sum
+    # read dim W/F off a Smith form of W's coordinates in F
     groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
     assert len(groups) == 98 + 197 + 94
     hnf = []
@@ -110,8 +176,8 @@ def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
     monkeypatch.setattr(LatticeBasis, "sum_with", record_hnf)
     reports = [reduce(grp) for reduce in (h1_oracle, h1_halfsum) for grp in groups]
     reports += [abelian_invariants(grp) for grp in groups]
-    assert len(hnf) == 2351
-    assert hashlib.sha256(repr(hnf).encode()).hexdigest() == "e721aff53ca6121437ee81bd895e9bc046a127fd961a60a77204383c17fde6bb"
+    assert len(hnf) == 1577
+    assert hashlib.sha256(repr(hnf).encode()).hexdigest() == "9a26ec2107cba6637d544766548fe5c7c36b27a12cc5bdeb01ab301edc1af833"
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == "9256caef3af3f9239e0162cec0220e0853e62b2a98e31dc2a6b3296b98071e88"
 
 
