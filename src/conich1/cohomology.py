@@ -4,16 +4,20 @@ oracle; the other two are checked against it by the test suite.
 
 All three express everything in the coordinates of a generating set S: a
 cocycle is the stacked vector (f(s))_{s in S} of length D = |S|(n+2), and
-the coboundary columns are f_i = ((phi(s) - I) e_i)_{s in S}.  The oracle
-takes Z^1/B^1 as the torsion of Z^D/B^1.  That is exact because Z^1 is
-saturated in Z^D and |G| annihilates H^1 (Brown, Cohomology of Groups,
-GTM 87, 1982, Cor. III.10.2), so Z^1 is the saturation of B^1.  It reads
-that torsion, and the torsion of Z^D/F for F = <f_1..f_n>, off one
-unit-pivot elimination of the nonzero rows of the phi(s) - I
-(intlinalg.unit_pivot_torsion), with no Hermite basis.  The full cocycle
-system over the Cayley graph of G, the slow ground truth, and the Hermite
-route the oracle replaced live in tests/helpers.py as h1_by_cocycle_system
-and h1_oracle_by_hermite.
+the coboundary columns are f_i = ((phi(s) - I) e_i)_{s in S}.  One reader,
+_coboundary_rows, gives the nonzero rows of the matrix with columns f_-1,
+f_1..f_n as sparse dicts; the oracle and the half-sum method each call it.
+The oracle takes Z^1/B^1 as the torsion of Z^D/B^1.  That is exact because
+Z^1 is saturated in Z^D and |G| annihilates H^1 (Brown, Cohomology of
+Groups, GTM 87, 1982, Cor. III.10.2), so Z^1 is the saturation of B^1.  It
+reads that torsion, and the torsion of Z^D/F for F = <f_1..f_n>, off one
+unit-pivot elimination of the rows (intlinalg.unit_pivot_torsion).  The
+half-sum method decides over F_2 which half-sums of index-orbit columns lie
+in F, on the integer relations among f_1..f_n (intlinalg.kernel_of_rows).
+Neither builds a Hermite basis.  The full cocycle system over the Cayley
+graph of G, the slow ground truth, and the Hermite routes the two replaced
+live in tests/helpers.py as h1_by_cocycle_system, h1_oracle_by_hermite and
+h1_halfsum_by_hermite.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .groups import (
     ordered_subgroups,
     sylow2,
 )
-from .intlinalg import LatticeBasis, unit_pivot_torsion
+from .intlinalg import kernel_of_rows, unit_pivot_torsion
 from .picard import phi_of_enc
 from .signedperm import SignedPerm, sigma
 
@@ -61,11 +65,6 @@ def _two_torsion(factors: tuple[int, ...]) -> tuple[int, ...]:
     return factors
 
 
-def _torsion(sub: LatticeBasis) -> tuple[int, ...]:
-    """Invariant factors of the torsion of Z^D/sub, which must be 2-torsion."""
-    return _two_torsion(sub.torsion())
-
-
 def _generating_set(G: FiniteGroup) -> list[Enc]:
     """S, as encodings: G's stored non-identity generators, which generate
     it by construction."""
@@ -73,26 +72,30 @@ def _generating_set(G: FiniteGroup) -> list[Enc]:
     return [e for e in G.spanning_encs if e != ident]
 
 
-def coboundary_columns(gens: list[Enc], n: int) -> dict[int, tuple[int, ...]]:
-    """The stacked columns f_i = ((phi(s_1) - I)e_i, ..., (phi(s_m) - I)e_i),
-    i in {-1, 1..n}, over the W(D_n) encodings ``gens``, with the half-sum
-    identity f_-1 = (1/2) sum f_i checked."""
+def _coboundary_rows(S: list[Enc], n: int) -> list[dict[int, int]]:
+    """The nonzero rows of the stacked phi(s) - I, s in S, as sparse dicts
+    {i: entry} over the columns f_-1, f_1..f_n: row (s, r) is row r of
+    phi(s) - I, and its entry i sits at l_i.  f_0 = 0, since phi fixes l_0,
+    so column 0 is left out.  Each row is checked against the half-sum
+    identity f_-1 = (1/2) sum f_i, coordinate by coordinate."""
     dim = n + 2
-    cols: dict[int, list[int]] = {i: [] for i in [-1] + list(range(1, n + 1))}
-    for e in gens:
-        entries = phi_of_enc(e).entries
-        for i, col in cols.items():
-            pos = i + 1
-            c = list(entries[pos::dim])  # column pos of the row-major matrix
-            c[pos] -= 1
-            col.extend(c)
-    total = [0] * (len(gens) * dim)
-    for i in range(1, n + 1):
-        for k, x in enumerate(cols[i]):
-            total[k] += x
-    if any(x % 2 for x in total) or [x // 2 for x in total] != cols[-1]:
-        raise RuntimeError("half-sum identity f_-1 = (1/2) sum f_i failed")
-    return {i: tuple(v) for i, v in cols.items()}
+    rows = []
+    for e in S:
+        m = phi_of_enc(e).entries
+        by_row: list[dict[int, int]] = [{} for _ in range(dim)]
+        for k in compress(range(dim * dim), m):
+            by_row[k // dim][k % dim - 1] = m[k]
+        for i, row in enumerate(by_row, -1):
+            x = row.pop(i, 0) - 1
+            if x:
+                row[i] = x
+            row.pop(0, None)
+            if row:
+                minus1 = row.get(-1, 0)
+                if 2 * minus1 != sum(row.values()) - minus1:
+                    raise RuntimeError("half-sum identity f_-1 = (1/2) sum f_i failed")
+                rows.append(row)
+    return rows
 
 
 def h1_oracle(G: FiniteGroup) -> H1Report:
@@ -106,45 +109,25 @@ def h1_oracle(G: FiniteGroup) -> H1Report:
     torsion of Z^D/F for F = <f_1..f_n>.  f_0 = 0, since phi fixes l_0.
 
     Both are read off one matrix: the D x (n+1) matrix with columns f_-1,
-    f_1..f_n, whose row (s, r) is row r of phi(s) - I.  Its zero rows add
-    no torsion and are skipped, and each nonzero row is checked against
-    the half-sum identity f_-1 = (1/2) sum f_i, coordinate by coordinate.
-    intlinalg.unit_pivot_torsion eliminates the unit entries in the
-    f_1..f_n columns, which are invariant factors 1 of F and B alike, and
-    gives the torsion of Z^D/F off those columns and of Z^D/B^1 off all.
+    f_1..f_n, whose nonzero rows _coboundary_rows gives; its zero rows add
+    no torsion.  intlinalg.unit_pivot_torsion eliminates the unit entries
+    in the f_1..f_n columns, which are invariant factors 1 of F and B
+    alike, and gives the torsion of Z^D/F off those columns and of Z^D/B^1
+    off all.
 
-    The identity puts 2 f_-1 in F, so rank B = rank F and [B:F] <= 2, and
-    |tors Z^D/F| = [B:F] |tors Z^D/B^1|.  Every factor is 2 (TorsionError
-    otherwise), so the two factor counts differ by 0 or 1 (RuntimeError
-    otherwise), and f_-1 lies in F exactly when they are equal.  Nothing
+    The half-sum identity f_-1 = (1/2) sum f_i puts 2 f_-1 in F, so
+    rank B = rank F and [B:F] <= 2, and |tors Z^D/F| = [B:F] |tors Z^D/B^1|.
+    Every factor is 2 (TorsionError otherwise), so the two factor counts
+    differ by 0 or 1 (RuntimeError otherwise), and f_-1 lies in F exactly
+    when they are equal.  Nothing
     walks G: phi is evaluated once per generator.  tests/helpers.py keeps
     the full cocycle system over the Cayley graph as the slow ground truth.
     The cost does not grow with |G|, so no order bound applies.
     """
-    n = G.n
     S = _generating_set(G)
     if not S:
         return H1Report((), 0, "oracle", None, 0, True)
-    dim = n + 2
-
-    # column k of a row is l_{k-1}; column 0 is l_-1, the one side column
-    rows = []
-    for e in S:
-        m = phi_of_enc(e).entries
-        by_row: list[dict[int, int]] = [{} for _ in range(dim)]
-        for k in compress(range(dim * dim), m):
-            by_row[k // dim][k % dim] = m[k]
-        for r, row in enumerate(by_row):
-            x = row.pop(r, 0) - 1
-            if x:
-                row[r] = x
-            row.pop(1, None)  # f_0 = 0
-            if row:
-                minus1 = row.get(0, 0)
-                if 2 * minus1 != sum(row.values()) - minus1:
-                    raise RuntimeError("half-sum identity f_-1 = (1/2) sum f_i failed")
-                rows.append(row)
-    f_factors, factors = unit_pivot_torsion(rows, side=(0,))
+    f_factors, factors = unit_pivot_torsion(_coboundary_rows(S, G.n), side=(-1,))
     _two_torsion(factors)
     _two_torsion(f_factors)
     gap = len(f_factors) - len(factors)
@@ -202,6 +185,19 @@ def h1_condition_cyclic(g: SignedPerm) -> tuple[bool, int | None]:
     return True, 2
 
 
+def _f2_reduce(basis: dict[int, int], v: int) -> int:
+    """The bitmask v reduced by the F_2 echelon ``basis``, which maps each
+    row's lowest set bit to the row.  A nonzero remainder joins the basis.
+    Returns the remainder: 0 exactly when v lay in the span."""
+    while v:
+        low = v & -v
+        if low not in basis:
+            basis[low] = v
+            break
+        v ^= basis[low]
+    return v
+
+
 def h1_halfsum(G: FiniteGroup) -> H1Report:
     """The orbit/half-sum method of the cocycle-quotient reduction.
 
@@ -210,71 +206,55 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
     a nullspace basis of the parity condition spans everything.  Orbits of
     zero column sum add nothing to xi_I and are left out; the witness search
     over the 2^k basis combinations refuses k > MAX_HALFSUM_NULLITY.
-    Each 2 xi_I lies in F, so F <= W = F + <xi_I> <= sat(F), and dim W/F
-    is how many torsion factors, all 2, Z^D/W has fewer than Z^D/F.
+    Each 2 xi_I lies in F = <f_1..f_n>, so F <= W = F + <xi_I> <= sat(F).
+
+    Membership in F is decided over F_2.  Take c in {0,1}^n with
+    sum c_i f_i even.  Then (1/2) sum c_i f_i lies in F exactly when
+    c = k (mod 2) for an integer relation k, sum k_i f_i = 0: if the
+    half-sum is sum d_i f_i, then c - 2d is a relation; if c - 2d is a
+    relation, the half-sum is sum d_i f_i.  So with K the relations mod 2
+    (intlinalg.kernel_of_rows over the f_1..f_n columns), dim W/F is the
+    rank of the indicator vectors 1_I over K, f_-1 = xi_{1..n} lies in F
+    exactly when 1_{1..n} lies in K, and a witness I is independent of the
+    earlier ones exactly when 1_I lies outside K + <their indicators>.
+    The column sums and their parities are read off _coboundary_rows.
     """
     n = G.n
-    dim = n + 2
     S = _generating_set(G)
     if not S:
         return H1Report((), 0, "halfsum", (), 0, True)
-    cols = coboundary_columns(S, n)
-    D = len(S) * dim
-    orbits: list[tuple[int, ...]] = []
-    orbit_sums: list[list[int]] = []
-    for orb in index_orbits(n, S):
-        v = [0] * D
-        for i in orb:
-            for c, x in enumerate(cols[i]):
-                v[c] += x
-        if any(v):
-            orbits.append(orb)
-            orbit_sums.append(v)
-    k = len(orbits)
+    rows = _coboundary_rows(S, n)
 
-    # GF(2) nullspace of T -> sum of orbit columns (mod 2)
-    def bits(v: list[int]) -> int:
-        out = 0
-        for c, x in enumerate(v):
-            if x & 1:
-                out |= 1 << c
-        return out
+    # each index orbit's column sum, row by row: whether it is zero, and its parity bits
+    orbits = index_orbits(n, S)
+    nonzero = [False] * len(orbits)
+    parity = [0] * len(orbits)
+    for r, row in enumerate(rows):
+        for t, orb in enumerate(orbits):
+            x = sum(row.get(i, 0) for i in orb)
+            nonzero[t] = nonzero[t] or x != 0
+            parity[t] |= (x & 1) << r
 
-    basis: list[tuple[int, int]] = []  # (bitmask, combo over orbits)
-    null_combos: list[int] = []
-    for t in range(k):
-        cur = bits(orbit_sums[t])
-        combo = 1 << t
-        for bm, cm in basis:
-            low = bm & -bm
-            if cur & low:
-                cur ^= bm
-                combo ^= cm
-        if cur == 0:
-            null_combos.append(combo)
-        else:
-            basis.append((cur, combo))
+    # GF(2) nullspace of I -> sum of the columns in I (mod 2), I a union of
+    # nonzero orbits: each orbit enters as its parity bits with its
+    # indicator above them, and the echelon rows left with no parity bit
+    # hold a basis of the nullspace's indicators 1_I in their high bits.
+    # Bit i - 1 of an indicator stands for f_i
+    R = len(rows)
+    echelon: dict[int, int] = {}
+    for orb, bits in compress(zip(orbits, parity), nonzero):
+        _f2_reduce(echelon, bits | sum(1 << (R + i - 1) for i in orb))
+    null_basis = [v >> R for v in echelon.values() if not v & ((1 << R) - 1)]
 
-    F = LatticeBasis.from_vectors(D, [cols[i] for i in range(1, n + 1)])
+    relations: dict[int, int] = {}  # the relations mod 2
+    for rel in kernel_of_rows([[row.get(i, 0) for i in range(1, n + 1)] for row in rows], n):
+        _f2_reduce(relations, sum((x & 1) << i for i, x in enumerate(rel)))
+    spanned = dict(relations)
+    for v in null_basis:
+        _f2_reduce(spanned, v)
+    dim_span = len(spanned) - len(relations)
 
-    def xi_of(combo: int) -> tuple[int, ...]:
-        v = [0] * D
-        for t in range(k):
-            if combo >> t & 1:
-                for c, x in enumerate(orbit_sums[t]):
-                    v[c] += x
-        if any(x % 2 for x in v):
-            raise RuntimeError("an orbit combination in the parity nullspace has an odd column sum")
-        return tuple(x // 2 for x in v)
-
-    xis = [xi_of(cm) for cm in null_combos]
-    W = F.sum_with(xis)
-    if W.rank != F.rank:
-        raise RuntimeError("the half-sum span outgrew the saturation of F")
-    dim_span = len(_torsion(F)) - len(_torsion(W))
-
-    f_minus1 = cols[-1]
-    in_f = F.member(f_minus1)
+    in_f = not _f2_reduce(dict(relations), (1 << n) - 1)
     rank = dim_span - (0 if in_f else 1)
     if rank < 0:
         raise RuntimeError("f_-1 lies outside F although the half-sum span adds nothing")
@@ -282,29 +262,25 @@ def h1_halfsum(G: FiniteGroup) -> H1Report:
     # minimal-cardinality independent witnesses, ties broken lexicographically
     witnesses: list[tuple[int, ...]] = []
     if dim_span:
-        if len(null_combos) > MAX_HALFSUM_NULLITY:
+        if len(null_basis) > MAX_HALFSUM_NULLITY:
             raise ValueError(
-                f"the half-sum search needs 2^{len(null_combos)} > 2^{MAX_HALFSUM_NULLITY} orbit combinations; use --method oracle"
+                f"the half-sum search needs 2^{len(null_basis)} > 2^{MAX_HALFSUM_NULLITY} orbit combinations; use --method oracle"
             )
         candidates = []
-        for mask in range(1, 1 << len(null_combos)):
-            combo = 0
-            for b in range(len(null_combos)):
+        for mask in range(1, 1 << len(null_basis)):
+            v = 0
+            for b, u in enumerate(null_basis):
                 if mask >> b & 1:
-                    combo ^= null_combos[b]  # never 0: each basis vector has its own highest orbit
-            I = tuple(sorted(i for t in range(k) if combo >> t & 1 for i in orbits[t]))
-            candidates.append((len(I), I, combo))
+                    v ^= u  # never 0: the basis is independent
+            I = tuple(i for i in range(1, v.bit_length() + 1) if v >> (i - 1) & 1)
+            candidates.append((len(I), I, v))
         candidates.sort()
-        grown = F
-        seen_I = set()
-        for _, I, combo in candidates:
-            if I in seen_I or len(witnesses) == dim_span:
-                continue
-            seen_I.add(I)
-            xi = xi_of(combo)
-            if not grown.member(xi):
+        grown = dict(relations)
+        for _, I, v in candidates:
+            if _f2_reduce(grown, v):
                 witnesses.append(I)
-                grown = grown.sum_with([xi])
+                if len(witnesses) == dim_span:
+                    break
 
     return H1Report(
         invariant_factors=(2,) * rank,

@@ -17,7 +17,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .intlinalg import LatticeBasis
+from .intlinalg import unit_pivot_torsion
 from .signedperm import (
     Enc,
     SignedPerm,
@@ -589,7 +589,8 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     edge c --s--> cs gives the relation v_c + e_s - v_cs (zero on tree
     edges); by Schreier's lemma these generate the relations of G on the
     s_i, so G/[G,G] is Z^k modulo them, and its invariant factors are the
-    Smith factors > 1.
+    torsion factors of that cokernel, read by intlinalg.unit_pivot_torsion
+    on the relations as sparse rows.
     """
     gens = G.spanning_encs
     reps = [identity_enc(G.n)]
@@ -607,7 +608,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
                 words.append(step)
             else:
                 relations.add(tuple([a - b for a, b in zip(step, words[d])]))
-    return LatticeBasis.from_vectors(len(gens), relations).torsion()
+    return unit_pivot_torsion({i: x for i, x in enumerate(r) if x} for r in relations)[1]
 
 
 def fingerprint(G: FiniteGroup) -> tuple:

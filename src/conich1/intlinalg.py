@@ -9,7 +9,6 @@ entries of a sparse matrix before the Smith form.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 from typing import Container, Iterable, NamedTuple, Sequence
 
@@ -196,19 +195,17 @@ def unit_pivot_torsion(rows: Iterable[dict[int, int]], side: Container[int] = ()
     return _smith_torsion([r for r in trimmed if r]), _smith_torsion(rest)
 
 
-def _hnf_reduce(rows: Iterable[Sequence[int]], dim: int, basis: Sequence[Vector] = ()) -> list[Vector]:
-    """Row-style Hermite normal form of the span of ``basis``, rows of a
-    Hermite form, and ``rows``.
+def _hnf_reduce(rows: Iterable[Sequence[int]], dim: int) -> list[Vector]:
+    """Row-style Hermite normal form of the span of ``rows``.
 
-    Each row is inserted into a running echelon basis, seeded with
-    ``basis``: while it has a row with the same leading column, one
-    extended-gcd step keeps their gcd there and passes the remainder, zero
-    in that column, on.  Pivots are then made positive and entries above
-    each pivot are reduced into [0, pivot).  The output depends only on the
-    row span, which makes lattice equality a tuple comparison.
+    Each row is inserted into a running echelon basis: while it has a row
+    with the same leading column, one extended-gcd step keeps their gcd
+    there and passes the remainder, zero in that column, on.  Pivots are
+    then made positive and entries above each pivot are reduced into
+    [0, pivot).  The output depends only on the row span, which makes
+    lattice equality a tuple comparison.
     """
-    # the basis row of each pivot column
-    at: dict[int, Sequence[int]] = {next(j for j, x in enumerate(b) if x): b for b in basis}
+    at: dict[int, Sequence[int]] = {}  # the basis row of each pivot column
     for v in rows:
         c = next((j for j, x in enumerate(v) if x), dim)
         while c in at:
@@ -237,7 +234,10 @@ class LatticeBasis(NamedTuple):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        return cls(ambient_dim, ()).sum_with(vectors)
+        vecs = [tuple(map(int, v)) for v in vectors]
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector length does not match ambient dimension")
+        return cls(ambient_dim, tuple(_hnf_reduce(vecs, ambient_dim)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "LatticeBasis":
@@ -268,28 +268,8 @@ class LatticeBasis(NamedTuple):
             return None
         return tuple(coeffs)
 
-    def torsion(self) -> tuple[int, ...]:
-        """Invariant factors (> 1) of the torsion of Z^d / L, by
-        unit_pivot_torsion on the HNF rows.
-
-        The Hermite form reduces the entries above each pivot into [0, pivot),
-        so a row with pivot 1 holds the only nonzero entry of its pivot column:
-        unit_pivot_torsion would drop it with no row operation, and it is left
-        out before the sparse rows are built.
-        """
-        cols = range(self.ambient_dim)
-        rest = (r for r in self.rows if next(filter(None, r)) != 1)
-        return unit_pivot_torsion(dict(zip(compress(cols, r), filter(None, r))) for r in rest)[1]
-
     def member(self, v: Sequence[int]) -> bool:
         return self.coefficients(v) is not None
-
-    def sum_with(self, vectors: Iterable[Sequence[int]]) -> "LatticeBasis":
-        """L + <vectors>, by inserting only the new vectors into L's Hermite rows."""
-        vecs = [tuple(map(int, v)) for v in vectors]
-        if any(len(v) != self.ambient_dim for v in vecs):
-            raise ValueError("vector length does not match ambient dimension")
-        return LatticeBasis(self.ambient_dim, tuple(_hnf_reduce(vecs, self.ambient_dim, self.rows)))
 
 
 def integer_kernel(A: IntMatrix) -> LatticeBasis:

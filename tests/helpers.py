@@ -8,9 +8,9 @@ import pytest
 
 from conich1 import cohomology
 from conich1.classes import build_group, smallest_param_tuples
-from conich1.cohomology import H1Report, TorsionError, _generating_set, _two_torsion, coboundary_columns, h1_condition_cyclic
+from conich1.cohomology import MAX_HALFSUM_NULLITY, H1Report, TorsionError, _generating_set, _two_torsion, h1_condition_cyclic
 from conich1.enumeration import TABLE_ROWS
-from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, enc_cycle_type, wdn_generators
+from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, enc_cycle_type, index_orbits, wdn_generators
 from conich1.intlinalg import IntMatrix, LatticeBasis, invariant_factors, kernel_of_rows, quotient_invariants
 from conich1.picard import PicLattice, phi_of_enc
 from conich1.signedperm import _CYCLE_INT, _TOKEN, SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
@@ -174,6 +174,29 @@ def _finite_quotient(lattice, sub):
     return factors
 
 
+def coboundary_columns(gens, n):
+    """The stacked columns f_i = ((phi(s_1) - I)e_i, ..., (phi(s_m) - I)e_i),
+    i in {-1, 1..n}, over the W(D_n) encodings ``gens``, as dense tuples of
+    length m(n+2), with the half-sum identity f_-1 = (1/2) sum f_i checked:
+    the checkers' input, against cohomology._coboundary_rows' sparse rows."""
+    dim = n + 2
+    cols = {i: [] for i in [-1] + list(range(1, n + 1))}
+    for e in gens:
+        entries = phi_of_enc(e).entries
+        for i, col in cols.items():
+            pos = i + 1
+            c = list(entries[pos::dim])  # column pos of the row-major matrix
+            c[pos] -= 1
+            col.extend(c)
+    total = [0] * (len(gens) * dim)
+    for i in range(1, n + 1):
+        for k, x in enumerate(cols[i]):
+            total[k] += x
+    if any(x % 2 for x in total) or [x // 2 for x in total] != cols[-1]:
+        raise RuntimeError("half-sum identity f_-1 = (1/2) sum f_i failed")
+    return {i: tuple(v) for i, v in cols.items()}
+
+
 def h1_by_cocycle_system(G, generators=None):
     """Z^1/B^1 from the full multiplication table: the slow ground truth
     for cohomology.h1_oracle, which works from the coboundaries alone.
@@ -281,13 +304,131 @@ def h1_oracle_by_hermite(G):
     D = len(S) * (n + 2)
     cob = coboundary_columns(S, n)
     F = LatticeBasis.from_vectors(D, [cob[i] for i in range(1, n + 1)])
-    B = F.sum_with([cob[-1]])
+    B = LatticeBasis.from_vectors(D, F.rows + (cob[-1],))
     factors = _two_torsion(_hermite_torsion(B))
     f_factors = _two_torsion(_hermite_torsion(F))
     f_minus1_in_f = B == F
     if len(f_factors) != len(factors) + (0 if f_minus1_in_f else 1):
         raise RuntimeError("Z^1/F and Z^1/B^1 disagree on whether f_-1 lies in F")
     return H1Report(factors, len(factors), "oracle", None, len(f_factors), f_minus1_in_f)
+
+
+def h1_halfsum_by_hermite(G):
+    """The checker for cohomology.h1_halfsum: the Hermite route it replaced,
+    with the same refusal above MAX_HALFSUM_NULLITY.  Returns the same
+    H1Report.
+
+    The orbit/half-sum method of the cocycle-quotient reduction.
+
+    Candidate classes are xi_I = (1/2) sum_{i in I} f_i for I a union of
+    index orbits with even column sum; I -> [xi_I] is GF(2)-linear in I, so
+    a nullspace basis of the parity condition spans everything.  Orbits of
+    zero column sum add nothing to xi_I and are left out; the witness search
+    over the 2^k basis combinations refuses k > MAX_HALFSUM_NULLITY.
+    Each 2 xi_I lies in F, so F <= W = F + <xi_I> <= sat(F), and dim W/F
+    is how many torsion factors, all 2, Z^D/W has fewer than Z^D/F.
+    """
+    n = G.n
+    dim = n + 2
+    S = _generating_set(G)
+    if not S:
+        return H1Report((), 0, "halfsum", (), 0, True)
+    cols = coboundary_columns(S, n)
+    D = len(S) * dim
+    orbits: list[tuple[int, ...]] = []
+    orbit_sums: list[list[int]] = []
+    for orb in index_orbits(n, S):
+        v = [0] * D
+        for i in orb:
+            for c, x in enumerate(cols[i]):
+                v[c] += x
+        if any(v):
+            orbits.append(orb)
+            orbit_sums.append(v)
+    k = len(orbits)
+
+    # GF(2) nullspace of T -> sum of orbit columns (mod 2)
+    def bits(v: list[int]) -> int:
+        out = 0
+        for c, x in enumerate(v):
+            if x & 1:
+                out |= 1 << c
+        return out
+
+    basis: list[tuple[int, int]] = []  # (bitmask, combo over orbits)
+    null_combos: list[int] = []
+    for t in range(k):
+        cur = bits(orbit_sums[t])
+        combo = 1 << t
+        for bm, cm in basis:
+            low = bm & -bm
+            if cur & low:
+                cur ^= bm
+                combo ^= cm
+        if cur == 0:
+            null_combos.append(combo)
+        else:
+            basis.append((cur, combo))
+
+    F = LatticeBasis.from_vectors(D, [cols[i] for i in range(1, n + 1)])
+
+    def xi_of(combo: int) -> tuple[int, ...]:
+        v = [0] * D
+        for t in range(k):
+            if combo >> t & 1:
+                for c, x in enumerate(orbit_sums[t]):
+                    v[c] += x
+        if any(x % 2 for x in v):
+            raise RuntimeError("an orbit combination in the parity nullspace has an odd column sum")
+        return tuple(x // 2 for x in v)
+
+    xis = [xi_of(cm) for cm in null_combos]
+    W = LatticeBasis.from_vectors(D, F.rows + tuple(xis))
+    if W.rank != F.rank:
+        raise RuntimeError("the half-sum span outgrew the saturation of F")
+    dim_span = len(_two_torsion(_hermite_torsion(F))) - len(_two_torsion(_hermite_torsion(W)))
+
+    f_minus1 = cols[-1]
+    in_f = F.member(f_minus1)
+    rank = dim_span - (0 if in_f else 1)
+    if rank < 0:
+        raise RuntimeError("f_-1 lies outside F although the half-sum span adds nothing")
+
+    # minimal-cardinality independent witnesses, ties broken lexicographically
+    witnesses: list[tuple[int, ...]] = []
+    if dim_span:
+        if len(null_combos) > MAX_HALFSUM_NULLITY:
+            raise ValueError(
+                f"the half-sum search needs 2^{len(null_combos)} > 2^{MAX_HALFSUM_NULLITY} orbit combinations; use --method oracle"
+            )
+        candidates = []
+        for mask in range(1, 1 << len(null_combos)):
+            combo = 0
+            for b in range(len(null_combos)):
+                if mask >> b & 1:
+                    combo ^= null_combos[b]  # never 0: each basis vector has its own highest orbit
+            I = tuple(sorted(i for t in range(k) if combo >> t & 1 for i in orbits[t]))
+            candidates.append((len(I), I, combo))
+        candidates.sort()
+        grown = F
+        seen_I = set()
+        for _, I, combo in candidates:
+            if I in seen_I or len(witnesses) == dim_span:
+                continue
+            seen_I.add(I)
+            xi = xi_of(combo)
+            if not grown.member(xi):
+                witnesses.append(I)
+                grown = LatticeBasis.from_vectors(D, grown.rows + (xi,))
+
+    return H1Report(
+        invariant_factors=(2,) * rank,
+        f2_rank=rank,
+        method="halfsum",
+        witnesses=tuple(witnesses),
+        z1_mod_f_rank=dim_span,
+        f_minus1_in_span=in_f,
+    )
 
 
 def determinant(A):

@@ -10,8 +10,8 @@ from conich1.classes import build_group, smallest_param_tuples
 from conich1.cli import EXIT_OK, main
 from conich1.cohomology import (
     TorsionError,
+    _coboundary_rows,
     _generating_set,
-    coboundary_columns,
     cyclic_h1_fails,
     h1_condition,
     h1_condition_cyclic,
@@ -35,7 +35,7 @@ from conich1.groups import (
     sylow2,
     wdn_generators,
 )
-from conich1.intlinalg import LatticeBasis
+from conich1.intlinalg import IntMatrix, LatticeBasis, unit_pivot_torsion
 from conich1.picard import phi_of_enc
 from conich1.signedperm import SignedPerm, lambda_count, parse_element
 from helpers import (
@@ -43,10 +43,12 @@ from helpers import (
     _finite_quotient,
     bounded_closure,
     catalog_and_table_groups,
+    coboundary_columns,
     conjugate_group,
     elements,
     h1_by_cocycle_system,
     h1_condition_direct,
+    h1_halfsum_by_hermite,
     h1_oracle_by_hermite,
     iter_wdn,
     random_subgroup,
@@ -188,23 +190,42 @@ def test_condition_cyclic_examples():
     assert ok and typ == 1
 
 
+def _nonzero_rows(cols):
+    """The nonzero rows, as {i: entry} dicts, of the matrix with the dense
+    columns ``cols`` (helpers.coboundary_columns)."""
+    rows = ({i: col[r] for i, col in cols.items() if col[r]} for r in range(len(cols[-1])))
+    return [row for row in rows if row]
+
+
 def test_coboundary_columns_identity_and_display():
-    cols = coboundary_columns([SignedPerm.identity(4).enc], 4)
-    assert all(not any(v) for v in cols.values())
-    # the one-generator display for c1c2: f_1 has entries 1 at l_0 and -2 at l_1
-    cols = coboundary_columns([parse_element("c1 c2", 4).enc], 4)
+    assert _coboundary_rows([SignedPerm.identity(4).enc], 4) == []
+    # the one-generator display for c1c2: f_1 has entries 1 at l_0 and -2 at
+    # l_1, so the rows at l_0, l_1 and l_2 are the only nonzero ones
+    c1c2 = [parse_element("c1 c2", 4).enc]
+    rows = _coboundary_rows(c1c2, 4)
+    assert rows == [{-1: 1, 1: 1, 2: 1}, {-1: -1, 1: -2}, {-1: -1, 2: -2}]
+    cols = coboundary_columns(c1c2, 4)
     assert cols[1] == (0, 1, -2, 0, 0, 0)
     assert cols[2] == (0, 1, 0, -2, 0, 0)
     assert cols[3] == cols[4] == (0, 0, 0, 0, 0, 0)
     assert cols[-1] == (0, 1, -1, -1, 0, 0)
+    assert rows == _nonzero_rows(cols)
 
 
-def test_halfsum_identity_holds_for_random_generators():
+def test_halfsum_identity_holds_for_random_generators(monkeypatch):
+    # the sparse rows are the nonzero rows of the dense columns, and both
+    # readers check f_-1 = half the column sum on every row
     rng = random.Random(1)
     for _ in range(50):
         n = rng.choice([4, 5, 6])
         gens = [rand_wdn(rng, n).enc for _ in range(rng.randint(1, 3))]
-        coboundary_columns(gens, n)  # asserts f_-1 = half the column sum internally
+        assert _coboundary_rows(gens, n) == _nonzero_rows(coboundary_columns(gens, n)), gens
+    # a matrix off by one in the l_1 entry of row l_0 breaks the identity
+    m = list(phi_of_enc(gens[0]).entries)
+    m[n + 2 + 2] += 1
+    monkeypatch.setattr(cohomology, "phi_of_enc", lambda e: IntMatrix(n + 2, n + 2, m))
+    with pytest.raises(RuntimeError, match="half-sum identity"):
+        _coboundary_rows(gens[:1], n)
 
 
 def test_halfsum_worked_example_1():
@@ -242,11 +263,10 @@ def _sparse_wdn(rng, n):
             return SignedPerm(n, img, minus)
 
 
-def test_halfsum_reports_are_frozen():
-    # 40 seeded groups at each rank 2..9, the 48 smallest family instances
-    # and every reference-table row (414 groups, 191 with an index orbit of
-    # zero column sum): the digest was recorded before the half-sum search
-    # left such orbits out and skipped an empty span
+def _halfsum_frozen_groups():
+    """40 seeded groups at each rank 2..9, the 48 smallest family instances
+    and every reference-table row: 414 groups, 191 with an index orbit of
+    zero column sum."""
     rng = random.Random(22)
     drawn = []
     for n in range(2, 10):
@@ -254,39 +274,67 @@ def test_halfsum_reports_are_frozen():
             grp = bounded_closure([_sparse_wdn(rng, n) for _ in range(rng.randint(1, 3))], n, cap=1024)
             if grp is not None:
                 drawn.append(grp)
-    reports = [h1_halfsum(grp) for grp in drawn + catalog_and_table_groups()]
+    return drawn + catalog_and_table_groups()
+
+
+def test_halfsum_reports_are_frozen():
+    # the digest was recorded before the half-sum search left the orbits of
+    # zero column sum out and skipped an empty span
+    reports = [h1_halfsum(grp) for grp in _halfsum_frozen_groups()]
     data = [(r.f2_rank, r.witnesses, r.z1_mod_f_rank, r.f_minus1_in_span) for r in reports]
     assert len(data) == 414
     assert hashlib.sha256(repr(data).encode()).hexdigest() == "5fe8b74383ac3ac8f9fc231522b5e313bfca0e91805b97d0f8f418a238afad13"
 
 
 def test_halfsum_span_dimension_matches_the_quotient(monkeypatch, full_lattice):
-    # h1_halfsum reads dim W/F as the drop in torsion from Z^D/F to Z^D/W;
-    # the helpers route takes the Smith form of W's coordinates in F's basis.
-    # The first two Hermite bases h1_halfsum builds are F and W = F + <xi_I>
+    # h1_halfsum reads dim W/F over F_2 off the relations among f_1..f_n;
+    # the Smith form of W's coordinates in F's basis gives it from the
+    # lattices.  The first two Hermite bases the checker
+    # h1_halfsum_by_hermite builds are F and W = F + <xi_I>
     groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
     assert len(groups) == 389
     built = []
-    sum_with = LatticeBasis.sum_with
-
-    def record(self, vectors):
-        L = sum_with(self, vectors)
-        built.append((self, L))
-        return L
-
-    monkeypatch.setattr(LatticeBasis, "sum_with", record)
+    from_vectors = LatticeBasis.from_vectors
+    monkeypatch.setattr(LatticeBasis, "from_vectors", classmethod(lambda cls, d, vs: built.append(from_vectors(d, vs)) or built[-1]))
     spans = 0
     for grp in groups:
         built.clear()
+        h1_halfsum_by_hermite(grp)
         rep = h1_halfsum(grp)
         if not _generating_set(grp):
-            assert rep.z1_mod_f_rank == 0
+            assert rep.z1_mod_f_rank == 0 and built == []
             continue
-        (zero, F), (F_again, W) = built[:2]
-        assert zero.rank == 0 and F_again is F
+        F, W = built[:2]
         assert rep.z1_mod_f_rank == len(_finite_quotient(W, F)), grp
         spans += rep.z1_mod_f_rank > 0
     assert spans > 0
+
+
+def test_halfsum_matches_hermite_route(full_lattice):
+    # the F_2 decision on the relations against the Hermite lattices F,
+    # W and F + <witnesses>, field by field, on the 389 groups of
+    # test_reduced_lattices_are_frozen, the 414 of
+    # test_halfsum_reports_are_frozen and seeded random groups at ranks 2..9
+    groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
+    frozen = _halfsum_frozen_groups()
+    rng = random.Random(30)
+    drawn = []
+    for n in range(2, 10):
+        while len(drawn) < 40 * (n - 1):
+            grp = bounded_closure([rng.choice((_sparse_wdn, rand_wdn))(rng, n) for _ in range(rng.randint(1, 3))], n, cap=512)
+            if grp is not None:
+                drawn.append(grp)
+    counts = []
+    for batch in (groups, frozen, drawn):
+        outside_f = nonzero = 0
+        for grp in batch:
+            rep = h1_halfsum(grp)
+            assert rep == h1_halfsum_by_hermite(grp), grp
+            outside_f += rep.f_minus1_in_span is False
+            nonzero += rep.f2_rank > 0
+        counts.append((len(batch), nonzero, outside_f))
+    # (groups, nonzero H^1, f_-1 outside F) per batch
+    assert counts == [(389, 57, 352), (414, 8, 245), (320, 4, 154)]
 
 
 def test_witnesses_are_orbit_unions_without_minus_one():
@@ -421,8 +469,8 @@ def test_oracle_evaluates_phi_once_per_generator(monkeypatch):
     assert grp.order == 48 and len(grp.spanning_encs) == 2
     phi_calls, mul_calls, hnf_calls = [], [], []
     monkeypatch.setattr(cohomology, "phi_of_enc", lambda e: phi_calls.append(e) or phi_of_enc(e))
-    sum_with = LatticeBasis.sum_with
-    monkeypatch.setattr(LatticeBasis, "sum_with", lambda L, vs: hnf_calls.append(1) or sum_with(L, vs))
+    from_vectors = LatticeBasis.from_vectors
+    monkeypatch.setattr(LatticeBasis, "from_vectors", classmethod(lambda cls, d, vs: hnf_calls.append(1) or from_vectors(d, vs)))
     for name, module in list(sys.modules.items()):
         if name.startswith("conich1") and hasattr(module, "enc_mul"):
             orig = module.enc_mul
@@ -431,6 +479,7 @@ def test_oracle_evaluates_phi_once_per_generator(monkeypatch):
     assert phi_calls == list(grp.spanning_encs)
     assert mul_calls == hnf_calls == []
     assert rep.invariant_factors == (2,) == h1_halfsum(grp).invariant_factors
+    assert hnf_calls == []  # nor does the half-sum method
 
 
 def _generated_by_all(grp):
@@ -644,9 +693,9 @@ def test_two_torsion_enforced():
     # the enforcement itself raises TorsionError on anything else
     rep = h1_oracle(example1())
     assert set(rep.invariant_factors) <= {2}
-    assert cohomology._torsion(LatticeBasis.from_vectors(2, [(2, 0)])) == (2,)
+    assert cohomology._two_torsion(unit_pivot_torsion([{0: 2}, {1: 1}])[1]) == (2,)
     with pytest.raises(TorsionError, match=r"\(4,\) are not all 2"):
-        cohomology._torsion(LatticeBasis.from_vectors(1, [(4,)]))
+        cohomology._two_torsion(unit_pivot_torsion([{0: 4}])[1])
 
 
 def test_h1_condition_sampling_fallback(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conich1 import intlinalg
-from conich1.cohomology import _generating_set, coboundary_columns, h1_halfsum, h1_oracle
+from conich1.cohomology import _generating_set, h1_halfsum, h1_oracle
 from conich1.groups import abelian_invariants
 from conich1.intlinalg import (
     IntMatrix,
@@ -27,6 +27,7 @@ from conich1.intlinalg import (
 from helpers import (
     CHECKED_CLASS_MAX_ORDER,
     catalog_and_table_groups,
+    coboundary_columns,
     lattice_equal,
     smith_normal_form_with_transforms,
 )
@@ -64,7 +65,8 @@ def test_snf_builds_one_intmatrix(monkeypatch):
 def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
     # the HNF rows of F = <f_1..f_n> and B = F + <f_-1> that the Hermite
     # route (helpers.h1_oracle_by_hermite) reduces, for every class of
-    # order at most CHECKED_CLASS_MAX_ORDER
+    # order at most CHECKED_CLASS_MAX_ORDER; unit_pivot_torsion on those
+    # rows reads the same torsion
     reps, _ = full_lattice(n)
     reps = [H for H in reps if H.order <= CHECKED_CLASS_MAX_ORDER]
     assert len(reps) == count
@@ -73,20 +75,27 @@ def test_snf_matches_checker_on_oracle_lattices(n, count, full_lattice):
         if not S:
             continue
         cob = coboundary_columns(S, n)
-        F = LatticeBasis.from_vectors(len(S) * (n + 2), [cob[i] for i in range(1, n + 1)])
-        for lattice in (F, F.sum_with([cob[-1]])):
+        D = len(S) * (n + 2)
+        F = LatticeBasis.from_vectors(D, [cob[i] for i in range(1, n + 1)])
+        for lattice in (F, LatticeBasis.from_vectors(D, F.rows + (cob[-1],))):
             A = IntMatrix.from_rows(lattice.rows)
             S = smith_normal_form_with_transforms(A)[0]
             assert smith_normal_form(A) == S, H
-            assert lattice.torsion() == tuple(d for d in S.diagonal() if d > 1), H
+            assert unit_pivot_torsion(_sparse(lattice.rows))[1] == tuple(d for d in S.diagonal() if d > 1), H
+
+
+def _sparse(rows):
+    """The dense rows as {column: entry} dicts, zeros left out."""
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
 
 
 def test_torsion_matches_checker_on_random_hermite_bases():
-    # torsion() eliminates the unit entries before the Smith form, the
-    # checker eliminates the whole matrix
+    # unit_pivot_torsion on a lattice's Hermite rows eliminates the unit
+    # entries before the Smith form, the checker eliminates the whole
+    # matrix: both give the torsion of Z^d/L
     seen = set()
     for L in _random_hermite_bases(random.Random(11), 400):
-        assert L.torsion() == _checker_torsion(L.rows or [[0] * L.ambient_dim]), L
+        assert unit_pivot_torsion(_sparse(L.rows))[1] == _checker_torsion(L.rows or [[0] * L.ambient_dim]), L
         seen |= _shapes(L)
     assert seen == {"zero", "full", "unit pivot with tail", "negative"}
 
@@ -137,12 +146,10 @@ def test_unit_pivot_torsion_matches_checker_on_sparse_matrices(monkeypatch):
     seen = set()
     for rows in _random_sparse_matrices(random.Random(29), 400):
         want = (_checker_torsion([r[1:] for r in rows]), _checker_torsion(rows))
-        sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
         del snf_calls[:]
-        assert unit_pivot_torsion(sparse, side=(0,)) == want, rows
+        assert unit_pivot_torsion(_sparse(rows), side=(0,)) == want, rows
         seen |= _sparse_shapes(rows, bool(snf_calls))
-        sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
-        assert unit_pivot_torsion(sparse) == (want[1], want[1]), rows
+        assert unit_pivot_torsion(_sparse(rows)) == (want[1], want[1]), rows
     assert seen == {
         "no unit",
         "only units",
@@ -154,30 +161,35 @@ def test_unit_pivot_torsion_matches_checker_on_sparse_matrices(monkeypatch):
 
 
 def test_reduced_lattices_are_frozen(monkeypatch, full_lattice):
-    # the HNF rows of every Hermite basis the library builds (from_vectors
-    # is the zero lattice's sum_with, so sum_with sees them all), and what
-    # the callers receive: the oracle and half-sum H1Reports and the
+    # what the callers receive, the oracle and half-sum H1Reports and the
     # abelian invariants, on the full-mode classes at ranks 4 and 5, the 48
-    # smallest family instances and the 46 table rows.  The oracle builds
-    # no Hermite basis, so the bases are the half-sum's and the abelian
-    # invariants'; their count and digest were recorded while the oracle
-    # still built Hermite bases, and the report digest while the half-sum
-    # read dim W/F off a Smith form of W's coordinates in F
+    # smallest family instances and the 46 table rows.  The digest was
+    # recorded while the half-sum read dim W/F off a Smith form of W's
+    # coordinates in F.  None of them builds a Hermite basis: the Hermite
+    # form is reached only inside the Smith form of a torsion remainder
     groups = full_lattice(4)[0] + full_lattice(5)[0] + catalog_and_table_groups()
     assert len(groups) == 98 + 197 + 94
-    hnf = []
-    sum_with = LatticeBasis.sum_with
+    depth, outside = [0], []
+    snf, hnf = intlinalg.smith_normal_form, intlinalg._hnf_reduce
 
-    def record_hnf(self, vectors):
-        L = sum_with(self, vectors)
-        hnf.append(L.rows)
-        return L
+    def smith(A):
+        depth[0] += 1
+        try:
+            return snf(A)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(LatticeBasis, "sum_with", record_hnf)
+    def hermite(rows, dim):
+        if not depth[0]:
+            outside.append(dim)
+        return hnf(rows, dim)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", smith)
+    monkeypatch.setattr(intlinalg, "_hnf_reduce", hermite)
     reports = [reduce(grp) for reduce in (h1_oracle, h1_halfsum) for grp in groups]
     reports += [abelian_invariants(grp) for grp in groups]
-    assert len(hnf) == 1577
-    assert hashlib.sha256(repr(hnf).encode()).hexdigest() == "9a26ec2107cba6637d544766548fe5c7c36b27a12cc5bdeb01ab301edc1af833"
+    assert outside == []
+    assert depth == [0]
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == "9256caef3af3f9239e0162cec0220e0853e62b2a98e31dc2a6b3296b98071e88"
 
 
@@ -213,27 +225,35 @@ def _shapes(L):
     return seen
 
 
-def test_sum_with_inserts_into_the_hermite_rows():
-    # inserting vectors into stored Hermite rows gives the Hermite form of
-    # the whole generating set, and one vector leaves the rows unchanged
+def test_from_vectors_gives_the_hermite_form_of_the_span():
+    # the Hermite rows depend on the span alone: a lattice's own rows give
+    # it back, and added vectors give the same rows in any order and after
+    # unimodular row operations; one vector leaves the rows unchanged
     # exactly when it is a member
     rng = random.Random(27)
     seen = set()
     for L in _random_hermite_bases(rng, 400):
         d = L.ambient_dim
         seen |= _shapes(L)
+        assert LatticeBasis.from_vectors(d, L.rows) == L
         for k in (0, 1, 2, 3):
             vs = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)]
-            assert L.sum_with(vs) == LatticeBasis.from_vectors(d, L.rows + tuple(vs)), (L, vs)
+            want = LatticeBasis.from_vectors(d, L.rows + tuple(vs))
+            mixed = [list(v) for v in L.rows + tuple(vs)]
+            rng.shuffle(mixed)
+            for i in range(1, len(mixed)):
+                q = rng.randint(-3, 3)
+                mixed[i] = [x + q * y for x, y in zip(mixed[i], mixed[i - 1])]
+            assert LatticeBasis.from_vectors(d, mixed) == want, (L, vs)
         coeffs = [[rng.randint(-2, 2) for _ in L.rows] for _ in range(2)]
         members = [tuple(sum(a * r[j] for a, r in zip(cs, L.rows)) for j in range(d)) for cs in coeffs]
         others = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(3)]
         for v in members + others:
-            assert (L.sum_with([v]) == L) == L.member(v), (L, v)
+            assert (LatticeBasis.from_vectors(d, L.rows + (v,)) == L) == L.member(v), (L, v)
         assert all(L.member(v) for v in members)
     assert seen == {"zero", "full", "unit pivot with tail", "negative"}
     with pytest.raises(ValueError):
-        LatticeBasis.full(2).sum_with([(1, 2, 3)])
+        LatticeBasis.from_vectors(2, [(1, 0), (1, 2, 3)])
 
 
 def test_snf_2x2_coprime_diagonal():
