@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 from .cohomology import h1_condition
 from .groups import Enc, FiniteGroup, enc_closure, enc_mul, index_orbits, pair_orbits
+from .signedperm import _PAD
 
 
 class OrbitDecomposition(NamedTuple):
@@ -88,18 +89,18 @@ def _orbit_images(G: FiniteGroup, orbit: tuple[int, ...]) -> tuple[dict[Enc, Enc
 
     The restriction to the sorted orbit is relabelled to 1..n'; when some
     restriction has sigma = -1, every image gains index n'+1, flipped exactly
-    where sigma = -1.
+    where sigma = -1.  A restriction is two translate calls: the table
+    gathered at the symbols of O, then relabelled to those of 1..n'.
     """
-    pos = {a - 1: i for i, a in enumerate(orbit)}
-    restricted = {}
-    for e in G.enc_set:
-        r = [2 * pos[e[a] >> 1] ^ (e[a] & 1) for a in pos]
-        restricted[e] = (r, sum(r) & 1)  # the parity of the flips on O
-    appended = any(odd for _, odd in restricted.values())
-    if not appended:
-        return {e: tuple(r) for e, (r, _) in restricted.items()}, False
+    symbols = bytes(s for a in orbit for s in (2 * a - 2, 2 * a - 1))
+    relabel = bytes.maketrans(symbols, bytes(range(len(symbols))))
+    pad = _PAD[2 * G.n]
+    restricted = {e: symbols.translate(e + pad).translate(relabel) for e in G.enc_set}
+    if not any(sum(r[::2]) & 1 for r in restricted.values()):  # the parity of the flips on O
+        return restricted, False
     fixed = 2 * len(orbit)
-    return {e: (*r, fixed ^ odd) for e, (r, odd) in restricted.items()}, True
+    last = (bytes((fixed, fixed + 1)), bytes((fixed + 1, fixed)))  # index n'+1, kept or flipped
+    return {e: r + last[sum(r[::2]) & 1] for e, r in restricted.items()}, True
 
 
 def _check_homomorphism(images: dict[Enc, Enc], gens: list[Enc]) -> None:

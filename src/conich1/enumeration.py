@@ -47,7 +47,6 @@ from .groups import (
     are_conjugate,
     canonical_form,
     closure,
-    enc_cycle_type,
     enc_mul,
     identity_enc,
     index_orbits,
@@ -55,7 +54,7 @@ from .groups import (
     subgroup_walk,
     wdn_generators,
 )
-from .signedperm import SignedPerm, format_element, parse_element, wdn_order
+from .signedperm import SignedPerm, format_element, paired_enc, parse_element, signed_cycle_type, wdn_order
 
 FULL_MODE_MAX_RANK = 5
 GUIDED_MODE_MAX_RANK = 7
@@ -70,20 +69,20 @@ def clean_elements(n: int) -> frozenset[Enc]:
     Whether <g> passes depends only on the Lambda counts of the powers of
     g, which depend only on its signed cycle type, so the condition is
     evaluated once per cycle type.  W(D_n) is walked lazily, every
-    permutation with every even set of sign flips, and only the clean
-    elements are kept.
+    permutation with every even set of sign flips, as the images of
+    1^+..n^+, and only the clean elements are built as symbol tables.
     """
     verdicts: dict[tuple, bool] = {}
     even_flips = [f for f in product((0, 1), repeat=n) if not sum(f) % 2]
     out = []
     for perm in permutations(range(0, 2 * n, 2)):
         for flips in even_flips:
-            e = tuple(map(or_, perm, flips))
-            t = enc_cycle_type(e)
+            images = bytes(map(or_, perm, flips))
+            t = signed_cycle_type(images)
             if t not in verdicts:
-                verdicts[t] = h1_condition_cyclic(SignedPerm.from_enc(n, e))[0]
+                verdicts[t] = h1_condition_cyclic(SignedPerm.from_enc(n, paired_enc(images)))[0]
             if verdicts[t]:
-                out.append(e)
+                out.append(paired_enc(images))
     return frozenset(out)
 
 

@@ -1,24 +1,26 @@
 """Finite subgroups of W(D_n): closure, subgroup lattice, Sylow-2, conjugacy,
 and the conjugacy orbit of a subgroup (its normalizer and canonical form).
 
-Everything here runs on element encodings (SignedPerm.enc) with the
-primitives of signedperm (enc_mul, enc_inv, enc_order, enc_cycle_type,
-enc_dn_class), which this module re-exports, and orders elements as
-their encodings order.  SignedPerm objects are the public value type and
-are built only on request (FiniteGroup.generators).
+Everything here runs on element encodings (SignedPerm.enc), the bytes
+symbol tables of signedperm, with its primitives (enc_mul, enc_inv,
+enc_order, enc_cycle_type, enc_dn_class), which this module re-exports,
+and orders elements as their tables order.  A right coset Hy is one
+translate call per element, [y.translate(h + pad) for h in H].
+SignedPerm objects are the public value type and are built only on
+request (FiniteGroup.generators).
 Conjugacy orbits of subgroups run on labels instead, the sort positions
 of a conjugation-closed set of encodings (ConjugationLabels).
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import isqrt
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intlinalg import unit_pivot_torsion
 from .signedperm import (
+    _PAD,
     Enc,
     SignedPerm,
     enc_cycle_type,
@@ -40,29 +42,19 @@ def wdn_generators(n: int) -> list[Enc]:
     """Generators of W(D_n), n >= 2: (1,2), c1 c2 and, for n > 2, (1,2,...,n)."""
     if n < 2:
         raise ValueError(f"W(D_n) generators need n >= 2, got {n}")
-    rest = identity_enc(n)[2:]
-    gens = [(2, 0) + rest, (1, 3) + rest]
+    rest = identity_enc(n)[4:]
+    gens = [bytes((2, 3, 0, 1)) + rest, bytes((1, 0, 3, 2)) + rest]
     if n > 2:
-        gens.append(tuple(2 * ((j + 1) % n) for j in range(n)))
+        gens.append(bytes((s + 2) % (2 * n) for s in range(2 * n)))
     return gens
 
 
 def enc_conjugation(t: Enc) -> Callable[[Enc], Enc]:
-    """q -> t q t^-1 in one pass per q, from a symbol table of t and the
-    pairs of t^-1: entry j is t applied to the symbol q(t^-1(j^+))."""
-    T = [t[x >> 1] ^ (x & 1) for x in range(2 * len(t))]
-    ti = [(s >> 1, s & 1) for s in enc_inv(t)]
-    return lambda q: tuple([T[q[k]] ^ f for k, f in ti])
-
-
-def symbol_tables(encs: Iterable[Enc], n: int) -> dict[Enc, tuple[int, ...]]:
-    """Each element h -> its symbol table, whose entry s is h(s).
-
-    Entry 2k is h[k], so h*y (y applied first) is the table gathered at
-    y's entries, itemgetter(*y)(table), one C-level call per product.
-    """
-    pair = [(s, s ^ 1) for s in range(2 * n)].__getitem__
-    return {h: tuple(chain.from_iterable(map(pair, h))) for h in encs}
+    """q -> t q t^-1: entry s is t(q(t^-1(s))), so q is gathered at
+    t^-1's entries and the result looked up in t, two translate calls."""
+    pad = _PAD[len(t)]
+    t_inv, t_table = enc_inv(t), t + pad
+    return lambda q: t_inv.translate(q + pad).translate(t_table)
 
 
 def enc_closure(
@@ -70,7 +62,7 @@ def enc_closure(
     n: int,
     cap: int = DEFAULT_CLOSURE_CAP,
     within: AbstractSet[Enc] | None = None,
-    subgroup: Iterable[Enc] | dict[Enc, tuple[int, ...]] | None = None,
+    subgroup: Iterable[Enc] | None = None,
     on_cap: Callable[[], None] | None = None,
 ) -> frozenset[Enc] | None:
     """The group generated by ``gens``, grown as a union of right cosets.
@@ -83,9 +75,8 @@ def enc_closure(
     ``subgroup`` the group grows from the trivial group one generator at a
     time (Dimino's algorithm); ``subgroup``, a closed subgroup of <gens>
     inside ``within`` (the walker passes <gens[:-1]>), is the start of a
-    single step.  Given as symbol_tables of its elements, its coset Hy is
-    one itemgetter(*y) call per table; otherwise each product reads y's
-    symbol pairs, as a table costs more to build than a few cosets save.
+    single step.  A coset Hy is one translate call per element of H:
+    h*y is y's entries looked up in h's table.
 
     Returns None as soon as the closure exceeds ``cap`` or leaves the set
     ``within`` (used as an early abort by enumeration); both are checked as
@@ -94,11 +85,9 @@ def enc_closure(
     """
     gens = list(gens)
     ident = identity_enc(n)
-    tables = None
+    pad = _PAD[2 * n]
     if subgroup is not None:
         K = set(subgroup)
-        if isinstance(subgroup, dict):
-            tables = subgroup.values()
         if len(K) > cap:
             if on_cap is not None:
                 on_cap()
@@ -113,15 +102,15 @@ def enc_closure(
         S = gens[:k]
         if subgroup is None and S[-1] in K:
             continue  # K = <S[:-1]> already holds S[-1]
-        if tables is None:
-            H = list(K)
+        H = list(K)
         reps = [ident]
         for r in reps:  # reps grows while it is read
+            r_table = r + pad
             for s in S:
-                y = s if r is ident else enc_mul(r, s)
+                y = s.translate(r_table)  # r*s
                 if y in K:
                     continue
-                coset = _right_coset(H, y) if tables is None else list(map(itemgetter(*y), tables))
+                coset = [y.translate(h + pad) for h in H]
                 if within is not None and not within.issuperset(coset):
                     return None
                 K.update(coset)
@@ -131,12 +120,6 @@ def enc_closure(
                     return None
                 reps.append(y)
     return frozenset(K)
-
-
-def _right_coset(H: Sequence[Enc], y: Enc) -> list[Enc]:
-    """[h*y for h in H], with y's symbol pairs read once for all of H."""
-    pairs = [(s >> 1, s & 1) for s in y]
-    return [tuple([h[k] ^ f for k, f in pairs]) for h in H]
 
 
 def _orbits(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -162,13 +145,13 @@ def _orbits(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 def index_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
     """Orbits of the projected permutation group on {1..n}, sorted by min."""
-    links = ((j, s >> 1) for e in encs for j, s in enumerate(e))
+    links = ((j, s >> 1) for e in encs for j, s in enumerate(e[::2]))
     return [tuple(j + 1 for j in o) for o in _orbits(n, links)]
 
 
 def pair_orbits(n: int, encs: Iterable[Enc]) -> list[tuple[int, ...]]:
     """Orbits on the 2n symbols; symbols are 2(j-1) for j^+ and 2(j-1)+1 for j^-."""
-    links = ((2 * j + bit, s ^ bit) for e in encs for j, s in enumerate(e) for bit in (0, 1))
+    links = (link for e in encs for link in enumerate(e))
     return [tuple(o) for o in _orbits(2 * n, links)]
 
 
@@ -266,7 +249,7 @@ def prime_power_cyclics(encs: Iterable[Enc]) -> dict[Enc, Enc]:
 
 
 def _cyclic_encs(e: Enc) -> list[Enc]:
-    out = [identity_enc(len(e))]
+    out = [identity_enc(len(e) >> 1)]
     x = e
     while x != out[0]:
         out.append(x)
@@ -355,9 +338,7 @@ def subgroup_walk(
     orbit that reaches a dropped candidate is dropped whole.  Each kept
     subgroup K = <H, x> inherits H's live candidates, those not dropped and
     whose orbit's closure did not abort (<H, y> inside <K, y> would stop it
-    too), and tests only the new cosets: k y for k in K outside H.  The
-    products run on H's symbol tables (symbol_tables), built once per H
-    and handed to each of its closures.
+    too), and tests only the new cosets: k y for k in K outside H.
 
     A candidate x inside an earlier closure K = <H, x0> of the same H with
     [K:H] prime is not closed: H < <H, x> <= K and [<H, x>:H] divides the
@@ -424,9 +405,8 @@ def _walk_levels(
                 orbit, conjugators = conjugacy_orbit(labels, H, gens)
                 store.orbit_points += len(orbit)
             parent, candidates_left = inherited.pop(H)
-            tables = symbol_tables(H, n)
             conjugations = [enc_conjugation(g) for g in conjugators]
-            orbits = _live_orbits(tables, parent, candidates_left, within, conjugations, cyclic)
+            orbits = _live_orbits(H, parent, candidates_left, within, conjugations, cyclic)
             live: list[Enc] = []  # the members of orbits whose closure did not abort
             children = []
             covered: set[Enc] = set()  # the elements of the closures K so far with [K:H] prime
@@ -435,7 +415,7 @@ def _walk_levels(
                     live += orbit  # <H, x> is such a K, already closed
                     continue
                 closures += 1
-                K = enc_closure(gens + [x], n, cap=cap, within=within, subgroup=tables, on_cap=on_cap)
+                K = enc_closure(gens + [x], n, cap=cap, within=within, subgroup=H, on_cap=on_cap)
                 if K is None:
                     aborted += 1
                     continue
@@ -460,7 +440,7 @@ def _walk_levels(
 
 
 def _live_orbits(
-    H: dict[Enc, tuple[int, ...]],
+    H: frozenset[Enc],
     parent: frozenset[Enc],
     inherited: Sequence[Enc],
     within: AbstractSet[Enc] | None,
@@ -470,20 +450,19 @@ def _live_orbits(
     """The orbits, under ``conjugations``, of the candidates that may still
     extend H, each in tracing order.
 
-    ``H`` maps each element of H to its symbol table (symbol_tables), and
     ``inherited`` are the live candidates of ``parent``, the subgroup P
     that H extends (H itself for the trivial group).  A candidate in H
     drops, and, given ``within``, so does an x with h x outside it for
     some h in H outside P: P x was tested at P, so H x leaves ``within``.
-    Each h x is one itemgetter(*x) call on h's table.  An orbit that
+    Each h x is one translate call, x looked up in h's table.  An orbit that
     reaches a dropped candidate z drops whole, as each of its members y
     gives a subgroup <H, y> conjugate to <H, z>.
     """
     live = {x for x in inherited if x not in H}
     if within is not None:
-        fresh = [table for h, table in H.items() if h not in parent]
+        fresh = [h + _PAD[len(h)] for h in H if h not in parent]
         if fresh:
-            live = {x for x in live if within.issuperset(map(itemgetter(*x), fresh))}  # every h x in within
+            live = {x for x in live if within.issuperset(map(x.translate, fresh))}  # every h x in within
     traced: set[Enc] = set()
     orbits = []
     for x in inherited:
@@ -676,7 +655,7 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
             j = queue.pop()
             order_idx.append(j)
             for g in gens:
-                k = g[j] >> 1
+                k = g[2 * j] >> 1
                 if not seen_idx[k]:
                     seen_idx[k] = True
                     queue.append(k)
@@ -687,22 +666,18 @@ def conjugating_element(H1: FiniteGroup, H2: FiniteGroup) -> SignedPerm | None:
 
     def filter_cands(cand: list[Enc], g: Enc) -> list[Enc]:
         # keep h with h(t(j^+)) = t(g(j^+)) wherever both sides are known
-        checks = []
-        for j in assigned:
-            s = g[j]
-            if (s >> 1) << 1 in timage:
-                checks.append((timage[2 * j], timage[s & ~1] ^ (s & 1)))
+        checks = [(timage[2 * j], timage[g[2 * j]]) for j in assigned if g[2 * j] in timage]
         if not checks:
             return cand
-        return [h for h in cand if all(h[y >> 1] ^ (y & 1) == tgt for y, tgt in checks)]
+        return [h for h in cand if all(h[y] == tgt for y, tgt in checks)]
 
     used_targets: set[int] = set()
     result: list[SignedPerm | None] = [None]
 
     def assign(depth: int, cands_now: list[list[Enc]]) -> bool:
         if depth == len(order_idx):
-            enc_t = tuple(timage[2 * j] for j in range(n))
-            if sum(s & 1 for s in enc_t) % 2:
+            enc_t = bytes(map(timage.__getitem__, range(2 * n)))
+            if sum(enc_t[::2]) % 2:
                 return False  # odd conjugator lies outside W(D_n)
             # t H1 t^-1 lies in H2, a group of the same order, so equals it
             conj = enc_conjugation(enc_t)
@@ -745,24 +720,28 @@ class ConjugationLabels:
     ``encs`` is the closure, sorted, so labels order as their elements do,
     and ``index`` maps an element to its label.  ``perms[k]`` is
     conjugation by ``generators[k]`` (wdn_generators(n)) on labels: label
-    i goes to the label of g encs[i] g^-1.
+    i goes to the label of g encs[i] g^-1.  The closure search conjugates
+    each element once by each generator and keeps the images, held as the
+    stored equal elements, for the permutations.
     """
 
     def __init__(self, n: int, encs: Iterable[Enc]) -> None:
         self.n = n
         self.generators = wdn_generators(n)
         conjugations = [enc_conjugation(w) for w in self.generators]
-        found = set(encs)
+        found = {e: e for e in encs}
         queue = list(found)
+        images: list[list[Enc]] = [[] for _ in conjugations]
         for e in queue:  # queue grows while it is read
-            for conj in conjugations:
+            for conj, out in zip(conjugations, images):
                 f = conj(e)
-                if f not in found:
-                    found.add(f)
+                out.append(found.setdefault(f, f))
+                if len(found) > len(queue):
                     queue.append(f)
-        self.encs = tuple(sorted(found))
+        by_label = sorted(range(len(queue)), key=queue.__getitem__)
+        self.encs = tuple(map(queue.__getitem__, by_label))
         self.index = {e: i for i, e in enumerate(self.encs)}
-        self.perms = [tuple([self.index[conj(e)] for e in self.encs]) for conj in conjugations]
+        self.perms = [tuple([self.index[out[i]] for i in by_label]) for out in images]
 
     def of(self, encs: Iterable[Enc]) -> frozenset[int]:
         """The labels of a set of elements of the closure."""
@@ -819,7 +798,8 @@ def conjugacy_orbit(labels: ConjugationLabels, H: frozenset[Enc], gens: Sequence
 
 
 def canonical_form(G: FiniteGroup) -> tuple:
-    """Minimal image of the sorted element-set encoding over W(D_n)-conjugation.
+    """Minimal image of the sorted element-set encoding over W(D_n)-conjugation,
+    each element given as the int tuple of its images of 1^+..n^+.
 
     The least tuple(sorted(P)) over the conjugacy orbit of G's element
     set, which takes |W(D_n)| / |N_W(G)| conjugates rather than one per
@@ -838,4 +818,4 @@ def canonical_form(G: FiniteGroup) -> tuple:
     labels = ConjugationLabels(n, G.enc_set)
     orbit, _ = conjugacy_orbit(labels, G.enc_set, G.spanning_encs)
     least = min(tuple(sorted(P)) for P in orbit)
-    return (n, tuple(labels.encs[i] for i in least))
+    return (n, tuple(tuple(labels.encs[i][::2]) for i in least))

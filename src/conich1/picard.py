@@ -54,7 +54,7 @@ class PicLattice:
 def psi(a: SignedPerm) -> IntMatrix:
     """Signed permutation matrix: column j is s(tau(j)) e_{tau(j)}."""
     rows = [[0] * a.n for _ in range(a.n)]
-    for j, s in enumerate(a.enc):
+    for j, s in enumerate(a.enc[::2]):
         rows[s >> 1][j] = -1 if s & 1 else 1
     return IntMatrix.from_rows(rows)
 
@@ -70,8 +70,9 @@ def phi(a: SignedPerm) -> IntMatrix:
     return phi_of_enc(a.enc)
 
 
-def phi_of_enc(a: tuple[int, ...]) -> IntMatrix:
-    """phi of the W(D_n) element with encoding ``a`` (SignedPerm.enc), unchecked."""
+def phi_of_enc(enc: bytes) -> IntMatrix:
+    """phi of the W(D_n) element with symbol table ``enc`` (SignedPerm.enc), unchecked."""
+    a = enc[::2]  # the images of 1^+..n^+
     dim = len(a) + 2
     m = [0] * (dim * dim)
     m[0] = m[dim + 1] = 1

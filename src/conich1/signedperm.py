@@ -5,11 +5,15 @@ c_{j_1}...c_{j_t} tau with tau applied first.  Products compose right to
 left: (a * b) means b acts first, so matrix representations satisfy
 Phi(a*b) = Phi(a) Phi(b) on column vectors.
 
-W(B_n) permutes the 2n symbols j^+ / j^-.  A SignedPerm stores its
-encoding (Enc), the images of 1^+..n^+.  Product, inverse, order, signed
-cycle type and W(D_n)-class are the Enc functions below, which groups,
-cohomology and enumeration call directly on their hot paths; elements
-order as their encodings do.
+W(B_n) permutes the 2n symbols j^+ = 2(j-1) and j^- = 2(j-1)+1 (pairing
+is XOR 1).  A SignedPerm stores its encoding (Enc), its symbol table: the
+bytes of length 2n whose entry s is the image of symbol s.  So a*b (b
+first) is b.translate(a + _PAD[len(a)]), a^-1 is bytes.maketrans(a,
+identity)[:len(a)] and t q t^-1 is t^-1.translate(q + pad).translate(t +
+pad), one or two C-level calls each.  Odd entries follow even ones, the
+images of 1^+..n^+, so two tables first differ at an even entry and sort
+as the int tuples tuple(a[::2]) do, which canonical keys report.  Groups,
+cohomology and enumeration call the Enc functions below on hot paths.
 """
 
 from __future__ import annotations
@@ -19,30 +23,36 @@ from functools import cache
 from math import factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-# An element's encoding: entry j-1 is the image of the symbol j^+, where
-# symbol k^+ is 2(k-1) and k^- is 2(k-1)+1, so pairing is XOR 1.
-Enc = tuple[int, ...]
+Enc = bytes  # an element's symbol table: entry s is the image of symbol s
+_PAD = [bytes(256 - k) for k in range(257)]  # _PAD[k] fills k symbols out to the 256 translate takes
+_PAIR = bytes(s ^ 1 for s in range(256))  # a symbol -> its partner
 
 
 def identity_enc(n: int) -> Enc:
-    return tuple(range(0, 2 * n, 2))
+    return bytes(range(2 * n))
 
 
 def enc_mul(a: Enc, b: Enc) -> Enc:
     """Product with b applied first."""
-    return tuple([a[s >> 1] ^ (s & 1) for s in b])
+    return b.translate(a + _PAD[len(a)])
 
 
 def enc_inv(a: Enc) -> Enc:
-    out = [0] * len(a)
-    for j, s in enumerate(a):
-        out[s >> 1] = 2 * j ^ (s & 1)
-    return tuple(out)
+    return bytes.maketrans(a, identity_enc(len(a) >> 1))[: len(a)]
 
 
-def enc_cycle_type(a: Enc) -> tuple[tuple[int, int], ...]:
-    """Conjugation invariant: sorted (length, flip parity) over signed cycles."""
-    n = len(a)
+def paired_enc(images: bytes) -> Enc:
+    """The table whose even entries are ``images``, the images of 1^+..n^+."""
+    table = bytearray(2 * len(images))
+    table[::2] = images
+    table[1::2] = images.translate(_PAIR)
+    return bytes(table)
+
+
+def signed_cycle_type(images: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Sorted (length, flip parity) over the signed cycles of the element
+    whose images of 1^+..n^+ are ``images``."""
+    n = len(images)
     seen = [False] * n
     out = []
     for start in range(n):
@@ -53,12 +63,17 @@ def enc_cycle_type(a: Enc) -> tuple[tuple[int, int], ...]:
         j = start
         while not seen[j]:
             seen[j] = True
-            s = a[j]
+            s = images[j]
             flips += s & 1
             j = s >> 1
             w += 1
         out.append((w, flips % 2))
     return tuple(sorted(out))
+
+
+def enc_cycle_type(a: Enc) -> tuple[tuple[int, int], ...]:
+    """Conjugation invariant: sorted (length, flip parity) over signed cycles."""
+    return signed_cycle_type(a[::2])
 
 
 @cache  # one entry per signed cycle type met, so each type is checked once
@@ -82,18 +97,19 @@ def enc_dn_class(a: Enc) -> tuple[tuple[int, int], ...]:
     even conjugators keep the bit and odd ones, such as c1, swap the two
     classes.  So the key names the W(D_n)-class exactly.
     """
-    ctype = enc_cycle_type(a)
+    images = a[::2]
+    ctype = signed_cycle_type(images)
     if not _splits(ctype):
         return ctype
-    seen = [False] * len(a)
+    seen = [False] * len(images)
     minus = 0
-    for start in range(len(a)):
+    for start in range(len(images)):
         sign = 0  # v_start = +1, then v_{a(j)} = (-1)^flip v_j along the cycle
         j = start
         while not seen[j]:
             seen[j] = True
             minus += sign
-            s = a[j]
+            s = images[j]
             sign ^= s & 1
             j = s >> 1
     return ctype + ((0, minus & 1),)
@@ -109,7 +125,7 @@ def enc_order(a: Enc) -> int:
 
 class SignedPerm:
     """Element of W(B_n): a permutation of {1..n} plus a set of sign flips,
-    stored as its encoding ``enc``."""
+    stored as its symbol table ``enc`` (ranks up to 128, as entries are bytes)."""
 
     __slots__ = ("n", "enc")
 
@@ -121,7 +137,7 @@ class SignedPerm:
         if not all(1 <= j <= n for j in minus):
             raise ValueError("sign index out of range")
         self.n = n
-        self.enc = tuple(2 * (t - 1) + (t in minus) for t in image)
+        self.enc = paired_enc(bytes(2 * (t - 1) + (t in minus) for t in image))
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
@@ -145,8 +161,9 @@ class SignedPerm:
 
     @classmethod
     def from_enc(cls, n: int, enc: Sequence[int]) -> "SignedPerm":
-        enc = tuple(enc)
-        if len(enc) != n or sorted(s >> 1 for s in enc) != list(range(n)):
+        """The element with symbol table ``enc``, a pairing-preserving permutation."""
+        enc = bytes(enc)
+        if len(enc) != 2 * n or bytes(sorted(enc)) != identity_enc(n) or enc[1::2] != enc[::2].translate(_PAIR):
             raise ValueError(f"not the encoding of an element of W(B_{n})")
         g = cls.__new__(cls)
         g.n, g.enc = n, enc
@@ -155,7 +172,7 @@ class SignedPerm:
     @property
     def minus(self) -> frozenset[int]:
         """The flipped indices: the targets of the odd entries of ``enc``."""
-        return frozenset((s >> 1) + 1 for s in self.enc if s & 1)
+        return frozenset((s >> 1) + 1 for s in self.enc[::2] if s & 1)
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         """Composition with ``other`` applied first."""
@@ -178,7 +195,7 @@ class SignedPerm:
 
 def sigma(a: SignedPerm) -> int:
     """The character (-1)^(number of sign flips); W(D_n) is its kernel."""
-    return -1 if sum(s & 1 for s in a.enc) % 2 else 1
+    return -1 if sum(a.enc[::2]) % 2 else 1
 
 
 class SignedCycle(NamedTuple):
@@ -194,7 +211,7 @@ class SignedCycle(NamedTuple):
 
 def signed_cycles(a: SignedPerm) -> list[SignedCycle]:
     """Disjoint signed cycles covering {1..n}, sorted by smallest support."""
-    enc = a.enc
+    enc = a.enc[::2]
     seen: set[int] = set()
     out: list[SignedCycle] = []
     for start in range(a.n):
@@ -232,12 +249,12 @@ def parse_element(text: str, n: int) -> SignedPerm:
                 break
             raise ValueError(f"syntax error at position {pos}: {text[pos:]!r}")
         tok = m.group(1)
-        factor = list(identity_enc(n))
+        factor = bytearray(identity_enc(n))
         if tok.startswith("c"):
             j = int(m.group(2))
             if not 1 <= j <= n:
                 raise ValueError(f"index {j} out of range 1..{n}")
-            factor[j - 1] |= 1
+            factor[2 * j - 2 : 2 * j] = 2 * j - 1, 2 * j - 2
         else:
             idx = [int(s) for s in _CYCLE_INT.findall(tok)]
             for j in idx:
@@ -246,8 +263,8 @@ def parse_element(text: str, n: int) -> SignedPerm:
             if len(set(idx)) != len(idx):
                 raise ValueError(f"repeated index inside cycle {tok}")
             for a, b in zip(idx, idx[1:] + idx[:1]):
-                factor[a - 1] = 2 * (b - 1)
-        out = enc_mul(out, factor)
+                factor[2 * a - 2 : 2 * a] = 2 * b - 2, 2 * b - 1
+        out = enc_mul(out, bytes(factor))
         pos = m.end()
     return SignedPerm.from_enc(n, out)
 

@@ -2,6 +2,7 @@
 
 from functools import reduce
 from itertools import combinations, permutations
+from math import lcm
 from operator import mul
 
 import pytest
@@ -14,6 +15,88 @@ from conich1.groups import FiniteGroup, closure, enc_closure, enc_conjugation, e
 from conich1.intlinalg import IntMatrix, LatticeBasis, invariant_factors, kernel_of_rows, quotient_invariants
 from conich1.picard import PicLattice, phi_of_enc
 from conich1.signedperm import _CYCLE_INT, _TOKEN, SignedPerm, enc_inv, enc_mul, identity_enc, wdn_order
+
+
+# The tuple encoding: entry j is the image of the symbol (j+1)^+, where
+# symbol k^+ is 2(k-1) and k^- is 2(k-1)+1, so it is the even entries of a
+# symbol table (SignedPerm.enc), and tuples sort as their tables do.  The
+# library once ran on it; its kernels stay here as the slow reference the
+# bytes-table kernels are checked against, and pinned digests hash it.
+
+
+def as_tuple(table):
+    """The tuple encoding of a symbol table; signedperm.paired_enc(bytes(t))
+    turns a tuple encoding t back into the table."""
+    return tuple(table[::2])
+
+
+def tuple_mul(a, b):
+    """Product of tuple encodings, b applied first."""
+    return tuple([a[s >> 1] ^ (s & 1) for s in b])
+
+
+def tuple_inv(a):
+    out = [0] * len(a)
+    for j, s in enumerate(a):
+        out[s >> 1] = 2 * j ^ (s & 1)
+    return tuple(out)
+
+
+def tuple_conjugation(t):
+    """q -> t q t^-1 on tuple encodings, from a symbol table of t and the
+    pairs of t^-1: entry j is t applied to the symbol q(t^-1(j^+))."""
+    T = [t[x >> 1] ^ (x & 1) for x in range(2 * len(t))]
+    ti = [(s >> 1, s & 1) for s in tuple_inv(t)]
+    return lambda q: tuple([T[q[k]] ^ f for k, f in ti])
+
+
+def tuple_cycle_type(a):
+    """Sorted (length, flip parity) over the signed cycles of a tuple encoding."""
+    n = len(a)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        w = 0
+        flips = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            s = a[j]
+            flips += s & 1
+            j = s >> 1
+            w += 1
+        out.append((w, flips % 2))
+    return tuple(sorted(out))
+
+
+def tuple_dn_class(a):
+    """The signed cycle type, plus (0, the parity of the minus count of a
+    fixed sign vector) when every signed cycle has even length and an even
+    number of flips, so that W(D_n) splits the class."""
+    ctype = tuple_cycle_type(a)
+    if not all(w % 2 == 0 and not odd for w, odd in ctype):
+        return ctype
+    seen = [False] * len(a)
+    minus = 0
+    for start in range(len(a)):
+        sign = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            minus += sign
+            s = a[j]
+            sign ^= s & 1
+            j = s >> 1
+    return ctype + ((0, minus & 1),)
+
+
+def tuple_order(a):
+    order = 1
+    for w, odd in tuple_cycle_type(a):
+        order = lcm(order, 2 * w if odd else w)
+    return order
 
 
 # the classes of W(D_4) and W(D_5) the H^1 cross-checks run on: all 98 of
@@ -123,10 +206,10 @@ def elements(G):
     position stay fixed."""
     def key(e):
         signs = [1] * G.n
-        for s in e:
+        for s in e[::2]:
             if s & 1:
                 signs[s >> 1] = -1
-        return (signs, [s >> 1 for s in e])
+        return (signs, [s >> 1 for s in e[::2]])
 
     return [SignedPerm.from_enc(G.n, e) for e in sorted(G.enc_set, key=key)]
 
@@ -139,10 +222,10 @@ def conjugate_group(G, t):
 
 def act_symbol(g, symbol):
     """The image of the symbol j^+ = (j, 1) or j^- = (j, -1) under the
-    SignedPerm g, read off its encoding."""
+    SignedPerm g, read off its symbol table."""
     j, sign = symbol
-    s = g.enc[j - 1]
-    return ((s >> 1) + 1, -sign if s & 1 else sign)
+    s = g.enc[2 * j - 2 + (sign < 0)]
+    return ((s >> 1) + 1, -1 if s & 1 else 1)
 
 
 def random_subgroup(G, rng, max_gens=2):

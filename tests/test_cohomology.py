@@ -29,7 +29,6 @@ from conich1.groups import (
     enc_cycle_type,
     enc_mul,
     enc_order,
-    identity_enc,
     prime_power_cyclics,
     subgroup_walk,
     sylow2,
@@ -37,7 +36,7 @@ from conich1.groups import (
 )
 from conich1.intlinalg import IntMatrix, LatticeBasis, unit_pivot_torsion
 from conich1.picard import phi_of_enc
-from conich1.signedperm import SignedPerm, lambda_count, parse_element
+from conich1.signedperm import SignedPerm, lambda_count, paired_enc, parse_element
 from helpers import (
     CHECKED_CLASS_MAX_ORDER,
     _finite_quotient,
@@ -115,10 +114,9 @@ def test_sign_change_is_clean_iff_it_flips_at_most_two():
     # the kernel bound: an even sign change flipping k indices has k signed
     # cycles with an odd number of flips, so H^1(<x>, Pic) = 0 iff k <= 2
     for n in range(2, 10):
-        ident = identity_enc(n)
         for k in range(0, n + 1, 2):
             for flips in combinations(range(n), k):
-                x = tuple(s ^ (j in flips) for j, s in enumerate(ident))
+                x = paired_enc(bytes(2 * j + (j in flips) for j in range(n)))
                 assert cyclic_h1_fails(x) == (k > 2), (n, flips)
 
 
@@ -151,15 +149,15 @@ def _signed_cycle_types(n, largest=None):
 
 
 def _element_of_type(n, ctype):
-    # the encoding of consecutive cycles (a, a+1, ..., a+w-1), each carrying
-    # its flip parity on the step back to a
-    enc, start = [0] * n, 0
+    # the symbol table of consecutive cycles (a, a+1, ..., a+w-1), each
+    # carrying its flip parity on the step back to a
+    images, start = [0] * n, 0
     for w, f in ctype:
         for k in range(w - 1):
-            enc[start + k] = 2 * (start + k + 1)
-        enc[start + w - 1] = 2 * start ^ f
+            images[start + k] = 2 * (start + k + 1)
+        images[start + w - 1] = 2 * start ^ f
         start += w
-    return tuple(enc)
+    return paired_enc(bytes(images))
 
 
 def test_cyclic_closed_form_on_every_signed_cycle_type():

@@ -204,7 +204,7 @@ def restrict_by_hand(g, orbit, rank):
     # P_O from the definition: relabel the orbit to 1..n', keep the flips
     # landing on it, and flip index n'+1 too when those are odd
     relabel = {a: i + 1 for i, a in enumerate(orbit)}
-    image = [relabel[(g.enc[a - 1] >> 1) + 1] for a in orbit] + [rank] * (rank - len(orbit))
+    image = [relabel[(g.enc[2 * a - 2] >> 1) + 1] for a in orbit] + [rank] * (rank - len(orbit))
     minus = {relabel[k] for k in g.minus if k in relabel}
     if len(minus) % 2:
         minus.add(rank)

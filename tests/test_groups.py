@@ -34,13 +34,13 @@ from conich1.groups import (
     prime_power_cyclics,
     subgroup_walk,
     identity_enc,
-    symbol_tables,
     sylow2,
     wdn_generators,
 )
-from conich1.signedperm import SignedPerm, enc_dn_class, parse_element, wdn_order
+from conich1.signedperm import SignedPerm, enc_dn_class, paired_enc, parse_element, wdn_order
 from helpers import (
     abelian_invariants_by_counting,
+    as_tuple,
     catalog_and_table_groups,
     conjugacy_orbit_by_bfs,
     conjugate_group,
@@ -77,7 +77,7 @@ def wdn_encs(draw, n):
     img = draw(st.permutations(range(n)))
     flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     flips[0] ^= sum(flips) % 2  # an even number of flips: inside W(D_n)
-    return tuple(2 * i ^ f for i, f in zip(img, flips))
+    return paired_enc(bytes(2 * i ^ f for i, f in zip(img, flips)))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -202,7 +202,7 @@ def test_sylow2_is_frozen(full_lattice):
     # was tested against every element of P rather than its generators
     cases = catalog_and_table_groups() + full_lattice(4)[0] + full_lattice(5)[0]
     assert len(cases) == 94 + 98 + 197
-    climbed = [(sorted(P.enc_set), P.spanning_encs) for P in map(sylow2, cases)]
+    climbed = [(sorted(map(as_tuple, P.enc_set)), tuple(map(as_tuple, P.spanning_encs))) for P in map(sylow2, cases)]
     assert hashlib.sha256(repr(climbed).encode()).hexdigest() == "5a4477c9bde7f788de0ccfd7b7dcc6ec2d422afe6196df36a024add1da5c9506"
 
 
@@ -252,7 +252,7 @@ def canonical_form_by_scan(grp):
                 Tinv[s ^ 1] = 2 * j + 1
             key = tuple(
                 sorted(
-                    tuple(T[h[Tinv[2 * j] >> 1] ^ (Tinv[2 * j] & 1)] for j in range(n))
+                    tuple(T[h[Tinv[2 * j]]] for j in range(n))
                     for h in grp.enc_set
                 )
             )
@@ -334,7 +334,7 @@ def test_normal_subgroups_give_the_wdn_generators_without_closure(n, monkeypatch
     # the trivial group, the even sign changes and W(D_n) itself are normal,
     # so their orbit is one point and N_W is W(D_n), read off no closure
     ident = identity_enc(n)
-    sign_changes = [tuple(2 * j + (j in (i, i + 1)) for j in range(n)) for i in range(n - 1)]
+    sign_changes = [paired_enc(bytes(2 * j + (j in (i, i + 1)) for j in range(n))) for i in range(n - 1)]
     normal = [
         (frozenset([ident]), []),
         (enc_closure(sign_changes, n), sign_changes),
@@ -642,69 +642,54 @@ def test_coset_closure_matches_bfs(data):
     H = bfs_closure(gens[:-1], n, limit=BFS_LIMIT)
     if len(H) <= BFS_LIMIT and (within is None or H <= within):  # the walker's H always lies inside within
         assert enc_closure(gens, n, cap=cap, within=within, subgroup=H) == expected
-        # H handed over with its symbol tables, as the walker does
-        assert enc_closure(gens, n, cap=cap, within=within, subgroup=symbol_tables(H, n)) == expected
 
 
 def test_closure_extension_work_is_linear(monkeypatch):
-    # K = <H, x> from a known H = <gens>: |H| products per added coset and
-    # k + 1 per coset representative, against |K| (k + 1) for a closure
-    # from scratch, whether H comes as its elements or its symbol tables
-    counts = {"products": 0, "table_products": 0}
+    # K = <H, x> from a known H = <gens>: one padded table per coset
+    # representative r, whose products r*s look up the k + 1 generators in
+    # it, and one per coset product h*y, |H| per added coset; so
+    # |K| - |H| + |K|/|H| tables, against |K| for a closure from scratch
+    padded = [0]
 
-    def counting_mul(a, b, real=groups.enc_mul):
-        counts["products"] += 1
-        return real(a, b)
+    class CountingPad:
+        """A translate pad that counts the tables padded with it."""
 
-    def counting_coset(H, y, real=groups._right_coset):
-        counts["products"] += len(H)
-        return real(H, y)
+        def __init__(self, pad):
+            self.pad = pad
 
-    def counting_itemgetter(*items, real=groups.itemgetter):
-        get = real(*items)
+        def __radd__(self, table):
+            padded[0] += 1
+            return table + self.pad
 
-        def product(table):  # h*y, one call on h's symbol table
-            counts["products"] += 1
-            counts["table_products"] += 1
-            return get(table)
-
-        return product
-
-    monkeypatch.setattr(groups, "enc_mul", counting_mul)
-    monkeypatch.setattr(groups, "_right_coset", counting_coset)
-    monkeypatch.setattr(groups, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(groups, "_PAD", [CountingPad(pad) for pad in groups._PAD])
     cases = [build_group(spec) for cid in (3, 13, 18, 20, 22, 23) for spec in smallest_param_tuples(cid, count=1)]
     cases += [f7(), closure([SignedPerm.from_enc(5, e) for e in wdn_generators(5)])]  # W(D_5)
     extensions = 0
     for grp in cases:
         gens = [g.enc for g in grp.generators]
-        k = len(gens) - 1
         H = enc_closure(gens[:-1], grp.n)
         if len(H) == grp.order:
             continue  # the last generator is redundant: nothing to extend
         extensions += 1
-        for subgroup in (H, symbol_tables(H, grp.n)):
-            counts["products"] = 0
-            K = enc_closure(gens, grp.n, subgroup=subgroup)
-            assert K == grp.enc_set
-            assert len(K) - len(H) <= counts["products"] <= len(K) + len(K) // len(H) * (k + 1)
+        padded[0] = 0
+        K = enc_closure(gens, grp.n, subgroup=H)
+        assert K == grp.enc_set
+        assert padded[0] == len(K) - len(H) + len(K) // len(H)
     assert extensions == 7
-    assert counts["table_products"] > 0
-    # the walker extends each H it holds by passing its symbol tables to
-    # enc_closure, and every coset product comes from them
+    # the walker extends each H it holds by handing it to enc_closure, and
+    # every element outside H comes from one coset product
     base = sylow2(closure([SignedPerm.from_enc(4, e) for e in wdn_generators(4)]))
     walked = []
 
     def recording_closure(gens, n, cap, within=None, subgroup=None, on_cap=None, real=groups.enc_closure):
-        counts["products"] = counts["table_products"] = 0
+        padded[0] = 0
         K = real(gens, n, cap=cap, within=within, subgroup=subgroup, on_cap=on_cap)
-        walked.append((len(gens) - 1, subgroup, K, counts["products"], counts["table_products"]))
+        walked.append((subgroup, K, padded[0]))
         return K
 
     monkeypatch.setattr(groups, "enc_closure", recording_closure)
     walk = subgroup_walk(4, prime_power_cyclics(base.enc_set), cap=base.order)
     assert len(walked) == walk.closures > 100
-    for k, H, K, products, table_products in walked:
-        assert H == symbol_tables(H, 4) and K is not None
-        assert table_products == len(K) - len(H)
-        assert products <= len(K) + len(K) // len(H) * (k + 1)
+    for H, K, tables in walked:
+        assert K is not None and H < K
+        assert tables == len(K) - len(H) + len(K) // len(H)

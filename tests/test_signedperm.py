@@ -8,16 +8,30 @@ from hypothesis import given, settings, strategies as st
 from conich1.groups import enc_conjugation
 from conich1.signedperm import (
     SignedPerm,
+    enc_cycle_type,
+    enc_dn_class,
     enc_inv,
     enc_mul,
+    enc_order,
     format_element,
     identity_enc,
     lambda_count,
+    paired_enc,
     parse_element,
     sigma,
     signed_cycles,
 )
-from helpers import act_symbol, parse_element_by_factors
+from helpers import (
+    act_symbol,
+    as_tuple,
+    parse_element_by_factors,
+    tuple_conjugation,
+    tuple_cycle_type,
+    tuple_dn_class,
+    tuple_inv,
+    tuple_mul,
+    tuple_order,
+)
 
 
 def reassemble(n, cycles):
@@ -99,7 +113,7 @@ def test_parse_element_matches_the_factor_products():
         except ValueError as exc:
             got = str(exc)
         assert got == want, (text, n)
-        kind = "parsed" if isinstance(want, tuple) else want.split(" ")[0]
+        kind = "parsed" if isinstance(want, bytes) else want.split(" ")[0]
         outcomes[kind] = outcomes.get(kind, 0) + 1
     assert set(outcomes) == {"parsed", "index", "repeated", "syntax"}
     assert min(outcomes.values()) >= 1000, outcomes
@@ -226,20 +240,59 @@ def test_enc_roundtrip():
         g = rand_elem(rng, n)
         h = SignedPerm.from_enc(n, g.enc)
         assert h == g and hash(h) == hash(g)
-        assert SignedPerm(n, [(s >> 1) + 1 for s in g.enc], g.minus) == g
+        assert SignedPerm(n, [(s >> 1) + 1 for s in g.enc[::2]], g.minus) == g
+        assert g.enc == paired_enc(bytes(as_tuple(g.enc)))
 
 
 @pytest.mark.parametrize(
     "enc",
     [
-        (0, 2, 4), (0, 2, 4, 6, 8),  # wrong length
-        (0, 0, 4, 6), (0, 2, 3, 6),  # a repeated target index
-        (0, 2, 4, 8), (0, 2, 4, -1),  # an index out of range
+        (0, 1, 2, 3, 4, 5), (0, 2, 4, 6),  # wrong length: a table has 2n entries
+        (0, 1, 0, 1, 4, 5, 6, 7), (0, 1, 3, 2, 3, 2, 6, 7),  # a repeated symbol
+        (0, 1, 2, 4, 3, 5, 6, 7), (1, 1, 2, 3, 4, 5, 6, 7),  # a broken pairing
+        (0, 1, 2, 3, 4, 5, 8, 9), (0, 1, 2, 3, 4, 5, 6, 255),  # a symbol >= 2n
+        (0, 1, 2, 3, 4, 5, 6, -1),  # not a symbol at all
     ],
 )
 def test_from_enc_rejects_malformed_input(enc):
     with pytest.raises(ValueError):
         SignedPerm.from_enc(4, enc)
+
+
+def rand_split(rng, n):
+    """An element of W(D_n), n even, whose W(B_n)-class W(D_n) splits:
+    signed cycles of length 2 or 4, each with an even number of flips."""
+    idx = list(range(1, n + 1))
+    rng.shuffle(idx)
+    cycles, minus = [], []
+    while idx:
+        w = 4 if len(idx) % 4 == 0 and rng.random() < 0.5 else 2
+        cyc, idx = idx[:w], idx[w:]
+        cycles.append(cyc)
+        minus += rng.sample(cyc, rng.choice([0, 2]))
+    return SignedPerm.from_cycles(n, cycles, minus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 64])
+def test_table_kernels_match_the_tuple_reference(n):
+    # the bytes kernels against the tuple kernels they replaced, on seeded
+    # random elements of W(B_n); at n = 64 a table holds 128 symbols
+    rng = random.Random(n)
+    for _ in range(300 if n < 64 else 60):
+        a, b, t = rand_elem(rng, n), rand_elem(rng, n), rand_elem(rng, n)
+        if n % 2 == 0 and rng.random() < 0.3:
+            a = rand_split(rng, n)
+        A, B, T = as_tuple(a.enc), as_tuple(b.enc), as_tuple(t.enc)
+        assert as_tuple(enc_mul(a.enc, b.enc)) == tuple_mul(A, B)
+        assert as_tuple(enc_inv(a.enc)) == tuple_inv(A)
+        assert as_tuple(enc_conjugation(t.enc)(a.enc)) == tuple_conjugation(T)(A)
+        assert enc_cycle_type(a.enc) == tuple_cycle_type(A)
+        assert enc_dn_class(a.enc) == tuple_dn_class(A)
+        assert enc_order(a.enc) == tuple_order(A)
+        assert sigma(a) == (-1) ** sum(s & 1 for s in A)
+        # tables order as their tuple encodings do
+        assert (a.enc < b.enc) == (A < B) and (a.enc == b.enc) == (A == B)
+    assert identity_enc(n) == paired_enc(bytes(range(0, 2 * n, 2)))
 
 
 @pytest.mark.parametrize(
